@@ -356,8 +356,9 @@ def block_length(n, lambda_max=None, alpha=None):
 def gamma_alpha(r, alpha_z):
     """max over integer tau >= 1 of log(tau) alpha_z / log(1/r) - tau / 4.
 
-    The maximizer of the continuous relaxation is 4 alpha_z / log(1/r);
-    scanning to four times that (at least 8) brackets the integer max.
+    The objective is concave in tau with continuous maximizer
+    4 alpha_z / log(1/r), so the integer max sits at its floor or ceil
+    (clamped to tau >= 1).
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
@@ -365,10 +366,8 @@ def gamma_alpha(r, alpha_z):
         raise ValueError("alpha_z must be > 0")
     log_inv = math.log(1.0 / r)
     peak = 4.0 * alpha_z / log_inv
-    hi = max(8, int(math.ceil(4.0 * peak)))
-    taus = np.arange(1, hi + 1, dtype=float)
-    vals = np.log(taus) * alpha_z / log_inv - taus / 4.0
-    return float(vals.max())
+    taus = {max(1, math.floor(peak)), max(1, math.ceil(peak))}
+    return max(math.log(t) * alpha_z / log_inv - t / 4.0 for t in taus)
 
 
 def algebraic_tail_constant(r, alpha_z, gamma=None):

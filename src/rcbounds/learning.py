@@ -217,8 +217,7 @@ def sample_joint(joint, n_mc, history, seed=0):
         return z, y
     if isinstance(joint, TeacherJoint):
         x0 = zero_input_fixed_point(joint.teacher.reservoir)
-        x0b = np.broadcast_to(x0, (n_mc, x0.shape[0]))
-        finals = iterate_states_batch(joint.teacher.reservoir, z, x0=x0b.copy())
+        finals = iterate_states_batch(joint.teacher.reservoir, z, x0=x0)
         y = joint.teacher.readout(finals)
         if joint.noise_law is not None:
             y = y + joint.noise_law.sample(rng, n_mc)
@@ -243,8 +242,7 @@ def sample_joint_paths(joint, n_trials, n, history=200, seed=0):
         y = joint.y_law.sample(rng, n_trials, total)
     elif isinstance(joint, TeacherJoint):
         x0 = zero_input_fixed_point(joint.teacher.reservoir)
-        x0b = np.broadcast_to(x0, (n_trials, x0.shape[0])).copy()
-        states = iterate_states_batch(joint.teacher.reservoir, z, x0=x0b,
+        states = iterate_states_batch(joint.teacher.reservoir, z, x0=x0,
                                       return_all=True)
         y = joint.teacher.readout(states.reshape(n_trials * total, -1))
         y = y.reshape(n_trials, total, -1)
@@ -265,8 +263,7 @@ def statistical_risk_mc(hyp, joint, loss, n_mc=2000, history=200, seed=0):
     """
     z, y = sample_joint(joint, n_mc, history, seed)
     x0 = zero_input_fixed_point(hyp.reservoir)
-    x0b = np.broadcast_to(x0, (n_mc, x0.shape[0])).copy()
-    finals = iterate_states_batch(hyp.reservoir, z, x0=x0b)
+    finals = iterate_states_batch(hyp.reservoir, z, x0=x0)
     preds = hyp.readout(finals)
     vals = loss.per_sample(preds, _as_columns(y))
     mean = float(vals.mean())
@@ -459,6 +456,9 @@ def _exact_risk_uniform(hyp, joint, loss):
 
 
 def _project_spectral(w, cap):
+    if w.shape[0] == 1:
+        # one row: the spectral norm is the euclidean norm
+        return _project_ball(w, cap)
     if cap == 0.0:
         return np.zeros_like(w)
     try:

@@ -465,8 +465,6 @@ def batch_paths(model, n_paths, n, burn_in=None, seed=0):
 
     raise ValueError(f"unsupported process model {type(model).__name__}")
 
-    raise ValueError(f"unsupported model {type(model).__name__}")
-
 
 # ---------------------------------------------------------------------------
 # theta estimation

@@ -111,18 +111,22 @@ class MatrixPolynomial:
     def n_input(self):
         return self.alphas.shape[1]
 
+    def monomials(self, z):
+        """z^alpha_t for every term; z is (d,) or a column batch (d, b).
+
+        Returns (n_terms,) or (n_terms, b).  Each monomial is a product of
+        scalar integer powers of input rows, so no per-sample exponent
+        array is built.
+        """
+        z = np.asarray(z, dtype=float)
+        out = np.ones((self.alphas.shape[0],) + z.shape[1:])
+        for t, j in zip(*np.nonzero(self.alphas)):
+            out[t] *= z[j] ** int(self.alphas[t, j])
+        return out
+
     def eval(self, z):
         """Value at a single input z, shape (rows, cols)."""
-        z = np.asarray(z, dtype=float)
-        mono = np.prod(z[None, :] ** self.alphas, axis=1)
-        return np.tensordot(mono, self.coeffs, axes=1)
-
-    def eval_batch(self, z):
-        """Values at a batch of inputs, shape (batch, rows, cols)."""
-        z = np.asarray(z, dtype=float)
-        mono = np.prod(z[:, None, :] ** self.alphas[None, :, :], axis=2)
-        t, r, c = self.coeffs.shape
-        return (mono @ self.coeffs.reshape(t, r * c)).reshape(-1, r, c)
+        return np.tensordot(self.monomials(z), self.coeffs, axes=1)
 
     def coeff_norms(self):
         return np.array([np.linalg.norm(m, 2) for m in self.coeffs])
@@ -260,19 +264,31 @@ class Hypothesis:
 
 
 def state_update(system, x, z):
-    """One step x -> F(x, z); x may be (N,) or a batch (B, N)."""
+    """One step x -> F(x, z), the only place each family's map is written.
+
+    Single path: x is (N,) and z is (d,).  Batch of b paths, stored
+    column-wise so every step works on contiguous rows: x is (N, b) and
+    z is (d, b); the result has the shape of x.  The state affine map
+    applies p(z) x as sum_t z^alpha_t (P_t x), so no per-sample (N, N)
+    matrix is formed.
+    """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if isinstance(system, LinearReservoir):
-        return x @ system.a.T + z @ system.c.T + system.zeta
-    if isinstance(system, EchoStateReservoir):
-        return system.activation(x @ system.a.T + z @ system.c.T + system.zeta)
+    if isinstance(system, (LinearReservoir, EchoStateReservoir)):
+        pre = system.a @ x
+        # np.dot, not @: matmul over an inner dimension of 1 (scalar
+        # inputs) is several times slower than BLAS on (N, b) blocks
+        pre += np.dot(system.c, z)
+        pre += system.zeta.reshape((-1,) + (1,) * (pre.ndim - 1))
+        if isinstance(system, EchoStateReservoir):
+            return system.activation(pre)
+        return pre
     if isinstance(system, StateAffineReservoir):
-        if x.ndim == 1:
-            return system.p.eval(z) @ x + system.q.eval(z)[:, 0]
-        pz = system.p.eval_batch(z)
-        qz = system.q.eval_batch(z)[:, :, 0]
-        return np.einsum("bij,bj->bi", pz, x) + qz
+        p, q = system.p.coeffs, system.q.coeffs
+        terms, n, _ = p.shape
+        px = (p.reshape(terms * n, n) @ x).reshape((terms, n) + x.shape[1:])
+        return (np.einsum("t...,tn...->n...", system.p.monomials(z), px)
+                + q[:, :, 0].T @ system.q.monomials(z))
     raise ValueError(f"unsupported system {type(system).__name__}")
 
 
@@ -409,14 +425,13 @@ def _as_inputs(system, inputs):
 def _lrc_states(system, z, x0):
     """Linear recursion via per-mode scalar filters; loop fallback."""
     n, _ = z.shape
-    drive = z @ system.c.T + system.zeta  # (n, N)
-    a = system.a
     try:
-        lam, v = np.linalg.eig(a)
+        lam, v = np.linalg.eig(system.a)
         cond = np.linalg.cond(v)
     except np.linalg.LinAlgError:
         cond = np.inf
     if np.isfinite(cond) and cond < 1e8:
+        drive = z @ system.c.T + system.zeta  # (n, N)
         u = np.linalg.solve(v, drive.T)  # (N, n) modal drive
         y0 = np.linalg.solve(v, x0.astype(complex))
         out = np.empty((system.n_state, n), dtype=complex)
@@ -427,11 +442,14 @@ def _lrc_states(system, z, x0):
                 zi = zi + lam[i] ** np.arange(1, n + 1) * y0[i]
             out[i] = zi
         return np.real(v @ out).T
-    x = np.asarray(x0, dtype=float)
-    states = np.empty((n, system.n_state))
-    at, ct = a.T, system.c.T
-    for t in range(n):
-        x = x @ at + z[t] @ ct + system.zeta
+    return _loop_states(system, z, x0)
+
+
+def _loop_states(system, z, x):
+    """States x_1..x_n of one path by repeated state_update."""
+    states = np.empty((z.shape[0], system.n_state))
+    for t in range(z.shape[0]):
+        x = state_update(system, x, z[t])
         states[t] = x
     return states
 
@@ -439,34 +457,71 @@ def _lrc_states(system, z, x0):
 def iterate_states(system, inputs, x0=None):
     """States x_1..x_n from x0 (default 0) driven by the given inputs."""
     z = _as_inputs(system, inputs)
-    n = z.shape[0]
     x = np.zeros(system.n_state) if x0 is None else np.asarray(x0, dtype=float)
     if isinstance(system, LinearReservoir):
         return _lrc_states(system, z, x)
-    states = np.empty((n, system.n_state))
-    for t in range(n):
-        x = state_update(system, x, z[t])
-        states[t] = x
-    return states
+    return _loop_states(system, z, x)
+
+
+# paths per block of the batched recursion: one block's transposed inputs
+# and states stay small next to the caller's (batch, n, d) input array
+_PATH_BLOCK = 4096
+
+
+def _linear_final_states(system, z, x0):
+    """Final states of a linear reservoir without a time loop.
+
+    x_n = A^n x0 + sum_{t=1..n} A^(n-t) (C z_t + zeta), so with the
+    kernel K[t] = A^(n-t) C the whole batch is one (b, n d) @ (n d, N)
+    product.  The kernel is built once per call.
+    """
+    b, n, d = z.shape
+    kernel = np.empty((n, d, system.n_state))
+    power = np.eye(system.n_state)  # A^(n-1-t) for the 0-based step t
+    power_sum = np.zeros_like(power)
+    for t in range(n - 1, -1, -1):
+        kernel[t] = (power @ system.c).T
+        power_sum += power
+        power = system.a @ power
+    # power is now A^n and power_sum is sum_{s<n} A^s
+    drift = power_sum @ system.zeta
+    return z.reshape(b, n * d) @ kernel.reshape(n * d, -1) + x0 @ power.T + drift
 
 
 def iterate_states_batch(system, inputs, x0=None, return_all=False):
     """Batched recursion over inputs of shape (batch, n, n_input).
 
-    Returns the final states (batch, N), or all states (batch, n, N).
+    x0 is None (zero start), one (N,) start shared by every path, or a
+    (batch, N) array.  Returns the final states (batch, N), or all states
+    (batch, n, N).
+
+    Paths are processed in blocks of _PATH_BLOCK.  Each block's inputs are
+    transposed to (n, n_input, block) and its states kept as (N, block),
+    so every state_update call works on contiguous rows; no transposed copy
+    of the whole input is made.  Final states of a linear reservoir skip
+    the time loop and come from one matmul with the kernel A^(n-t) C.
     """
     z = np.asarray(inputs, dtype=float)
     if z.ndim != 3:
         raise ValueError("batched inputs must be (batch, n, n_input)")
     b, n, _ = z.shape
-    x = np.zeros((b, system.n_state)) if x0 is None else np.array(x0, dtype=float)
-    if return_all:
-        out = np.empty((b, n, system.n_state))
-    for t in range(n):
-        x = state_update(system, x, z[:, t, :])
-        if return_all:
-            out[:, t, :] = x
-    return out if return_all else x
+    n_state = system.n_state
+    x0 = np.zeros(n_state) if x0 is None else np.asarray(x0, dtype=float)
+    x0 = np.broadcast_to(x0, (b, n_state))
+    if isinstance(system, LinearReservoir) and not return_all:
+        return _linear_final_states(system, z, x0)
+    out = np.empty((b, n, n_state) if return_all else (b, n_state))
+    for lo in range(0, b, _PATH_BLOCK):
+        hi = min(b, lo + _PATH_BLOCK)
+        zt = np.ascontiguousarray(z[lo:hi].transpose(1, 2, 0))
+        x = np.ascontiguousarray(x0[lo:hi].T)
+        for t in range(n):
+            x = state_update(system, x, zt[t])
+            if return_all:
+                out[lo:hi, t] = x.T
+        if not return_all:
+            out[lo:hi] = x.T
+    return out
 
 
 def run_filter(system, inputs, washout=None, readout=None, input_bound=None):

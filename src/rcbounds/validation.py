@@ -198,8 +198,7 @@ def mc_rademacher(candidates, model, k, n_rep=64, history=None, seed=0,
         outs = []
         for hyp in candidates:
             x0 = zero_input_fixed_point(hyp.reservoir)
-            x0b = np.broadcast_to(x0, (b * k, x0.shape[0])).copy()
-            finals = iterate_states_batch(hyp.reservoir, z, x0=x0b)
+            finals = iterate_states_batch(hyp.reservoir, z, x0=x0)
             outs.append(hyp.readout(finals).reshape(b, k, -1))
         eps = sign_rng.integers(0, 2, size=(b, k)) * 2.0 - 1.0
         best = np.zeros(b)
@@ -291,8 +290,7 @@ def _pool_states(candidates, joint, loss, n_pool, history, seed):
     preds = []
     for hyp in candidates:
         x0 = zero_input_fixed_point(hyp.reservoir)
-        x0b = np.broadcast_to(x0, (n_pool, x0.shape[0])).copy()
-        preds.append(hyp.readout(iterate_states_batch(hyp.reservoir, z, x0=x0b)))
+        preds.append(hyp.readout(iterate_states_batch(hyp.reservoir, z, x0=x0)))
     return preds, y
 
 
@@ -320,8 +318,7 @@ def _empirical_risks(candidates, z_train, y_train, loss):
     out = np.empty((len(candidates), b))
     for i, hyp in enumerate(candidates):
         x0 = zero_input_fixed_point(hyp.reservoir)
-        x0b = np.broadcast_to(x0, (b, x0.shape[0])).copy()
-        states = iterate_states_batch(hyp.reservoir, z_train, x0=x0b,
+        states = iterate_states_batch(hyp.reservoir, z_train, x0=x0,
                                       return_all=True)
         preds = states.reshape(b * n, -1) @ hyp.readout.w.T + hyp.readout.a
         vals = loss.per_sample(preds, y_train.reshape(b * n, -1))
@@ -355,12 +352,10 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
     if fit_erm:
         erm_res = candidates[0].reservoir
         x0 = zero_input_fixed_point(erm_res)
-        x0b = np.broadcast_to(x0, (n_trials, x0.shape[0])).copy()
-        states = iterate_states_batch(erm_res, z_train, x0=x0b,
+        states = iterate_states_batch(erm_res, z_train, x0=x0,
                                       return_all=True)
         pool_z, pool_y = sample_joint(joint, n_pool, history, seed + 15)
-        x0p = np.broadcast_to(x0, (n_pool, x0.shape[0])).copy()
-        pool_s = iterate_states_batch(erm_res, pool_z, x0=x0p)
+        pool_s = iterate_states_batch(erm_res, pool_z, x0=x0)
         pool_y = np.atleast_2d(np.asarray(pool_y, dtype=float))
         for t in range(n_trials):
             ro = fit_readout_erm(states[t], y_train[t],
@@ -425,14 +420,13 @@ def truncation_gap_experiment(klass, model, y_law, ns=(10, 100, 1000),
     sup_gaps = {n: np.zeros(n_trials) for n in ns}
     for hyp in candidates:
         x0 = zero_input_fixed_point(hyp.reservoir)
-        x0b = np.broadcast_to(x0, (n_trials, x0.shape[0])).copy()
-        warm = iterate_states_batch(hyp.reservoir, z, x0=x0b, return_all=True)
+        warm = iterate_states_batch(hyp.reservoir, z, x0=x0, return_all=True)
         for n in ns:
             w_states = warm[:, pre : pre + n]
             w_pred = w_states.reshape(n_trials * n, -1) @ hyp.readout.w.T \
                 + hyp.readout.a
             cold = iterate_states_batch(hyp.reservoir, z[:, pre : pre + n],
-                                        x0=x0b.copy(), return_all=True)
+                                        x0=x0, return_all=True)
             c_pred = cold.reshape(n_trials * n, -1) @ hyp.readout.w.T \
                 + hyp.readout.a
             tgt = y[:, pre : pre + n].reshape(n_trials * n, -1)

@@ -111,6 +111,26 @@ def test_gamma_alpha_matches_brute_force():
         assert abs(B.gamma_alpha(r, a) - brute) < 1e-12
 
 
+def test_gamma_alpha_near_one_is_floor_or_ceil():
+    # r = 1 - 1e-7 puts the continuous maximizer near 2e7: the integer max
+    # is the better of its floor and ceil; near the peak the objective is
+    # flat to within roundoff, so neighbours may tie it up to a few ulps
+    r, a = 1.0 - 1e-7, 0.5
+    log_inv = math.log(1.0 / r)
+    peak = 4.0 * a / log_inv
+
+    def f(t):
+        return math.log(t) * a / log_inv - t / 4.0
+
+    lo, hi = math.floor(peak), math.ceil(peak)
+    assert lo > 1e7
+    want = max(f(lo), f(hi))
+    assert B.gamma_alpha(r, a) == want
+    window = [f(t) for t in range(lo - 1000, hi + 1001)]
+    assert max(window) <= want + 2 * math.ulp(want)
+    assert f(1) < want and f(4 * hi) < want
+
+
 def test_block_length_oracles():
     assert B.block_length(1000, lambda_max=0.5) == (9, 111)
     assert B.block_length(8, lambda_max=0.5) == (3, 2)

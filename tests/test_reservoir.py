@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rcbounds import reservoir
 from rcbounds.processes import Moment
 from rcbounds.reservoir import (
     Activation,
@@ -16,10 +17,13 @@ from rcbounds.reservoir import (
     bound_M_F,
     esp_convergence_check,
     functional,
+    iterate_states,
+    iterate_states_batch,
     random_esn,
     run_filter,
     sample_from_class,
     sas_eval_poly,
+    state_update,
     zero_input_fixed_point,
 )
 
@@ -288,3 +292,71 @@ def test_esn_class_rate_uses_spectral_cap():
     assert abs(klass.r - 0.6) < 1e-14
     # row-sum constant for the Rademacher route is the summed row caps
     assert abs(klass.lam_a - 0.6) < 1e-14
+
+
+def _parity_systems():
+    rng = np.random.default_rng(21)
+    jordan = 0.5 * np.eye(3) + np.diag([1.0, 1.0], k=1)
+    systems = [LinearReservoir(jordan, rng.standard_normal((3, 2)),
+                               rng.standard_normal(3))]
+    systems += [h.reservoir for h in sample_from_class(small_linear_class(),
+                                                       n=1, seed=5)]
+    a = rng.standard_normal((4, 4))
+    a *= 0.8 / np.linalg.norm(a, 2)
+    c, zeta = rng.standard_normal((4, 2)), rng.standard_normal(4)
+    systems += [EchoStateReservoir(a, c, zeta, Activation(kind))
+                for kind in ("tanh", "clipped_linear", "identity")]
+    template = random_esn(4, 2, 1, a=0.6, c_scale=1.0, zeta_scale=0.5,
+                          l_h=1.0, l_h0=0.5, seed=3, input_second_moment=M2)
+    systems.append(template.member(0.7 * template.rho_a_max, -0.8, 0.4))
+    p_alphas = np.array([[0, 0], [1, 0], [1, 2]])
+    q_alphas = np.array([[0, 0], [0, 1], [2, 0]])
+    p_coeffs = rng.standard_normal((3, 3, 3))
+    p_coeffs *= 0.3 / np.linalg.norm(p_coeffs, 2, axis=(1, 2))[:, None, None]
+    systems.append(StateAffineReservoir(
+        MatrixPolynomial(p_alphas, p_coeffs),
+        MatrixPolynomial(q_alphas, rng.standard_normal((3, 3, 1)))))
+    return systems
+
+
+@pytest.mark.parametrize("system", _parity_systems(),
+                         ids=["linear_jordan", "linear", "esn_tanh",
+                              "esn_clipped", "esn_identity", "esn_random",
+                              "sas_mixed"])
+def test_batch_recursion_matches_per_path_loop(system):
+    # one path block plus 3 paths, so a block boundary is crossed
+    block = reservoir._PATH_BLOCK
+    b, n, n_state = block + 3, 20, system.n_state
+    rng = np.random.default_rng(22)
+    z = rng.uniform(-1, 1, (b, n, system.n_input))
+    # the per-path reference runs on a sample that straddles the boundary
+    paths = sorted(set(range(0, b, 97)) | set(range(block - 3, b)))
+    shared = rng.standard_normal(n_state)
+    per_path = rng.standard_normal((b, n_state))
+    for x0 in (None, shared, per_path):
+        starts = [None] * b if x0 is None else np.broadcast_to(x0, (b, n_state))
+        want = np.stack([iterate_states(system, z[i], x0=starts[i])
+                         for i in paths])
+        finals = iterate_states_batch(system, z, x0=x0)
+        states = iterate_states_batch(system, z, x0=x0, return_all=True)
+        assert finals.shape == (b, n_state)
+        assert states.shape == (b, n, n_state)
+        assert np.abs(finals[paths] - want[:, -1]).max() <= 1e-12
+        assert np.abs(states[paths] - want).max() <= 1e-12
+
+
+def test_sas_step_matches_explicit_polynomial():
+    # state_update against p(z) x + q(z) written out term by term, for one
+    # path (N,) and for a column batch (N, b)
+    sas = _parity_systems()[-1]
+    rng = np.random.default_rng(23)
+    z = rng.uniform(-1, 1, (2, 5))
+    x = rng.standard_normal((3, 5))
+
+    def explicit(poly, zi):
+        return sum(np.prod(zi ** a) * c for a, c in zip(poly.alphas, poly.coeffs))
+
+    want = np.stack([explicit(sas.p, z[:, i]) @ x[:, i]
+                     + explicit(sas.q, z[:, i])[:, 0] for i in range(5)], axis=1)
+    assert np.abs(state_update(sas, x, z) - want).max() <= 1e-14
+    assert np.abs(state_update(sas, x[:, 0], z[:, 0]) - want[:, 0]).max() <= 1e-14
