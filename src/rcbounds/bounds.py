@@ -43,7 +43,6 @@ __all__ = [
     "BoundInputs",
     "ChainConstants",
     "BoundReport",
-    "phi_inverse",
     "rademacher_constant",
     "expected_scale_caps",
     "geometric_envelope",
@@ -91,11 +90,6 @@ class PhiFunction:
         if self.kind == "power":
             return y ** (1.0 / self.p)
         return np.log1p(y)
-
-
-def phi_inverse(phi, y):
-    """Inverse of the moment function at y (y^(1/p), resp. log(1 + y))."""
-    return float(phi.inverse(y))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_discrete_lyapunov
 from scipy.special import erf
 
-from .processes import Moment, batch_paths, dim as process_dim, generate_path
+from .processes import Moment, batch_paths
 from .reservoir import (
     Hypothesis,
     LinearReservoir,
@@ -275,7 +275,6 @@ def _folded_normal_mean(mu, var):
     # E|X| for X ~ N(mu, var)
     if var <= 0:
         return abs(mu)
-    s = np.sqrt(var)
     return (np.sqrt(2.0 * var / np.pi) * np.exp(-mu ** 2 / (2.0 * var))
             + mu * erf(mu / np.sqrt(2.0 * var)))
 
@@ -476,8 +475,8 @@ def _project_ball(a, cap):
     return a * (cap / n)
 
 
-def _objective(loss, x, y, w, a):
-    return float(loss.per_sample(x @ w.T + a, y).mean())
+def _objective(loss, pred, y):
+    return float(loss.per_sample(pred, y).mean())
 
 
 def fit_readout_erm(states, targets, caps, loss, n_iter=300, n_restarts=5,
@@ -528,11 +527,11 @@ def fit_readout_erm(states, targets, caps, loss, n_iter=300, n_restarts=5,
     scale = max(l_h, l_h0, 1.0)
     for w, a in starts:
         a = polish_offset(w, a)
-        cur = _objective(loss, x, y, w, a)
+        pred = x @ w.T + a  # carried through the loop: one product per iterate
+        cur = _objective(loss, pred, y)
         if best is None or cur < best[0]:
             best = (cur, w.copy(), a.copy())
         for k in range(n_iter):
-            pred = x @ w.T + a
             gmat = loss.g_prime(pred - y) * (loss.l_l / np.sqrt(m))
             grad_w = gmat.T @ x / n
             grad_a = gmat.mean(axis=0)
@@ -542,11 +541,12 @@ def fit_readout_erm(states, targets, caps, loss, n_iter=300, n_restarts=5,
             step = scale / (np.sqrt(k + 1.0) * gn)
             w = _project_spectral(w - step * grad_w, l_h)
             a = _project_ball(a - step * grad_a, l_h0)
-            cur = _objective(loss, x, y, w, a)
+            pred = x @ w.T + a
+            cur = _objective(loss, pred, y)
             if cur < best[0]:
                 best = (cur, w.copy(), a.copy())
         a2 = polish_offset(w, a)
-        cur = _objective(loss, x, y, w, a2)
+        cur = _objective(loss, x @ w.T + a2, y)
         if cur < best[0]:
             best = (cur, w.copy(), a2.copy())
 

@@ -1,15 +1,26 @@
 """Weakly dependent stochastic process generators and dependence coefficients.
 
 Every process here is a causal Bernoulli shift Z_t = G(..., xi_{t-1}, xi_t)
-driven by i.i.d. innovations.  The module provides path simulation, Monte
-Carlo estimation of the coupling coefficient
+driven by i.i.d. innovations, and each model states its G once, as
+
+    innovations(rng, *shape)  i.i.d. innovations; time on the last axis of
+                              shape, plus one trailing axis for the
+                              innovation's coordinates
+    transform(xi, n)          the last n values of the path that xi drives,
+                              shape xi.shape[:-2] + (n, dim)
+    lag(burn_in)              innovations drawn before the n returned values
+    dim, burn_in              output dimension and default burn-in
+
+Three generic drivers use nothing else: batch_paths (and generate_path)
+simulates paths, moment estimates E||Z_0||^order, and estimate_theta the
+coupling coefficient
 
     theta(tau) = E|| G(..., xi_{-1}, xi_0)
                     - G(..., xi~_{-tau-1}, xi~_{-tau}, xi_{-tau+1}, ..., xi_0) ||_2
 
-(innovations at times <= -tau replaced by an independent copy), analytic
-decay envelopes theta(tau) <= C * lambda^tau or C * tau^(-alpha), and moment
-estimation with explicit provenance.
+(innovations at times <= -tau replaced by an independent copy).  The module
+also gives analytic decay envelopes theta(tau) <= C * lambda^tau or
+C * tau^(-alpha) and moments with explicit provenance.
 """
 
 from dataclasses import dataclass
@@ -29,7 +40,6 @@ __all__ = [
     "ARFIMAProcess",
     "DependenceProfile",
     "ThetaFit",
-    "dim",
     "generate_path",
     "batch_paths",
     "estimate_theta",
@@ -198,6 +208,20 @@ class IIDProcess:
     """Z_t = xi_t with i.i.d. innovations."""
 
     law: InnovationLaw
+    burn_in = 0
+
+    @property
+    def dim(self):
+        return self.law.dim
+
+    def lag(self, burn_in):
+        return 0
+
+    def innovations(self, rng, *shape):
+        return self.law.sample(rng, *shape)
+
+    def transform(self, xi, n):
+        return xi[..., -n:, :]
 
 
 @dataclass(frozen=True)
@@ -206,6 +230,8 @@ class MAProcess:
 
     coeffs: tuple
     law: InnovationLaw
+    burn_in = 0
+    dim = 1
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -214,6 +240,15 @@ class MAProcess:
         if self.law.dim != 1:
             raise ValueError("MAProcess is scalar; law.dim must be 1")
 
+    def lag(self, burn_in):
+        return len(self.coeffs)
+
+    def innovations(self, rng, *shape):
+        return self.law.sample(rng, *shape)
+
+    def transform(self, xi, n):
+        return _filter(xi[..., 0], np.concatenate(([1.0], self.coeffs)), n)
+
 
 @dataclass(frozen=True)
 class VAR1Process:
@@ -221,12 +256,13 @@ class VAR1Process:
 
     The i.i.d. scalar multipliers s_t (scale_law, or identically 1 when None)
     make the coefficient matrix time varying; stationarity requires
-    E|s_0| * |||A|||_2 < 1.
+    E|s_0| * |||A|||_2 < 1.  The recursion starts at Z = 0.
     """
 
     a_base: np.ndarray
     noise: InnovationLaw
     scale_law: InnovationLaw = None
+    burn_in = 500
 
     def __post_init__(self):
         a = np.asarray(self.a_base, dtype=float)
@@ -249,6 +285,33 @@ class VAR1Process:
             raise ValueError("scale_law must have a closed-form mean absolute value")
         return float(m1) * spec
 
+    @property
+    def dim(self):
+        return self.noise.dim
+
+    def lag(self, burn_in):
+        return burn_in
+
+    def innovations(self, rng, *shape):
+        """eta_t in the first dim coordinates, the multiplier s_t last."""
+        eta = self.noise.sample(rng, *shape)
+        if self.scale_law is None:
+            s = np.ones(tuple(shape) + (1,))
+        else:
+            s = self.scale_law.sample(rng, *shape)
+        return np.concatenate([eta, s], axis=-1)
+
+    def transform(self, xi, n):
+        d, steps = self.dim, xi.shape[-2]
+        out = np.empty(xi.shape[:-2] + (n, d))
+        z = np.zeros(xi.shape[:-2] + (d,))
+        at = self.a_base.T
+        for t in range(steps):
+            z = xi[..., t, d:] * (z @ at) + xi[..., t, :d]
+            if t >= steps - n:
+                out[..., t - steps + n, :] = z
+        return out
+
 
 @dataclass(frozen=True)
 class GARCHProcess:
@@ -257,13 +320,14 @@ class GARCHProcess:
     eps_t are standard normal.  representation "returns" exposes the scalar
     path r_t; "squared" exposes the two dimensional state (r_t^2, sigma_t^2)
     whose companion-matrix form makes the geometric dependence rate
-    alpha + beta explicit.
+    alpha + beta explicit.  The recursion starts at the stationary variance.
     """
 
     omega: float
     alpha: float
     beta: float
     representation: str = "returns"
+    burn_in = 500
 
     def __post_init__(self):
         if self.omega < 0 or self.alpha < 0 or self.beta < 0:
@@ -277,6 +341,32 @@ class GARCHProcess:
     def stationary_variance(self):
         return self.omega / (1.0 - self.alpha - self.beta)
 
+    @property
+    def dim(self):
+        return 2 if self.representation == "squared" else 1
+
+    def lag(self, burn_in):
+        return burn_in
+
+    def innovations(self, rng, *shape):
+        return rng.standard_normal(tuple(shape) + (1,))
+
+    def transform(self, xi, n):
+        eps = xi[..., 0]
+        steps = eps.shape[-1]
+        s2 = np.full(eps.shape[:-1], self.stationary_variance)
+        r2 = s2
+        kept = np.empty(eps.shape[:-1] + (n,))  # the last n variances only
+        for t in range(steps):
+            s2 = self.omega + self.alpha * r2 + self.beta * s2
+            r2 = s2 * eps[..., t] ** 2
+            if t >= steps - n:
+                kept[..., t - steps + n] = s2
+        r = np.sqrt(kept) * eps[..., steps - n:]
+        if self.representation == "squared":
+            return np.stack([r ** 2, kept], axis=-1)
+        return r[..., None]
+
 
 @dataclass(frozen=True)
 class ARFIMAProcess:
@@ -289,12 +379,29 @@ class ARFIMAProcess:
 
     d_frac: float
     trunc: int = 10_000
+    dim = 1
 
     def __post_init__(self):
         if not -0.5 < self.d_frac < 0.5:
             raise ValueError("d_frac must lie in (-1/2, 1/2)")
         if self.trunc < 1:
             raise ValueError("trunc must be >= 1")
+
+    @property
+    def burn_in(self):
+        return self.trunc
+
+    def lag(self, burn_in):
+        """Truncation order: burn_in capped at trunc, 0 selecting trunc."""
+        return min(burn_in, self.trunc) if burn_in > 0 else self.trunc
+
+    def innovations(self, rng, *shape):
+        return rng.standard_normal(tuple(shape) + (1,))
+
+    def transform(self, xi, n):
+        # the innovations before the n values set the truncation order
+        phi = arfima_coefficients(self.d_frac, xi.shape[-2] - n)
+        return _filter(xi[..., 0], phi, n)
 
 
 def arfima_coefficients(d_frac, count):
@@ -310,160 +417,51 @@ def arfima_coefficients(d_frac, count):
     return phi
 
 
-def dim(model):
-    """Output dimension of the process."""
-    if isinstance(model, IIDProcess):
-        return model.law.dim
-    if isinstance(model, MAProcess):
-        return 1
-    if isinstance(model, VAR1Process):
-        return model.noise.dim
-    if isinstance(model, GARCHProcess):
-        return 2 if model.representation == "squared" else 1
-    if isinstance(model, ARFIMAProcess):
-        return 1
-    raise ValueError(f"unsupported model {type(model).__name__}")
+def _filter(x, kernel, n):
+    """Last n values of the causal filter sum_k kernel[k] x_{t-k}, shape
+    x.shape[:-1] + (n, 1), for x with time on its last axis.
+
+    One value is a dot product with the last len(kernel) entries; a path is
+    one FFT convolution.
+    """
+    steps = x.shape[-1]
+    if n == 1:
+        return (x[..., steps - kernel.size:] @ kernel[::-1])[..., None, None]
+    kernel = kernel.reshape((1,) * (x.ndim - 1) + (-1,))
+    return fftconvolve(x, kernel, mode="full", axes=-1)[..., steps - n:steps, None]
 
 
-def _default_burn_in(model):
-    if isinstance(model, (GARCHProcess, VAR1Process)):
-        return 500
-    if isinstance(model, ARFIMAProcess):
-        return model.trunc
-    return 0
+def _lag(model, burn_in):
+    if burn_in is None:
+        burn_in = model.burn_in
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    return model.lag(burn_in)
 
 
 def generate_path(model, n, burn_in=None, seed=0):
     """Simulate a length-n path, shape (n, d), deterministic per seed.
 
-    burn_in: transient steps discarded for the recursive models (VAR1,
-    GARCH); for ARFIMA it is the moving-average truncation order (number of
-    phi coefficients beyond phi_0).  None selects the model default
-    (500 for the recursions, model.trunc for ARFIMA).
+    The same draw as path 0 of batch_paths(model, 1, n, burn_in, seed).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if burn_in is None:
-        burn_in = _default_burn_in(model)
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    rng = np.random.default_rng(seed)
-
-    if isinstance(model, IIDProcess):
-        return model.law.sample(rng, n)
-
-    if isinstance(model, MAProcess):
-        q = len(model.coeffs)
-        xi = model.law.sample(rng, n + q)[:, 0]
-        kernel = np.concatenate(([1.0], model.coeffs))
-        return fftconvolve(xi, kernel, mode="full")[q : q + n, None]
-
-    if isinstance(model, VAR1Process):
-        d = model.noise.dim
-        total = burn_in + n
-        eta = model.noise.sample(rng, total)
-        if model.scale_law is None:
-            s = np.ones(total)
-        else:
-            s = model.scale_law.sample(rng, total)[:, 0]
-        out = np.empty((total, d))
-        z = np.zeros(d)
-        at = model.a_base.T
-        for t in range(total):
-            z = s[t] * (z @ at) + eta[t]
-            out[t] = z
-        return out[burn_in:]
-
-    if isinstance(model, GARCHProcess):
-        total = burn_in + n
-        eps = rng.standard_normal(total)
-        s2 = np.empty(total)
-        prev = model.stationary_variance  # start at the stationary variance
-        prev_r2 = prev
-        for t in range(total):
-            s2[t] = model.omega + model.alpha * prev_r2 + model.beta * prev
-            prev = s2[t]
-            prev_r2 = s2[t] * eps[t] ** 2
-        r = np.sqrt(s2) * eps
-        if model.representation == "squared":
-            return np.column_stack([r ** 2, s2])[burn_in:]
-        return r[burn_in:, None]
-
-    if isinstance(model, ARFIMAProcess):
-        k = burn_in if burn_in > 0 else model.trunc
-        phi = arfima_coefficients(model.d_frac, k)
-        eps = rng.standard_normal(n + k)
-        return fftconvolve(eps, phi, mode="full")[k : k + n, None]
-
-    raise ValueError(f"unsupported process model {type(model).__name__}")
+    return batch_paths(model, 1, n, burn_in, seed)[0]
 
 
 def batch_paths(model, n_paths, n, burn_in=None, seed=0):
     """n_paths independent length-n paths at once, shape (n_paths, n, d).
 
-    Same laws as generate_path but vectorized across paths (the recursions
-    loop over time only), so Monte Carlo experiments stay cheap.  One rng
-    stream per call; paths are independent but not per-path seed-aligned
-    with generate_path.
+    One rng stream per call draws model.lag(burn_in) + n innovations per
+    path; the recursions loop over time only, so Monte Carlo experiments
+    stay cheap.  burn_in: transient steps discarded for the recursive models
+    (VAR1, GARCH); for ARFIMA the moving-average truncation order, capped at
+    model.trunc (0 selects model.trunc).  None selects model.burn_in (500
+    for the recursions, model.trunc for ARFIMA).  With n_paths = 1 this is
+    generate_path with the same seed.
     """
     if n_paths < 1 or n < 1:
         raise ValueError("n_paths and n must be >= 1")
-    if burn_in is None:
-        burn_in = _default_burn_in(model)
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
     rng = np.random.default_rng(seed)
-    b = n_paths
-
-    if isinstance(model, IIDProcess):
-        return model.law.sample(rng, b, n)
-
-    if isinstance(model, MAProcess):
-        q = len(model.coeffs)
-        xi = model.law.sample(rng, b, n + q)[:, :, 0]
-        kernel = np.concatenate(([1.0], model.coeffs))
-        out = fftconvolve(xi, kernel[None, :], mode="full", axes=1)
-        return out[:, q : q + n, None]
-
-    if isinstance(model, VAR1Process):
-        d = model.noise.dim
-        total = burn_in + n
-        eta = model.noise.sample(rng, b, total)
-        if model.scale_law is None:
-            s = np.ones((b, total))
-        else:
-            s = model.scale_law.sample(rng, b, total)[:, :, 0]
-        out = np.empty((b, total, d))
-        z = np.zeros((b, d))
-        at = model.a_base.T
-        for t in range(total):
-            z = s[:, t, None] * (z @ at) + eta[:, t]
-            out[:, t] = z
-        return out[:, burn_in:]
-
-    if isinstance(model, GARCHProcess):
-        total = burn_in + n
-        eps = rng.standard_normal((b, total))
-        s2 = np.empty((b, total))
-        prev = np.full(b, model.stationary_variance)
-        prev_r2 = prev.copy()
-        for t in range(total):
-            s2[:, t] = model.omega + model.alpha * prev_r2 + model.beta * prev
-            prev = s2[:, t]
-            prev_r2 = s2[:, t] * eps[:, t] ** 2
-        r = np.sqrt(s2) * eps
-        if model.representation == "squared":
-            return np.stack([r ** 2, s2], axis=2)[:, burn_in:]
-        return r[:, burn_in:, None]
-
-    if isinstance(model, ARFIMAProcess):
-        k = burn_in if burn_in > 0 else model.trunc
-        phi = arfima_coefficients(model.d_frac, k)
-        eps = rng.standard_normal((b, n + k))
-        out = fftconvolve(eps, phi[None, :], mode="full", axes=1)
-        return out[:, k : k + n, None]
-
-    raise ValueError(f"unsupported process model {type(model).__name__}")
+    return model.transform(model.innovations(rng, n_paths, _lag(model, burn_in) + n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -471,123 +469,41 @@ def batch_paths(model, n_paths, n, burn_in=None, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _chunks(n_total, per_trial_floats):
-    size = max(1, int(_CHUNK_FLOATS / max(1, per_trial_floats)))
-    start = 0
-    while start < n_total:
-        stop = min(n_total, start + size)
-        yield start, stop
-        start = stop
+def _mc_mean(draw, values, n_mc, seed):
+    """Mean and standard error of values(xi) over n_mc trials.
 
-
-def _stack_draws(seed, lo, hi, draw):
-    """Stack per-trial rng draws; trial i uses default_rng(seed + i)."""
-    return np.stack([draw(np.random.default_rng(seed + i)) for i in range(lo, hi)])
-
-
-def _theta_samples_ma(model, tau, lo, hi, seed):
-    q = len(model.coeffs)
-    kernel = np.concatenate(([1.0], model.coeffs))  # weight on xi_0, xi_-1, ...
-    L = q + 1
-
-    def draw(rng):
-        return model.law.sample(rng, 2 * L)[:, 0]
-
-    block = _stack_draws(seed, lo, hi, draw)
-    orig = block[:, :L]  # xi_0 .. xi_{-q} (most recent first)
-    ghost = block[:, L:]
-    coupled = orig.copy()
-    coupled[:, tau:] = ghost[:, tau:]  # lags >= tau are times <= -tau
-    return np.abs((orig - coupled) @ kernel)
-
-
-def _theta_samples_arfima(model, tau, history, lo, hi, seed):
-    k = min(history, model.trunc)
-    phi = arfima_coefficients(model.d_frac, k)
-    L = k + 1
-
-    def draw(rng):
-        return rng.standard_normal(2 * L)
-
-    block = _stack_draws(seed, lo, hi, draw)
-    orig = block[:, :L]
-    ghost = block[:, L:]
-    coupled = orig.copy()
-    coupled[:, tau:] = ghost[:, tau:]
-    return np.abs((orig - coupled) @ phi)
-
-
-def _theta_samples_var1(model, tau, history, lo, hi, seed):
-    d = model.noise.dim
-    L = history + 1
-
-    def draw(rng):
-        eta = model.noise.sample(rng, 2 * L)
-        if model.scale_law is None:
-            s = np.ones((2 * L, 1))
-        else:
-            s = model.scale_law.sample(rng, 2 * L)
-        return np.concatenate([eta, s], axis=1).reshape(-1)
-
-    block = _stack_draws(seed, lo, hi, draw).reshape(hi - lo, 2 * L, d + 1)
-    eta = block[:, :L, :d]  # times -history .. 0, oldest first
-    s = block[:, :L, d]
-    eta_g = block[:, L:, :d]
-    s_g = block[:, L:, d]
-    # replace innovations at times <= -tau (the first L - tau slots)
-    cut = L - tau
-    eta2 = eta.copy()
-    s2 = s.copy()
-    eta2[:, :cut] = eta_g[:, :cut]
-    s2[:, :cut] = s_g[:, :cut]
-    at = model.a_base.T
-    z1 = np.zeros((hi - lo, d))
-    z2 = np.zeros((hi - lo, d))
-    for t in range(L):
-        z1 = s[:, t, None] * (z1 @ at) + eta[:, t]
-        z2 = s2[:, t, None] * (z2 @ at) + eta2[:, t]
-    return np.linalg.norm(z1 - z2, axis=1)
-
-
-def _theta_samples_garch(model, tau, history, lo, hi, seed):
-    L = history + 1
-
-    def draw(rng):
-        return rng.standard_normal(2 * L)
-
-    block = _stack_draws(seed, lo, hi, draw)
-    eps = block[:, :L]  # times -history .. 0, oldest first
-    eps_g = block[:, L:]
-    cut = L - tau
-    eps2 = eps.copy()
-    eps2[:, :cut] = eps_g[:, :cut]
-    v0 = model.stationary_variance  # shared truncation: both start stationary
-    s2a = np.full(hi - lo, v0)
-    s2b = np.full(hi - lo, v0)
-    r2a = np.full(hi - lo, v0)
-    r2b = np.full(hi - lo, v0)
-    for t in range(L):
-        s2a = model.omega + model.alpha * r2a + model.beta * s2a
-        s2b = model.omega + model.alpha * r2b + model.beta * s2b
-        r2a = s2a * eps[:, t] ** 2
-        r2b = s2b * eps2[:, t] ** 2
-    if model.representation == "squared":
-        return np.sqrt((r2a - r2b) ** 2 + (s2a - s2b) ** 2)
-    ra = np.sqrt(s2a) * eps[:, -1]
-    rb = np.sqrt(s2b) * eps2[:, -1]
-    return np.abs(ra - rb)
+    Trial i draws its innovations with draw(default_rng(seed + i)), so its
+    value does not depend on chunking; trials are stacked along a leading
+    axis in chunks of about _CHUNK_FLOATS innovation floats.
+    """
+    size = max(1, _CHUNK_FLOATS // draw(np.random.default_rng(seed)).size)
+    total = 0.0
+    total_sq = 0.0
+    for lo in range(0, n_mc, size):
+        # no name holds a chunk's innovations past values(): the next chunk
+        # is drawn only after they are freed
+        vals = values(np.stack([draw(np.random.default_rng(seed + i))
+                                for i in range(lo, min(n_mc, lo + size))]))
+        total += vals.sum()
+        total_sq += (vals ** 2).sum()
+    mean = total / n_mc
+    var = max(0.0, total_sq / n_mc - mean ** 2)
+    return Moment(float(mean), float(np.sqrt(var / n_mc)), "mc")
 
 
 def estimate_theta(model, tau, n_mc=10_000, history=None, seed=0):
     """Monte Carlo estimate of the coupling coefficient theta(tau).
 
-    Both trajectories are truncated at the same finite history
-    (default max(200, 10 tau)), so the truncation bias is shared.  Trial i
-    draws from default_rng(seed + i); results do not depend on chunking.
+    Trial i draws, from default_rng(seed + i), two histories of
+    L = model.lag(history) + 1 innovations at times -L+1 .. 0 (history
+    defaults to max(200, 10 tau)).  The second keeps its own draws at times
+    <= -tau and takes the first's at the tau times after; one transform of
+    both gives the coupled pair, so the truncation bias is shared.
 
     Returns a Moment with provenance "mc", or "exact-zero" when the coupling
-    provably has no effect (IID always; finite MA once tau exceeds its
-    order).
+    provably has no effect because no innovation at a time <= -tau is in
+    the history (model.lag(history) < tau: IID always, finite MA beyond its
+    order, ARFIMA beyond its truncation).
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
@@ -597,36 +513,18 @@ def estimate_theta(model, tau, n_mc=10_000, history=None, seed=0):
         history = max(200, 10 * tau)
     if history < tau:
         raise ValueError("history must be >= tau")
-
-    if isinstance(model, IIDProcess):
-        return Moment(0.0, 0.0, "exact-zero")
-    if isinstance(model, MAProcess) and tau > len(model.coeffs):
+    steps = model.lag(history) + 1
+    if steps <= tau:
         return Moment(0.0, 0.0, "exact-zero")
 
-    if isinstance(model, MAProcess):
-        per = 2 * (len(model.coeffs) + 1)
-        sampler = lambda lo, hi: _theta_samples_ma(model, tau, lo, hi, seed)
-    elif isinstance(model, ARFIMAProcess):
-        per = 2 * (min(history, model.trunc) + 1)
-        sampler = lambda lo, hi: _theta_samples_arfima(model, tau, history, lo, hi, seed)
-    elif isinstance(model, VAR1Process):
-        per = 2 * (history + 1) * (model.noise.dim + 1)
-        sampler = lambda lo, hi: _theta_samples_var1(model, tau, history, lo, hi, seed)
-    elif isinstance(model, GARCHProcess):
-        per = 2 * (history + 1)
-        sampler = lambda lo, hi: _theta_samples_garch(model, tau, history, lo, hi, seed)
-    else:
-        raise ValueError(f"unsupported model {type(model).__name__}")
+    def values(xi):
+        # the second history takes the first's last tau innovations; the
+        # reshape then puts each trial's (original, coupled) rows in a row
+        xi[:, 2 * steps - tau:] = xi[:, steps - tau:steps]
+        z = model.transform(xi.reshape(2 * len(xi), steps, -1), 1)[:, 0]
+        return np.linalg.norm(z[0::2] - z[1::2], axis=-1)
 
-    total = 0.0
-    total_sq = 0.0
-    for lo, hi in _chunks(n_mc, per):
-        vals = sampler(lo, hi)
-        total += vals.sum()
-        total_sq += (vals ** 2).sum()
-    mean = total / n_mc
-    var = max(0.0, total_sq / n_mc - mean ** 2)
-    return Moment(float(mean), float(np.sqrt(var / n_mc)), "mc")
+    return _mc_mean(lambda rng: model.innovations(rng, 2 * steps), values, n_mc, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -860,82 +758,23 @@ def analytic_moment(model, order):
     raise ValueError(f"unsupported model {type(model).__name__}")
 
 
-def _sample_z0(model, lo, hi, seed, burn_in):
-    """Independent stationary draws of Z_0, one per trial rng."""
-    d = dim(model)
-
-    if isinstance(model, IIDProcess):
-        return _stack_draws(seed, lo, hi, lambda rng: model.law.sample(rng, 1)[0])
-
-    if isinstance(model, MAProcess):
-        q = len(model.coeffs)
-        kernel = np.concatenate(([1.0], model.coeffs))
-        block = _stack_draws(seed, lo, hi, lambda rng: model.law.sample(rng, q + 1)[:, 0])
-        return (block @ kernel[::-1])[:, None]
-
-    if isinstance(model, ARFIMAProcess):
-        phi = arfima_coefficients(model.d_frac, model.trunc)
-        block = _stack_draws(seed, lo, hi,
-                             lambda rng: rng.standard_normal(model.trunc + 1))
-        return (block @ phi[::-1])[:, None]
-
-    if isinstance(model, GARCHProcess):
-        block = _stack_draws(seed, lo, hi,
-                             lambda rng: rng.standard_normal(burn_in + 1))
-        s2 = np.full(hi - lo, model.stationary_variance)
-        r2 = np.full(hi - lo, model.stationary_variance)
-        for t in range(burn_in + 1):
-            s2 = model.omega + model.alpha * r2 + model.beta * s2
-            r2 = s2 * block[:, t] ** 2
-        if model.representation == "squared":
-            return np.column_stack([r2, s2])
-        return (np.sqrt(s2) * block[:, -1])[:, None]
-
-    if isinstance(model, VAR1Process):
-        L = burn_in + 1
-
-        def draw(rng):
-            eta = model.noise.sample(rng, L)
-            if model.scale_law is None:
-                s = np.ones((L, 1))
-            else:
-                s = model.scale_law.sample(rng, L)
-            return np.concatenate([eta, s], axis=1).reshape(-1)
-
-        block = _stack_draws(seed, lo, hi, draw).reshape(hi - lo, L, d + 1)
-        z = np.zeros((hi - lo, d))
-        at = model.a_base.T
-        for t in range(L):
-            z = block[:, t, d, None] * (z @ at) + block[:, t, :d]
-        return z
-
-    raise ValueError(f"unsupported model {type(model).__name__}")
-
-
-def moment(model, order, n_mc=10_000, seed=0, burn_in=500):
+def moment(model, order, n_mc=10_000, seed=0, burn_in=None):
     """Monte Carlo E||Z_0||_2^order over independent stationary draws.
 
-    Each trial uses its own rng (seed + trial index).  Returns a Moment with
-    provenance "mc" and the standard error of the mean.
+    Trial i is the last value of batch_paths(model, 1, 1, burn_in,
+    seed + i).  Returns a Moment with provenance "mc" and the standard
+    error of the mean.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if n_mc < 2:
         raise ValueError("n_mc must be >= 2")
-    if isinstance(model, ARFIMAProcess):
-        per = 2 * (model.trunc + 1)
-    else:
-        per = 2 * (burn_in + 1) * max(1, dim(model))
-    total = 0.0
-    total_sq = 0.0
-    for lo, hi in _chunks(n_mc, per):
-        z = _sample_z0(model, lo, hi, seed, burn_in)
-        vals = np.linalg.norm(z, axis=1) ** order
-        total += vals.sum()
-        total_sq += (vals ** 2).sum()
-    mean = total / n_mc
-    var = max(0.0, total_sq / n_mc - mean ** 2)
-    return Moment(float(mean), float(np.sqrt(var / n_mc)), "mc")
+    steps = _lag(model, burn_in) + 1
+
+    def values(xi):
+        return np.linalg.norm(model.transform(xi, 1)[:, 0], axis=-1) ** order
+
+    return _mc_mean(lambda rng: model.innovations(rng, steps), values, n_mc, seed)
 
 
 # ---------------------------------------------------------------------------

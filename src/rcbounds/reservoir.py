@@ -37,7 +37,6 @@ __all__ = [
     "EchoStateClass",
     "StateAffineClass",
     "RandomEchoStateClass",
-    "sas_eval_poly",
     "state_update",
     "zero_input_fixed_point",
     "contraction_modulus",
@@ -146,11 +145,6 @@ class MatrixPolynomial:
         deg = self.degrees()
         powers = np.where(deg > 0, box ** np.maximum(deg - 1, 0), 0.0)
         return float(np.sum(self.coeff_norms() * deg * powers))
-
-
-def sas_eval_poly(poly, z):
-    """Evaluate a matrix polynomial at the input point z."""
-    return poly.eval(z)
 
 
 # ---------------------------------------------------------------------------

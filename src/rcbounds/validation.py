@@ -31,7 +31,7 @@ from .learning import (
     sample_joint,
     sample_joint_paths,
 )
-from .processes import DependenceProfile, Moment, batch_paths, dim as process_dim
+from .processes import DependenceProfile, Moment, batch_paths
 from .reservoir import (
     EchoStateClass,
     EchoStateReservoir,
@@ -184,7 +184,7 @@ def mc_rademacher(candidates, model, k, n_rep=64, history=None, seed=0,
                                    seed=seed + 7919)
     if history is None:
         history = 200
-    d = process_dim(model)
+    d = model.dim
 
     # chunk repetitions so the path block stays below ~2e7 floats
     per_rep = k * history * d

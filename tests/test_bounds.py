@@ -189,8 +189,8 @@ def test_bounded_case_constant_and_deviation():
 
 
 def test_phi_inverse():
-    assert abs(B.phi_inverse(B.PhiFunction("power", 2.0), 9.0) - 3.0) < 1e-12
-    assert abs(B.phi_inverse(B.PhiFunction("exp"), math.e - 1) - 1.0) < 1e-12
+    assert abs(B.PhiFunction("power", 2.0).inverse(9.0) - 3.0) < 1e-12
+    assert abs(B.PhiFunction("exp").inverse(math.e - 1) - 1.0) < 1e-12
 
 
 def test_phi_norm_moments_gaussian_power():

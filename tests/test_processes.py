@@ -217,3 +217,123 @@ def test_moment_validation():
         Moment(float("nan"))
     with pytest.raises(ValueError):
         Moment(1.0, -0.5)
+
+
+# ---------------------------------------------------------------------------
+# the Bernoulli-shift protocol: one innovations/transform pair per model
+# ---------------------------------------------------------------------------
+
+SHIFT_MODELS = {
+    "iid-laplace-2d": IIDProcess(InnovationLaw("laplace", 2, 0.7)),
+    "ma-gaussian": MAProcess(coeffs=(0.5, -0.3, 0.2), law=GAUSS),
+    "ma-uniform": MAProcess(coeffs=(0.4, 0.1), law=InnovationLaw("uniform", 1, 1.0)),
+    "var1-2d": VAR1Process(a_base=np.array([[0.3, 0.1], [0.0, 0.4]]),
+                           noise=InnovationLaw("gaussian", 2, 1.0)),
+    "var1-1d-scaled": VAR1Process(a_base=np.array([[0.5]]), noise=GAUSS,
+                                  scale_law=InnovationLaw("uniform", 1, 1.0)),
+    "garch-returns": GARCHProcess(omega=0.05, alpha=0.10, beta=0.85),
+    "garch-squared": GARCHProcess(omega=0.05, alpha=0.10, beta=0.85,
+                                  representation="squared"),
+    "arfima": ARFIMAProcess(d_frac=0.3, trunc=300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_MODELS))
+def test_generate_path_is_first_batch_path(name):
+    model = SHIFT_MODELS[name]
+    for burn_in in (None, 0, 7):
+        path = generate_path(model, 40, burn_in, seed=4)
+        assert path.shape == (40, model.dim)
+        assert np.array_equal(path, batch_paths(model, 1, 40, burn_in, seed=4)[0])
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_MODELS))
+def test_moment_is_mean_over_one_step_paths(name):
+    model = SHIFT_MODELS[name]
+    n_mc, seed = 40, 9
+    for burn_in in (None, 7):
+        for order in (1, 2):
+            m = moment(model, order, n_mc=n_mc, seed=seed, burn_in=burn_in)
+            want = np.mean([
+                np.linalg.norm(batch_paths(model, 1, 1, burn_in, seed + i)[0, -1]) ** order
+                for i in range(n_mc)])
+            assert abs(m.value - want) <= 1e-12 * max(1.0, want)
+            assert m.provenance == "mc"
+
+
+def _coupled_theta_by_loop(tau, history, n_mc, seed, step, draw):
+    """theta(tau) from two explicit trajectories per trial: trial i draws
+    2 (history + 1) innovations from default_rng(seed + i), the first half
+    drives the original path and the second half, with the original's last
+    tau innovations put back, the coupled one."""
+    steps = history + 1
+    vals = []
+    for i in range(n_mc):
+        xi = draw(np.random.default_rng(seed + i), 2 * steps)
+        orig = xi[:steps]
+        coupled = np.concatenate([xi[steps:2 * steps - tau], orig[steps - tau:]])
+        vals.append(np.linalg.norm(step(orig) - step(coupled)))
+    return float(np.mean(vals))
+
+
+@pytest.mark.parametrize("name", ["var1-2d", "var1-1d-scaled"])
+def test_var1_theta_matches_explicit_coupling(name):
+    model = SHIFT_MODELS[name]
+    d = model.noise.dim
+
+    def draw(rng, count):
+        # eta_t first, then the multipliers s_t, in one stream
+        eta = model.noise.sample(rng, count)
+        s = (np.ones((count, 1)) if model.scale_law is None
+             else model.scale_law.sample(rng, count))
+        return np.hstack([eta, s])
+
+    def step(xi):
+        z = np.zeros(d)
+        for eta_t, s_t in zip(xi[:, :d], xi[:, d]):
+            z = s_t * (model.a_base @ z) + eta_t
+        return z
+
+    for tau in (1, 4):
+        est = estimate_theta(model, tau, n_mc=60, history=25, seed=3)
+        want = _coupled_theta_by_loop(tau, 25, 60, 3, step, draw)
+        assert est.provenance == "mc"
+        assert abs(est.value - want) <= 1e-12 * max(1.0, want)
+
+
+@pytest.mark.parametrize("representation", ["returns", "squared"])
+def test_garch_theta_matches_explicit_coupling(representation):
+    model = GARCHProcess(omega=0.05, alpha=0.10, beta=0.85,
+                         representation=representation)
+
+    def step(eps):
+        s2 = r2 = model.stationary_variance
+        for e in eps:
+            s2 = model.omega + model.alpha * r2 + model.beta * s2
+            r2 = s2 * e ** 2
+        r = math.sqrt(s2) * eps[-1]
+        return np.array([r ** 2, s2] if representation == "squared" else [r])
+
+    for tau in (1, 6):
+        est = estimate_theta(model, tau, n_mc=60, history=30, seed=11)
+        want = _coupled_theta_by_loop(
+            tau, 30, 60, 11, step, lambda rng, count: rng.standard_normal(count))
+        assert est.provenance == "mc"
+        assert abs(est.value - want) <= 1e-12 * max(1.0, want)
+
+
+def test_arfima_burn_in_is_truncation_capped_at_trunc():
+    model = ARFIMAProcess(d_frac=0.3, trunc=20)
+    default = batch_paths(model, 3, 16, seed=2)
+    for burn_in in (0, 20, 50):
+        assert np.array_equal(batch_paths(model, 3, 16, burn_in, seed=2), default)
+    assert not np.array_equal(batch_paths(model, 3, 16, 10, seed=2), default)
+    assert [model.lag(b) for b in (0, 5, 20, 50)] == [20, 5, 20, 20]
+
+
+def test_theta_exact_zero_beyond_the_models_lag():
+    model = ARFIMAProcess(d_frac=0.3, trunc=5)
+    beyond = estimate_theta(model, 6, n_mc=10, seed=0)
+    assert beyond.value == 0.0 and beyond.provenance == "exact-zero"
+    at = estimate_theta(model, 5, n_mc=10, seed=0)
+    assert at.value > 0.0 and at.provenance == "mc"

@@ -22,7 +22,6 @@ from rcbounds.reservoir import (
     random_esn,
     run_filter,
     sample_from_class,
-    sas_eval_poly,
     state_update,
     zero_input_fixed_point,
 )
@@ -177,13 +176,13 @@ def test_state_stays_in_m_f_ball():
 def test_sas_eval_poly_cases():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     const = MatrixPolynomial(np.zeros((1, 1)), a[None])
-    assert np.array_equal(sas_eval_poly(const, [0.3]), a)
+    assert np.array_equal(const.eval([0.3]), a)
     lin = MatrixPolynomial(np.array([[1]]), a[None])
-    assert np.allclose(sas_eval_poly(lin, [0.5]), 0.5 * a)
+    assert np.allclose(lin.eval([0.5]), 0.5 * a)
     b = np.array([[2.0, 0.0], [0.0, 2.0]])
     mixed = MatrixPolynomial(np.array([[1, 2]]), b[None])
     # z1 * z2^2 at (0.5, -0.5) is 0.125
-    assert np.allclose(sas_eval_poly(mixed, [0.5, -0.5]), 0.125 * b)
+    assert np.allclose(mixed.eval([0.5, -0.5]), 0.125 * b)
 
 
 def test_sas_filter_matches_truncated_series():
@@ -199,9 +198,9 @@ def test_sas_filter_matches_truncated_series():
         total = np.zeros(klass.n_state)
         j_max = t
         for j in range(j_max + 1):
-            term = sas_eval_poly(res.q, z[t - j])[:, 0]
+            term = res.q.eval(z[t - j])[:, 0]
             for k in reversed(range(j)):
-                term = sas_eval_poly(res.p, z[t - k]) @ term
+                term = res.p.eval(z[t - k]) @ term
             total += term
         tol = m_f * r ** (j_max + 1) / (1 - r)
         assert np.linalg.norm(states[t] - total) <= tol + 1e-12
