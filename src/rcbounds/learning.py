@@ -109,6 +109,13 @@ class LossFunction:
         m = pred.shape[1]
         return self.l_l / np.sqrt(m) * self.g(pred - target).sum(axis=1)
 
+    def risk(self, pred, target):
+        """Average loss over the sample axis of (..., n, m) predictions and
+        targets (broadcast against each other), shape (...)."""
+        m = pred.shape[-1]
+        return (self.l_l / np.sqrt(m)
+                * self.g(pred - target).sum(axis=-1)).mean(axis=-1)
+
 
 def loss_value(loss, x, y):
     """L(x, y) for single vectors x, y."""
@@ -329,10 +336,16 @@ def _mean_abs_cf(deltas, gauss_var, mu):
     return 2.0 / math.pi * (val + 1.0 / t_hi)
 
 
+# longest kappa chain the uniform-input closed form evaluates
+_KAPPA_TERMS = 100_000
+
+
 def _lrc_kappa_chain(res, readout, tol=1e-16):
     """Rows kappa_j = w A^j C of the linear prediction as a (J, d) array,
     truncated once the spectral tail falls below tol, plus the constant
-    part w (I - A)^(-1) zeta + a."""
+    part w (I - A)^(-1) zeta + a.  Raises ValueError when that takes more
+    than _KAPPA_TERMS terms (|||A|||_2 close to 1), rather than dropping
+    the tail."""
     rho = float(np.linalg.norm(res.a, 2))
     if rho >= 1.0:
         raise ValueError("need |||A|||_2 < 1")
@@ -341,9 +354,12 @@ def _lrc_kappa_chain(res, readout, tol=1e-16):
     if wn > 0 and rho > 0:
         j_max = max(1, int(math.ceil(math.log(tol / (wn / (1 - rho)))
                                      / math.log(rho))))
+    if j_max > _KAPPA_TERMS:
+        raise ValueError(f"the kappa chain needs {j_max} terms, more than "
+                         f"{_KAPPA_TERMS}")
     rows = []
     v = readout.w.copy()  # (1, N)
-    for _ in range(min(j_max, 100_000)):
+    for _ in range(j_max):
         rows.append((v @ res.c)[0])
         v = v @ res.a
     const = float((readout.w @ np.linalg.solve(np.eye(res.n_state) - res.a,
@@ -359,7 +375,8 @@ def exact_risk(hyp, joint, loss):
     linear teacher plus gaussian noise) reduce to a folded-normal mean via
     the stationary state covariance.  Uniform inputs reduce to a
     characteristic-function quadrature over the prediction-error law.
-    Raises ValueError outside this scope.
+    Raises ValueError outside this scope, which includes uniform inputs
+    whose kappa chain needs more than _KAPPA_TERMS terms.
     """
     from .processes import IIDProcess
 
@@ -455,28 +472,24 @@ def _exact_risk_uniform(hyp, joint, loss):
 
 
 def _project_spectral(w, cap):
-    if w.shape[0] == 1:
+    """Project each (m, N) matrix of the stack w onto |||W|||_2 <= cap."""
+    flat = w.reshape(w.shape[:-2] + (-1,))
+    if w.shape[-2] == 1:
         # one row: the spectral norm is the euclidean norm
-        return _project_ball(w, cap)
-    if cap == 0.0:
-        return np.zeros_like(w)
+        return _project_ball(flat, cap).reshape(w.shape)
     try:
         u, s, vt = np.linalg.svd(w, full_matrices=False)
     except np.linalg.LinAlgError:
-        return w * (cap / max(np.linalg.norm(w), 1e-300))
-    if s.size == 0 or s[0] <= cap:
-        return w
-    return (u * np.minimum(s, cap)) @ vt
+        # the frobenius ball lies inside the spectral one
+        return _project_ball(flat, cap).reshape(w.shape)
+    clipped = (u * np.minimum(s, cap)[..., None, :]) @ vt
+    return np.where((s[..., 0] <= cap)[..., None, None], w, clipped)
+
 
 def _project_ball(a, cap):
-    n = np.linalg.norm(a)
-    if n <= cap or n == 0.0:
-        return a if n <= cap else np.zeros_like(a)
-    return a * (cap / n)
-
-
-def _objective(loss, pred, y):
-    return float(loss.per_sample(pred, y).mean())
+    """Project each row of a onto the euclidean ball of radius cap."""
+    n = np.sqrt(np.sum(a ** 2, axis=-1))
+    return a * np.minimum(1.0, cap / np.maximum(n, 1e-300))[..., None]
 
 
 def fit_readout_erm(states, targets, caps, loss, n_iter=300, n_restarts=5,
@@ -490,64 +503,97 @@ def fit_readout_erm(states, targets, caps, loss, n_iter=300, n_restarts=5,
     to the clamped median of the residuals, which is exactly optimal at
     fixed W.  The objective is convex, so the best iterate is within the
     step-size resolution of the optimum.
+
+    states (n, N) with targets (n,) or (n, m) returns one Readout.  A
+    leading trial axis, states (T, n, N) with targets (T, n) or (T, n, m),
+    fits the T trials at once and returns a list of T Readouts; trial t
+    draws its random starts from default_rng(seed + t) and stops on its own
+    once its subgradient norm falls to tol, so it equals the single fit of
+    its slice with seed + t.
     """
-    x = np.atleast_2d(np.asarray(states, dtype=float))
-    y = _as_columns(targets)
-    if x.shape[0] != y.shape[0]:
+    x = np.asarray(states, dtype=float)
+    single = x.ndim <= 2
+    if single:
+        x = np.atleast_2d(x)[None]
+        y = _as_columns(targets)[None]
+    else:
+        y = np.asarray(targets, dtype=float)
+        if y.ndim == 2:
+            y = y[..., None]
+    if x.ndim != 3 or y.ndim != 3 or x.shape[:2] != y.shape[:2]:
         raise ValueError("states and targets must have the same length")
     l_h, l_h0 = float(caps[0]), float(caps[1])
     if l_h < 0 or l_h0 < 0:
         raise ValueError("caps must be >= 0")
-    n, n_state = x.shape
-    m = y.shape[1]
-    rng = np.random.default_rng(seed)
+    n_trials, n, n_state = x.shape
+    m = y.shape[2]
 
-    def polish_offset(w, a):
+    def predict(w, a):
+        return x @ w.swapaxes(1, 2) + a[:, None, :]
+
+    def polish_offset(w):
         if l_h0 == 0.0:
-            return np.zeros(m)
+            return np.zeros((n_trials, m))
+        resid = y - x @ w.swapaxes(1, 2)
         if loss.kind == "absolute":
-            med = np.median(y - x @ w.T, axis=0)
-            return _project_ball(med, l_h0)
-        if loss.kind in ("squared", "huber"):
-            return _project_ball((y - x @ w.T).mean(axis=0), l_h0)
-        resid = y - x @ w.T
-        return _project_ball(np.quantile(resid, loss.quantile, axis=0), l_h0)
+            centre = np.median(resid, axis=1)
+        elif loss.kind in ("squared", "huber"):
+            centre = resid.mean(axis=1)
+        else:
+            centre = np.quantile(resid, loss.quantile, axis=1)
+        return _project_ball(centre, l_h0)
 
-    starts = []
-    wls, *_ = np.linalg.lstsq(np.hstack([x, np.ones((n, 1))]), y, rcond=None)
-    w0 = _project_spectral(wls[:n_state].T, l_h)
-    starts.append((w0, _project_ball(wls[n_state], l_h0)))
-    starts.append((np.zeros((m, n_state)), np.zeros(m)))
-    while len(starts) < n_restarts:
-        w = _project_spectral(rng.standard_normal((m, n_state)) * l_h, l_h)
-        a = _project_ball(rng.standard_normal(m) * l_h0, l_h0)
-        starts.append((w, a))
+    # each start's offset is polished before use, so a start is its W alone
+    wls = np.stack([
+        np.linalg.lstsq(np.hstack([x[t], np.ones((n, 1))]), y[t], rcond=None)[0]
+        for t in range(n_trials)])
+    starts = [_project_spectral(wls[:, :n_state].swapaxes(1, 2), l_h),
+              np.zeros((n_trials, m, n_state))]
+    rngs = [np.random.default_rng(seed + t) for t in range(n_trials)]
+    for _ in range(n_restarts - 2):
+        draws = []
+        for rng in rngs:
+            draws.append(rng.standard_normal((m, n_state)))
+            rng.standard_normal(m)  # the offset draw, kept for the stream
+        starts.append(_project_spectral(np.stack(draws) * l_h, l_h))
 
-    best = None
+    best_val = np.full(n_trials, np.inf)
+    best_w = np.zeros((n_trials, m, n_state))
+    best_a = np.zeros((n_trials, m))
+
+    def keep(better, cur, w, a):
+        best_val[better] = cur[better]
+        best_w[better] = w[better]
+        best_a[better] = a[better]
+
     scale = max(l_h, l_h0, 1.0)
-    for w, a in starts:
-        a = polish_offset(w, a)
-        pred = x @ w.T + a  # carried through the loop: one product per iterate
-        cur = _objective(loss, pred, y)
-        if best is None or cur < best[0]:
-            best = (cur, w.copy(), a.copy())
+    for w in starts:
+        a = polish_offset(w)
+        pred = predict(w, a)  # carried through the loop: one product per iterate
+        cur = loss.risk(pred, y)
+        keep(cur < best_val, cur, w, a)
+        live = np.ones(n_trials, dtype=bool)
         for k in range(n_iter):
             gmat = loss.g_prime(pred - y) * (loss.l_l / np.sqrt(m))
-            grad_w = gmat.T @ x / n
-            grad_a = gmat.mean(axis=0)
-            gn = np.sqrt(np.sum(grad_w ** 2) + np.sum(grad_a ** 2))
-            if gn <= tol:
+            grad_w = gmat.swapaxes(1, 2) @ x / n
+            grad_a = gmat.mean(axis=1)
+            gn = np.sqrt(np.sum(grad_w ** 2, axis=(1, 2))
+                         + np.sum(grad_a ** 2, axis=1))
+            live &= gn > tol  # a trial stops for good at its first small step
+            if not live.any():
                 break
-            step = scale / (np.sqrt(k + 1.0) * gn)
-            w = _project_spectral(w - step * grad_w, l_h)
-            a = _project_ball(a - step * grad_a, l_h0)
-            pred = x @ w.T + a
-            cur = _objective(loss, pred, y)
-            if cur < best[0]:
-                best = (cur, w.copy(), a.copy())
-        a2 = polish_offset(w, a)
-        cur = _objective(loss, x @ w.T + a2, y)
-        if cur < best[0]:
-            best = (cur, w.copy(), a2.copy())
+            step = scale / (np.sqrt(k + 1.0) * np.where(live, gn, 1.0))
+            w = np.where(live[:, None, None],
+                         _project_spectral(w - step[:, None, None] * grad_w, l_h),
+                         w)
+            a = np.where(live[:, None],
+                         _project_ball(a - step[:, None] * grad_a, l_h0), a)
+            pred = predict(w, a)
+            cur = loss.risk(pred, y)
+            keep(live & (cur < best_val), cur, w, a)
+        a = polish_offset(w)
+        cur = loss.risk(predict(w, a), y)
+        keep(cur < best_val, cur, w, a)
 
-    return Readout(best[1], best[2])
+    fits = [Readout(best_w[t], best_a[t]) for t in range(n_trials)]
+    return fits[0] if single else fits

@@ -26,7 +26,7 @@ C * tau^(-alpha) and moments with explicit provenance.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammaln, zeta
 
 __all__ = [
@@ -419,16 +419,28 @@ def arfima_coefficients(d_frac, count):
 
 def _filter(x, kernel, n):
     """Last n values of the causal filter sum_k kernel[k] x_{t-k}, shape
-    x.shape[:-1] + (n, 1), for x with time on its last axis.
+    x.shape[:-1] + (n, 1), for x with time on its last axis and at least
+    len(kernel) - 1 values before the n kept ones.
 
-    One value is a dot product with the last len(kernel) entries; a path is
-    one FFT convolution.
+    One value is a dot product with the last len(kernel) entries.  Paths
+    take a circular FFT convolution of length >= x.shape[-1], which is
+    exact on every output past the first len(kernel) - 1 (only those wrap
+    around), run over row chunks of about _CHUNK_FLOATS floats and written
+    straight into the (rows, n) result.
     """
     steps = x.shape[-1]
     if n == 1:
         return (x[..., steps - kernel.size:] @ kernel[::-1])[..., None, None]
-    kernel = kernel.reshape((1,) * (x.ndim - 1) + (-1,))
-    return fftconvolve(x, kernel, mode="full", axes=-1)[..., steps - n:steps, None]
+    rows = x.reshape(-1, steps)
+    size = next_fast_len(steps, real=True)
+    kf = rfft(kernel, size)
+    out = np.empty((rows.shape[0], n))
+    chunk = max(1, _CHUNK_FLOATS // size)
+    for lo in range(0, rows.shape[0], chunk):
+        spec = rfft(rows[lo:lo + chunk], size)
+        spec *= kf
+        out[lo:lo + chunk] = irfft(spec, size)[:, steps - n:steps]
+    return out.reshape(x.shape[:-1] + (n, 1))
 
 
 def _lag(model, burn_in):
@@ -474,21 +486,18 @@ def _mc_mean(draw, values, n_mc, seed):
 
     Trial i draws its innovations with draw(default_rng(seed + i)), so its
     value does not depend on chunking; trials are stacked along a leading
-    axis in chunks of about _CHUNK_FLOATS innovation floats.
+    axis in chunks of about _CHUNK_FLOATS innovation floats, and the n_mc
+    values are reduced once, so neither does the estimate.
     """
     size = max(1, _CHUNK_FLOATS // draw(np.random.default_rng(seed)).size)
-    total = 0.0
-    total_sq = 0.0
+    vals = np.empty(n_mc)
     for lo in range(0, n_mc, size):
+        hi = min(n_mc, lo + size)
         # no name holds a chunk's innovations past values(): the next chunk
         # is drawn only after they are freed
-        vals = values(np.stack([draw(np.random.default_rng(seed + i))
-                                for i in range(lo, min(n_mc, lo + size))]))
-        total += vals.sum()
-        total_sq += (vals ** 2).sum()
-    mean = total / n_mc
-    var = max(0.0, total_sq / n_mc - mean ** 2)
-    return Moment(float(mean), float(np.sqrt(var / n_mc)), "mc")
+        vals[lo:hi] = values(np.stack([draw(np.random.default_rng(seed + i))
+                                       for i in range(lo, hi)]))
+    return Moment(float(vals.mean()), float(vals.std() / np.sqrt(n_mc)), "mc")
 
 
 def estimate_theta(model, tau, n_mc=10_000, history=None, seed=0):

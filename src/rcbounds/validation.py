@@ -314,15 +314,12 @@ def _true_risks(candidates, joint, loss, n_pool, history, seed):
 
 def _empirical_risks(candidates, z_train, y_train, loss):
     """Zero-padded empirical risks, batched over trials: (n_cand, n_trials)."""
-    b, n, _ = z_train.shape
-    out = np.empty((len(candidates), b))
+    out = np.empty((len(candidates), len(z_train)))
     for i, hyp in enumerate(candidates):
         x0 = zero_input_fixed_point(hyp.reservoir)
         states = iterate_states_batch(hyp.reservoir, z_train, x0=x0,
                                       return_all=True)
-        preds = states.reshape(b * n, -1) @ hyp.readout.w.T + hyp.readout.a
-        vals = loss.per_sample(preds, y_train.reshape(b * n, -1))
-        out[i] = vals.reshape(b, n).mean(axis=1)
+        out[i] = loss.risk(hyp.readout(states), y_train)
     return out
 
 
@@ -357,19 +354,20 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
         pool_z, pool_y = sample_joint(joint, n_pool, history, seed + 15)
         pool_s = iterate_states_batch(erm_res, pool_z, x0=x0)
         pool_y = np.atleast_2d(np.asarray(pool_y, dtype=float))
-        for t in range(n_trials):
-            ro = fit_readout_erm(states[t], y_train[t],
-                                 caps=(klass.l_h, klass.l_h0), loss=loss,
-                                 n_iter=erm_iters, n_restarts=2,
-                                 seed=seed + 16 + t)
-            hyp = Hypothesis(erm_res, ro)
-            if not klass.contains(hyp):
+        fits = fit_readout_erm(states, y_train, caps=(klass.l_h, klass.l_h0),
+                               loss=loss, n_iter=erm_iters, n_restarts=2,
+                               seed=seed + 16)
+        for ro in fits:
+            if not klass.contains(Hypothesis(erm_res, ro)):
                 raise RuntimeError("fitted readout escaped the class caps")
-            r_true = float(loss.per_sample(pool_s @ ro.w.T + ro.a,
-                                           pool_y).mean())
-            r_emp = float(loss.per_sample(states[t] @ ro.w.T + ro.a,
-                                          np.atleast_2d(y_train[t])).mean())
-            gaps[t] = max(gaps[t], r_true - r_emp)
+        w = np.stack([ro.w for ro in fits])  # (n_trials, m, N)
+        a = np.stack([ro.a for ro in fits])[:, None, :]
+        # every trial's pool predictions from one (n_pool, N) @ (N, T m)
+        pool_pred = (pool_s @ w.reshape(-1, w.shape[2]).T).reshape(
+            len(pool_s), n_trials, -1).swapaxes(0, 1) + a
+        r_true = loss.risk(pool_pred, pool_y)
+        r_emp = loss.risk(states @ w.swapaxes(1, 2) + a, y_train)
+        gaps = np.maximum(gaps, r_true - r_emp)
 
     covered = gaps <= report.total
     med = float(np.median(gaps))

@@ -240,3 +240,45 @@ def test_loss_validation():
         LossFunction("pinball", quantile=1.5)
     with pytest.raises(ValueError):
         loss_value(ABS, np.zeros(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("kind", ["absolute", "squared", "huber", "pinball"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_erm_batch_matches_single_fits(kind, m):
+    loss = LossFunction(kind, quantile=0.3)
+    rng = np.random.default_rng(8)
+    n_trials, n, n_state = 4, 60, 3
+    states = rng.normal(size=(n_trials, n, n_state))
+    targets = (states @ rng.normal(size=(n_state, m)) * 0.5
+               + rng.standard_t(3, size=(n_trials, n, m)))
+    # trials that stop while the others keep iterating: an all-zero one
+    # (its subgradient vanishes except under the pinball loss), and a
+    # noiseless linear teacher inside the caps, which the least-squares
+    # start fits to rounding (a tiny subgradient for squared and huber)
+    states[1] = 0.0
+    targets[1] = 0.0
+    targets[2] = states[2] @ np.full((n_state, m), 0.2) + 0.1
+    caps, seed = (0.7, 0.4), 5
+    fits = fit_readout_erm(states, targets, caps, loss, n_iter=60,
+                           n_restarts=5, seed=seed)
+    assert len(fits) == n_trials
+    for t, ro in enumerate(fits):
+        one = fit_readout_erm(states[t], targets[t], caps, loss, n_iter=60,
+                              n_restarts=5, seed=seed + t)
+        assert np.max(np.abs(ro.w - one.w)) <= 1e-12
+        assert np.max(np.abs(ro.a - one.a)) <= 1e-12
+    if kind != "pinball":
+        assert np.all(fits[1].w == 0.0) and np.all(fits[1].a == 0.0)
+
+
+def test_exact_risk_refuses_a_kappa_chain_beyond_its_cap():
+    from rcbounds.validation import _true_risks
+
+    res = LinearReservoir(np.diag([0.9999, 0.2]), np.ones((2, 1)), np.zeros(2))
+    hyp = Hypothesis(res, Readout(np.array([[0.5, 0.5]]), np.zeros(1)))
+    unif = InnovationLaw("uniform", 1, 1.0)
+    joint = IndependentJoint(IIDProcess(unif), unif)
+    with pytest.raises(ValueError, match="kappa chain"):
+        exact_risk(hyp, joint, ABS)
+    risks = _true_risks([hyp], joint, ABS, n_pool=200, history=50, seed=0)
+    assert risks.shape == (1,) and np.isfinite(risks[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rcbounds import processes
 from rcbounds.processes import (
     ARFIMAProcess,
     GARCHProcess,
@@ -337,3 +338,47 @@ def test_theta_exact_zero_beyond_the_models_lag():
     assert beyond.value == 0.0 and beyond.provenance == "exact-zero"
     at = estimate_theta(model, 5, n_mc=10, seed=0)
     assert at.value > 0.0 and at.provenance == "mc"
+
+
+# ---------------------------------------------------------------------------
+# chunking: FFT paths and Monte Carlo means do not depend on the chunk size
+# ---------------------------------------------------------------------------
+
+FILTER_MODELS = {
+    "ma": (MAProcess(coeffs=(0.5, -0.3, 0.2), law=GAUSS),
+           np.array([1.0, 0.5, -0.3, 0.2])),
+    "arfima": (ARFIMAProcess(d_frac=0.3, trunc=50),
+               arfima_coefficients(0.3, 50)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_MODELS))
+@pytest.mark.parametrize("n", [1, 2, 20, 80])
+def test_filter_matches_explicit_convolution(monkeypatch, name, n):
+    model, kernel = FILTER_MODELS[name]
+    lag, n_paths, seed = kernel.size - 1, 7, 3
+    xi = model.innovations(np.random.default_rng(seed), n_paths, lag + n)[..., 0]
+    want = np.stack([np.convolve(row, kernel)[lag:lag + n] for row in xi])
+    # a few FFT rows per chunk: 7 paths cross several chunks, the last ragged
+    monkeypatch.setattr(processes, "_CHUNK_FLOATS", 3 * (lag + n) + 1)
+    got = batch_paths(model, n_paths, n, seed=seed)
+    assert got.shape == (n_paths, n, 1)
+    assert np.max(np.abs(got[..., 0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+CHUNK_MODELS = ("iid-laplace-2d", "ma-uniform", "garch-squared", "arfima")
+
+
+@pytest.mark.parametrize("name", CHUNK_MODELS)
+def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch, name):
+    model = SHIFT_MODELS[name]
+
+    def estimates():
+        return (moment(model, 1, n_mc=301, seed=3),
+                moment(model, 2, n_mc=301, seed=3),
+                estimate_theta(model, 2, n_mc=301, history=30, seed=5))
+
+    default = estimates()
+    for floats in (1, 1000):
+        monkeypatch.setattr(processes, "_CHUNK_FLOATS", floats)
+        assert estimates() == default
