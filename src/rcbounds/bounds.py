@@ -31,12 +31,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .processes import DependenceProfile, Moment
-from .reservoir import (
-    EchoStateClass,
-    LinearClass,
-    RandomEchoStateClass,
-    StateAffineClass,
-)
+from .reservoir import StateAffineClass
 
 __all__ = [
     "PhiFunction",
@@ -118,18 +113,12 @@ def rademacher_constant(klass, input_second_moment=None):
         raise ValueError("need E||Z_0||^2 for this family")
     z2 = math.sqrt(_as_value(input_second_moment))
 
-    if isinstance(klass, LinearClass):
-        return (klass.l_h * (klass.lam_c * z2 + klass.lam_zeta)
-                / (1.0 - klass.lam_a) + klass.l_h0)
-
-    if isinstance(klass, (EchoStateClass, RandomEchoStateClass)):
-        lam_a = klass.lam_a if isinstance(klass, EchoStateClass) else klass.a
-        if lam_a >= 1.0:
-            raise ValueError("summed row caps must stay below 1")
-        return (klass.l_h * (klass.lam_c * z2 + klass.lam_zeta)
-                / (1.0 - lam_a) + klass.l_h0)
-
-    raise ValueError(f"unsupported class {type(klass).__name__}")
+    # (A, C, zeta) classes: the linear class is the echo state one with
+    # Lip(sigma) = 1, and a random template's lam_a is its cap a
+    if klass.lam_a >= 1.0:
+        raise ValueError("summed row caps must stay below 1")
+    return (klass.l_h * (klass.lam_c * z2 + klass.lam_zeta)
+            / (1.0 - klass.lam_a) + klass.l_h0)
 
 
 def expected_scale_caps(n_state, n_input, entry_law="gaussian"):

@@ -8,8 +8,8 @@ initial conditions collapse at rate r^t, so the truncation is benign.
 
 Three families are implemented:
 
-  linear       x_t = A x_{t-1} + C z_t + zeta
   echo state   x_t = sigma(A x_{t-1} + C z_t + zeta), sigma odd, 1-Lipschitz
+  linear       x_t = A x_{t-1} + C z_t + zeta, the echo state map with sigma = id
   state affine x_t = p(z_t) x_{t-1} + q(z_t), p and q polynomials in z with
                matrix (resp. vector) coefficients, inputs in a sup-norm box
 
@@ -21,7 +21,6 @@ modulus) used by the risk certificates.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .processes import Moment
 
@@ -153,10 +152,13 @@ class MatrixPolynomial:
 
 
 @dataclass(frozen=True)
-class LinearReservoir:
+class EchoStateReservoir:
+    """x_t = sigma(A x_{t-1} + C z_t + zeta) with an odd 1-Lipschitz sigma."""
+
     a: np.ndarray
     c: np.ndarray
     zeta: np.ndarray
+    activation: Activation = Activation("tanh")
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -180,25 +182,20 @@ class LinearReservoir:
 
 
 @dataclass(frozen=True)
-class EchoStateReservoir:
-    a: np.ndarray
-    c: np.ndarray
-    zeta: np.ndarray
-    activation: Activation = Activation("tanh")
+class LinearReservoir(EchoStateReservoir):
+    """x_t = A x_{t-1} + C z_t + zeta: the echo state map with sigma = id.
+
+    Every rule of the echo state family holds with Lip(sigma) = 1; the
+    class is kept for the closed forms only linear maps have (fixed point,
+    final-state kernel, exact risk).
+    """
+
+    activation: Activation = Activation("identity")
 
     def __post_init__(self):
-        lin = LinearReservoir(self.a, self.c, self.zeta)
-        object.__setattr__(self, "a", lin.a)
-        object.__setattr__(self, "c", lin.c)
-        object.__setattr__(self, "zeta", lin.zeta)
-
-    @property
-    def n_state(self):
-        return self.a.shape[0]
-
-    @property
-    def n_input(self):
-        return self.c.shape[1]
+        if self.activation != Activation("identity"):
+            raise ValueError("linear reservoirs have the identity activation")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -268,15 +265,13 @@ def state_update(system, x, z):
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if isinstance(system, (LinearReservoir, EchoStateReservoir)):
+    if isinstance(system, EchoStateReservoir):
         pre = system.a @ x
         # np.dot, not @: matmul over an inner dimension of 1 (scalar
         # inputs) is several times slower than BLAS on (N, b) blocks
         pre += np.dot(system.c, z)
         pre += system.zeta.reshape((-1,) + (1,) * (pre.ndim - 1))
-        if isinstance(system, EchoStateReservoir):
-            return system.activation(pre)
-        return pre
+        return system.activation(pre)
     if isinstance(system, StateAffineReservoir):
         p, q = system.p.coeffs, system.q.coeffs
         terms, n, _ = p.shape
@@ -292,8 +287,6 @@ def contraction_modulus(system, input_bound=None):
     For the state affine family the sup runs over the input box
     ||z||_inf <= input_bound, which is therefore required.
     """
-    if isinstance(system, LinearReservoir):
-        return float(np.linalg.norm(system.a, 2))
     if isinstance(system, EchoStateReservoir):
         return system.activation.lipschitz * float(np.linalg.norm(system.a, 2))
     if isinstance(system, StateAffineReservoir):
@@ -306,21 +299,11 @@ def contraction_modulus(system, input_bound=None):
 def bound_M_F(system, input_bound=None):
     """Radius of a ball around 0 that the state dynamics cannot leave.
 
-    Linear family: (|||C||| M + ||zeta||) / (1 - |||A|||), needs bounded
-    inputs.  Echo state: sqrt(N) for bounded activations, the linear-style
-    bound otherwise, the minimum when both apply.  State affine:
-    M_q / (1 - M_p) over the input box.
+    Echo state (linear = identity activation): sqrt(N) for bounded
+    activations, (|||C||| M + ||zeta||) / (1 - |||A|||) for bounded inputs,
+    the minimum when both apply.  State affine: M_q / (1 - M_p) over the
+    input box.
     """
-    if isinstance(system, LinearReservoir):
-        r = contraction_modulus(system)
-        if r >= 1.0:
-            raise ValueError("state map is not a contraction")
-        if input_bound is None:
-            raise ValueError("linear reservoirs need input_bound")
-        cn = float(np.linalg.norm(system.c, 2))
-        zn = float(np.linalg.norm(system.zeta))
-        return (cn * float(input_bound) + zn) / (1.0 - r)
-
     if isinstance(system, EchoStateReservoir):
         cands = []
         ob = system.activation.output_bound
@@ -356,8 +339,6 @@ def input_lipschitz(system, input_bound=None, m_f=None):
     For the state affine family the modulus holds on the input box and for
     states inside the invariant ball of radius m_f (computed when omitted).
     """
-    if isinstance(system, LinearReservoir):
-        return float(np.linalg.norm(system.c, 2))
     if isinstance(system, EchoStateReservoir):
         return system.activation.lipschitz * float(np.linalg.norm(system.c, 2))
     if isinstance(system, StateAffineReservoir):
@@ -416,29 +397,6 @@ def _as_inputs(system, inputs):
     return z
 
 
-def _lrc_states(system, z, x0):
-    """Linear recursion via per-mode scalar filters; loop fallback."""
-    n, _ = z.shape
-    try:
-        lam, v = np.linalg.eig(system.a)
-        cond = np.linalg.cond(v)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond < 1e8:
-        drive = z @ system.c.T + system.zeta  # (n, N)
-        u = np.linalg.solve(v, drive.T)  # (N, n) modal drive
-        y0 = np.linalg.solve(v, x0.astype(complex))
-        out = np.empty((system.n_state, n), dtype=complex)
-        for i in range(system.n_state):
-            # mode i: y_t = lam_i y_{t-1} + u_{i,t}, y_0 given
-            zi = lfilter([1.0], [1.0, -lam[i]], u[i])
-            if y0[i] != 0.0:
-                zi = zi + lam[i] ** np.arange(1, n + 1) * y0[i]
-            out[i] = zi
-        return np.real(v @ out).T
-    return _loop_states(system, z, x0)
-
-
 def _loop_states(system, z, x):
     """States x_1..x_n of one path by repeated state_update."""
     states = np.empty((z.shape[0], system.n_state))
@@ -452,8 +410,16 @@ def iterate_states(system, inputs, x0=None):
     """States x_1..x_n from x0 (default 0) driven by the given inputs."""
     z = _as_inputs(system, inputs)
     x = np.zeros(system.n_state) if x0 is None else np.asarray(x0, dtype=float)
-    if isinstance(system, LinearReservoir):
-        return _lrc_states(system, z, x)
+    if isinstance(system, LinearReservoir) and x.any():
+        # superposition: the zero-start response plus the free response
+        # A^t x0, so runs from different starts share bit-identical drive
+        # terms and differ only through A^t x0
+        states = _loop_states(system, z, np.zeros(system.n_state))
+        free = np.empty_like(states)
+        for t in range(z.shape[0]):
+            x = system.a @ x
+            free[t] = x
+        return states + free
     return _loop_states(system, z, x)
 
 

@@ -469,7 +469,7 @@ def history_lipschitz_check(systems, input_bound, n_pairs=200, history=64,
         r = contraction_modulus(system, input_bound)
         m_f = bound_M_F(system, input_bound)
         l_r = input_lipschitz(system, input_bound, m_f)
-        d = system.c.shape[1] if hasattr(system, "c") else system.p.alphas.shape[1]
+        d = system.n_input
         t = history
         z = rng.uniform(-input_bound, input_bound, (n_pairs, t, d))
         z2 = z.copy()

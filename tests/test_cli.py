@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rcbounds
 from rcbounds.cli import main
 
 GARCH = {"kind": "garch11", "omega": 0.05, "alpha": 0.10, "beta": 0.85}
@@ -20,6 +23,17 @@ GEO_INPUTS = {"r": 0.3, "l_l": 1.0, "l_h": 1.0, "l_h0": 0.0, "l_r": 1.0,
               "e_loss_zero": 0.5, "y_l2_moment": 1.0,
               "profile": {"regime": "geometric", "c_z": 0.3, "rate_z": 0.5,
                           "c_y": 0.0, "rate_y": 0.5, "exact_zero_y": True}}
+
+
+def child_env():
+    """Environment for a fresh interpreter that can import this rcbounds.
+
+    pytest's `pythonpath` setting reaches only the running interpreter, so
+    the directory holding the package goes on the child's PYTHONPATH.
+    """
+    src = str(Path(rcbounds.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write_config(tmp_path, name, payload):
@@ -236,8 +250,19 @@ def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "rcbounds.cli", "simulate",
          "--config", str(cfg), "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["command"] == "simulate"
     assert (tmp_path / "m.csv").exists()
+
+
+def test_import_loads_neither_scipy_signal_nor_stats():
+    # both cost import time on every CLI call and no code path needs them
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rcbounds; print(sorted(m for m in sys.modules "
+         "if m in ('scipy.signal', 'scipy.stats')))"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -15,8 +15,10 @@ from rcbounds.reservoir import (
     StateAffineClass,
     StateAffineReservoir,
     bound_M_F,
+    contraction_modulus,
     esp_convergence_check,
     functional,
+    input_lipschitz,
     iterate_states,
     iterate_states_batch,
     random_esn,
@@ -359,3 +361,35 @@ def test_sas_step_matches_explicit_polynomial():
                      + explicit(sas.q, z[:, i])[:, 0] for i in range(5)], axis=1)
     assert np.abs(state_update(sas, x, z) - want).max() <= 1e-14
     assert np.abs(state_update(sas, x[:, 0], z[:, 0]) - want[:, 0]).max() <= 1e-14
+
+
+def test_linear_reservoir_is_identity_echo_state():
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal((3, 3))
+    a *= 0.7 / np.linalg.norm(a, 2)
+    c, zeta = rng.standard_normal((3, 2)), rng.standard_normal(3)
+    lin = LinearReservoir(a, c, zeta)
+    esn = EchoStateReservoir(a, c, zeta, Activation("identity"))
+    x, z = rng.standard_normal((3, 5)), rng.uniform(-1, 1, (2, 5))
+    assert np.array_equal(state_update(lin, x, z), state_update(esn, x, z))
+    assert np.array_equal(state_update(lin, x[:, 0], z[:, 0]),
+                          state_update(esn, x[:, 0], z[:, 0]))
+    for fn in (contraction_modulus, bound_M_F, input_lipschitz):
+        assert fn(lin, 1.0) == fn(esn, 1.0)
+    with pytest.raises(ValueError):
+        LinearReservoir(a, c, zeta, Activation("tanh"))
+
+
+def test_linear_two_starts_contract_without_roundoff_excess():
+    # the zero-start response is shared bit for bit by both runs, so their
+    # gap is the free response A^t (x_a - x_b) alone, down to roundoff
+    klass = LinearClass(n_state=3, n_input=1, n_out=1, lam_a=0.6, lam_c=0.8,
+                        lam_zeta=0.4, l_h=1.0, l_h0=0.5, input_bound=1.0,
+                        input_second_moment=M2)
+    rng = np.random.default_rng(2024)
+    for i, hyp in enumerate(sample_from_class(klass, n=400, seed=2024)):
+        z = rng.uniform(-1.0, 1.0, (100, 1))
+        res = esp_convergence_check(hyp.reservoir, z, seed=2024 + i,
+                                    input_bound=1.0)
+        t = np.arange(1, res["gaps"].size + 1)
+        assert np.all(res["gaps"] <= res["r"] ** t * res["gap0"] * (1.0 + 1e-9))
