@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .processes import DependenceProfile, Moment
 from .reservoir import StateAffineClass
@@ -131,8 +129,8 @@ def expected_scale_caps(n_state, n_input, entry_law="gaussian"):
     scalar laws use E|entry| = 1/2 (uniform) resp. 1 (laplace).
     """
     if entry_law == "gaussian":
-        row = math.sqrt(2.0) * math.exp(gammaln((n_input + 1) / 2)
-                                        - gammaln(n_input / 2))
+        row = math.sqrt(2.0) * math.exp(math.lgamma((n_input + 1) / 2)
+                                        - math.lgamma(n_input / 2))
         ent = math.sqrt(2.0 / math.pi)
     elif entry_law == "uniform":
         if n_input != 1:
@@ -382,7 +380,9 @@ def _norm_mgf(law, t):
             return 1.0
         return (math.exp(t * s) - 1.0) / (t * s)
     # gaussian: ||xi|| / s is chi_d; integrate the density
-    logc = (1.0 - d / 2.0) * math.log(2.0) - gammaln(d / 2.0)
+    from scipy.integrate import quad
+
+    logc = (1.0 - d / 2.0) * math.log(2.0) - math.lgamma(d / 2.0)
 
     def dens(x):
         return math.exp(logc + (d - 1.0) * math.log(x) - x * x / 2.0
@@ -513,8 +513,11 @@ def expected_gap_constants(inputs, case):
         if c3_abs is None:
             raise ValueError("geometric case needs y_l2_moment")
     elif case == "bounded":
-        if prof.xi_bound_z is None or prof.xi_bound_y is None:
-            raise ValueError("bounded case needs bounded innovations")
+        for name, role, bound in (("xi_bound_z", "input", prof.xi_bound_z),
+                                  ("xi_bound_y", "target", prof.xi_bound_y)):
+            if bound is None:
+                raise ValueError(f"bounded case needs bounded {role} "
+                                 f"innovations ({name} is missing)")
         m_bar = max(prof.xi_bound_z, prof.xi_bound_y)
         w1z = prof.w_z.l1_norm
         w1y = prof.w_y.l1_norm

@@ -16,7 +16,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +30,12 @@ from .bounds import (
 from .learning import IndependentJoint, LossFunction, TeacherJoint
 from .processes import (
     DependenceProfile,
+    IIDProcess,
     InnovationLaw,
     Moment,
     WeightingSequence,
     batch_paths,
+    combine_profiles,
     dependence_params,
     estimate_theta,
     fit_theta_decay,
@@ -460,6 +461,7 @@ def _bound_report_json(report):
         out["C1abs"] = c.c1_abs
     if c.c_bd is not None:
         out["C_bd"] = c.c_bd
+    out["provenance"] = list(c.provenance)
     return out
 
 
@@ -551,6 +553,8 @@ def _pmap(fn, payloads, jobs):
     results do not depend on the worker count."""
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         return list(pool.map(fn, payloads))
 
@@ -573,14 +577,18 @@ def _joint_from_spec(target, klass, model):
 def _coverage_profile(config, klass, model, seed):
     if config.get("profile") is not None:
         return profile_from_spec(config["profile"])
-    z_prof = dependence_params(model,
-                               n_mc=_pos_int(config.get("profile_mc", 20000),
-                                             "profile_mc", minimum=2),
-                               seed=seed + 5)
+    n_mc = _pos_int(config.get("profile_mc", 20000), "profile_mc", minimum=2)
+    z_prof = dependence_params(model, n_mc=n_mc, seed=seed + 5)
     target = _require(config, "target", "validate config")
     if target.get("kind") == "teacher":
         return _cfg(teacher_target_profile, z_prof, klass)
-    return z_prof
+    if z_prof.regime != "lipschitz":
+        return z_prof
+    # an independent target is an i.i.d. process of its own law, and the
+    # lipschitz y-role (l_y, w_y, xi_*_y) must describe that law
+    y_law = _law_from_spec(_require(target, "law", "target spec"), "target law")
+    y_prof = dependence_params(IIDProcess(y_law), n_mc=n_mc, seed=seed + 5)
+    return combine_profiles(z_prof, y_prof)
 
 
 def _rademacher_cell(payload):

@@ -17,9 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.linalg import solve_discrete_lyapunov
-from scipy.special import erf
 
 from .processes import Moment, batch_paths
 from .reservoir import (
@@ -283,7 +280,7 @@ def _folded_normal_mean(mu, var):
     if var <= 0:
         return abs(mu)
     return (np.sqrt(2.0 * var / np.pi) * np.exp(-mu ** 2 / (2.0 * var))
-            + mu * erf(mu / np.sqrt(2.0 * var)))
+            + mu * math.erf(mu / np.sqrt(2.0 * var)))
 
 
 def _mean_abs_cf(deltas, gauss_var, mu):
@@ -295,6 +292,8 @@ def _mean_abs_cf(deltas, gauss_var, mu):
     enough.  Degenerate sums (no terms, or one uniform and no gaussian)
     take their closed forms instead.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     d = np.abs(np.asarray(deltas, dtype=float).ravel())
     d = d[d > 0]
     var = float(np.sum(d ** 2) / 3.0 + gauss_var)
@@ -378,6 +377,8 @@ def exact_risk(hyp, joint, loss):
     Raises ValueError outside this scope, which includes uniform inputs
     whose kappa chain needs more than _KAPPA_TERMS terms.
     """
+    from scipy.linalg import solve_discrete_lyapunov
+
     from .processes import IIDProcess
 
     if loss.kind != "absolute":

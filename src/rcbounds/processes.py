@@ -23,11 +23,10 @@ also gives analytic decay envelopes theta(tau) <= C * lambda^tau or
 C * tau^(-alpha) and moments with explicit provenance.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import gammaln, zeta
 
 __all__ = [
     "Moment",
@@ -128,6 +127,8 @@ class WeightingSequence:
     def l1_norm(self):
         if self.kind == "geometric":
             return 1.0 / (1.0 - self.param)
+        from scipy.special import zeta
+
         return float(zeta(self.param, 1))
 
 
@@ -169,11 +170,12 @@ class InnovationLaw:
         d, s, q = self.dim, self.scale, float(power)
         if self.kind == "gaussian":
             # ||xi||/s is chi_d distributed.
-            return s ** q * 2.0 ** (q / 2) * np.exp(gammaln((d + q) / 2) - gammaln(d / 2))
+            return (s ** q * 2.0 ** (q / 2)
+                    * np.exp(math.lgamma((d + q) / 2) - math.lgamma(d / 2)))
         if d == 1:
             if self.kind == "uniform":
                 return s ** q / (q + 1.0)
-            return s ** q * np.exp(gammaln(q + 1.0))  # |Laplace| is exponential
+            return s ** q * np.exp(math.lgamma(q + 1.0))  # |Laplace| is exponential
         if self.kind == "uniform" and q == 2.0:
             return d * s ** 2 / 3.0
         if self.kind == "laplace" and q == 2.0:
@@ -432,15 +434,30 @@ def _filter(x, kernel, n):
     if n == 1:
         return (x[..., steps - kernel.size:] @ kernel[::-1])[..., None, None]
     rows = x.reshape(-1, steps)
-    size = next_fast_len(steps, real=True)
-    kf = rfft(kernel, size)
+    size = _next_fast_len(steps)
+    kf = np.fft.rfft(kernel, size)
     out = np.empty((rows.shape[0], n))
     chunk = max(1, _CHUNK_FLOATS // size)
     for lo in range(0, rows.shape[0], chunk):
-        spec = rfft(rows[lo:lo + chunk], size)
+        spec = np.fft.rfft(rows[lo:lo + chunk], size)
         spec *= kf
-        out[lo:lo + chunk] = irfft(spec, size)[:, steps - n:steps]
+        out[lo:lo + chunk] = np.fft.irfft(spec, size)[:, steps - n:steps]
     return out.reshape(x.shape[:-1] + (n, 1))
+
+
+def _next_fast_len(n):
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n (n >= 1), the length
+    scipy.fft.next_fast_len(n, real=True) picks for a real transform."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^k >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _lag(model, burn_in):
@@ -646,7 +663,9 @@ def dependence_params(model, n_mc=20_000, seed=0, nominal_rate=0.5):
             l_z=1.0, l_y=1.0,
             w_z=WeightingSequence("geometric", nominal_rate),
             w_y=WeightingSequence("geometric", nominal_rate),
-            xi_mean_abs_z=law.mean_abs_norm(), xi_mean_abs_y=law.mean_abs_norm(),
+            # Z_0 is the innovation, so E||xi|| is c (Monte Carlo for
+            # the laws without a closed form)
+            xi_mean_abs_z=c, xi_mean_abs_y=c,
             xi_second_z=law.second_moment(), xi_second_y=law.second_moment(),
             xi_bound_z=law.bound(), xi_bound_y=law.bound(),
             xi_law_z=law, xi_law_y=law)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import rcbounds
-from rcbounds.cli import main
+from rcbounds.bounds import risk_bound
+from rcbounds.cli import _coverage_profile, bound_inputs_from_spec, main
+from rcbounds.processes import InnovationLaw, dependence_params, model_from_spec
 
 GARCH = {"kind": "garch11", "omega": 0.05, "alpha": 0.10, "beta": 0.85}
 IID_UNIF = {"kind": "iid", "innovation": {"kind": "uniform", "dim": 1,
@@ -23,6 +25,33 @@ GEO_INPUTS = {"r": 0.3, "l_l": 1.0, "l_h": 1.0, "l_h0": 0.0, "l_r": 1.0,
               "e_loss_zero": 0.5, "y_l2_moment": 1.0,
               "profile": {"regime": "geometric", "c_z": 0.3, "rate_z": 0.5,
                           "c_y": 0.0, "rate_y": 0.5, "exact_zero_y": True}}
+
+
+UNIF_Z, UNIF_Y = InnovationLaw("uniform", 1, 1.0), InnovationLaw("uniform", 1, 0.8)
+
+# the acceptance suite's uniform and algebraic constant-chain fixtures
+CHAIN_INPUTS = {
+    "r": 0.3, "l_l": 0.9, "l_h": 0.8, "l_h0": 0.1, "l_r": 1.2, "m_f": 1.5,
+    "n_out": 2, "c_rc": 1.7, "e_loss_zero": 0.4, "y_l2_moment": 0.9,
+    "phi": {"kind": "power", "p": 2.0},
+    "profile": {
+        "regime": "lipschitz", "c_z": 1.4, "rate_z": 0.5, "c_y": 1.2,
+        "rate_y": 0.4, "l_z": 0.7, "l_y": 0.9,
+        "w_z": {"kind": "geometric", "param": 0.5},
+        "w_y": {"kind": "geometric", "param": 0.4},
+        "xi_mean_abs_z": UNIF_Z.mean_abs_norm().value,
+        "xi_mean_abs_y": UNIF_Y.mean_abs_norm().value,
+        "xi_second_z": UNIF_Z.second_moment().value,
+        "xi_second_y": UNIF_Y.second_moment().value,
+        "xi_bound_z": 1.0, "xi_bound_y": 0.8,
+        "xi_law_z": {"kind": "uniform", "dim": 1, "scale": 1.0},
+        "xi_law_y": {"kind": "uniform", "dim": 1, "scale": 0.8}}}
+
+ALGEBRAIC_INPUTS = {
+    "r": 0.5, "l_l": 1.0, "l_h": 0.9, "l_h0": 0.05, "l_r": 1.1, "m_f": 1.8,
+    "n_out": 3, "c_rc": 2.0, "e_loss_zero": 0.6, "y_l2_moment": 1.2,
+    "profile": {"regime": "algebraic", "c_z": 0.9, "rate_z": 0.3,
+                "c_y": 0.7, "rate_y": 0.45}}
 
 
 def child_env():
@@ -266,3 +295,105 @@ def test_import_loads_neither_scipy_signal_nor_stats():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_scipy_module():
+    # scipy loads only on the rare paths that need it (Gaussian norm-mgf
+    # quadrature, exact_risk, polynomial weights), never on import
+    code = ("import sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "import rcbounds\n"
+            "print(loaded())\n"
+            "import rcbounds.cli\n"
+            "print(loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+_CHILD = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from rcbounds.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
+"""
+
+
+def test_bound_and_samplesize_run_without_scipy(tmp_path):
+    requests = []
+    for case in ("bounded", "phi_moment", "geometric", "algebraic"):
+        spec = ALGEBRAIC_INPUTS if case == "algebraic" else CHAIN_INPUTS
+        eps = 1.01 * risk_bound(bound_inputs_from_spec(spec), 50_000, 0.1,
+                                case).total
+        requests.append(("bound", {"case": case, "n": 4096, "delta": 0.1,
+                                   "inputs": spec, "prefix": f"b_{case}"},
+                         ["--curve", "1000:100000:16"]))
+        requests.append(("samplesize", {"case": case, "delta": 0.1,
+                                        "epsilon": eps, "inputs": spec,
+                                        "prefix": f"s_{case}"}, []))
+    artifacts = {}
+    for mode in ("blocked", "plain"):
+        out = tmp_path / mode
+        argvs = [[cmd, "--config",
+                  write_config(tmp_path, f"{cfg['prefix']}.json", cfg),
+                  "--out", str(out)] + extra for cmd, cfg, extra in requests]
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, mode, json.dumps(argvs)],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * 8
+        artifacts[mode] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(artifacts["blocked"]) == 12  # 8 reports and 4 curves
+    assert artifacts["blocked"] == artifacts["plain"]
+
+
+def test_bound_report_lists_input_provenance(tmp_path, capsys):
+    inputs = dict(GEO_INPUTS, e_loss_zero={"value": 0.5, "std_error": 0.01})
+    for name, spec in (("exact", GEO_INPUTS), ("mc", inputs)):
+        cfg = write_config(tmp_path, f"{name}.json",
+                           {"case": "geometric", "n": 4096, "delta": 0.1,
+                            "inputs": spec, "prefix": name})
+        code, _, _ = run_cli(capsys, ["bound", "--config", cfg,
+                                      "--out", str(tmp_path)])
+        assert code == 0
+    assert json.loads((tmp_path / "exact.json").read_text())["provenance"] == []
+    data = json.loads((tmp_path / "mc.json").read_text())
+    assert data["provenance"] == ["mc moment input"]
+
+
+COVERAGE = {"kind": "coverage", "class": LIN_CLASS, "process": IID_UNIF,
+            "case": "bounded", "n": 256, "n_trials": 8, "n_random": 4,
+            "history": 40, "n_pool": 2000, "erm_iters": 10, "seed": 0}
+
+
+def test_coverage_unbounded_independent_target_is_refused(tmp_path, capsys):
+    # gaussian targets have no bound, so the bounded case does not apply;
+    # the y-role used to copy the inputs' xi_bound = 1 and report a pass
+    target = {"kind": "independent",
+              "law": {"kind": "gaussian", "dim": 1, "scale": 3.0}}
+    cfg = write_config(tmp_path, "cov.json", dict(COVERAGE, target=target))
+    code, report, err = run_cli(capsys, ["validate", "--config", cfg,
+                                         "--out", str(tmp_path)])
+    assert code in (2, 3) and report is None
+    assert "xi_bound_y" in err and "target" in err
+
+
+def test_coverage_independent_target_profile_from_target_law(tmp_path,
+                                                             capsys):
+    target = {"kind": "independent",
+              "law": {"kind": "uniform", "dim": 1, "scale": 0.8}}
+    config = dict(COVERAGE, target=target, prefix="cov")
+    model = model_from_spec(IID_UNIF)
+    prof = _coverage_profile(config, None, model, 0)
+    inputs = dependence_params(model, seed=5)
+    assert prof.xi_bound_z == 1.0 and prof.xi_bound_y == 0.8
+    assert prof.xi_law_z == UNIF_Z and prof.xi_law_y == UNIF_Y
+    assert prof.xi_mean_abs_y.value == UNIF_Y.mean_abs_norm().value
+    assert (prof.c_z, prof.xi_mean_abs_z) == (inputs.c_z, inputs.xi_mean_abs_z)
+    cfg = write_config(tmp_path, "cov.json", config)
+    code, report, _ = run_cli(capsys, ["validate", "--config", cfg,
+                                       "--out", str(tmp_path)])
+    assert code == 0 and report["case"] == "bounded" and report["pass"]

@@ -143,6 +143,17 @@ def test_dependence_params_iid_exact_zero():
     assert prof.xi_law_z.kind == "gaussian"
     # theta envelope ignores the nominal constant once exact-zero is set
     assert prof.theta_envelope("z", 3) == 0.0
+    assert prof.xi_mean_abs_z == GAUSS.mean_abs_norm()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "laplace"])
+def test_dependence_params_iid_without_closed_form_mean(kind):
+    # E||xi||_2 has no closed form beyond d = 1: it is estimated instead
+    law = InnovationLaw(kind, 2, 1.0)
+    prof = dependence_params(IIDProcess(law), n_mc=2000, seed=3)
+    m = moment(IIDProcess(law), 1, n_mc=2000, seed=3)
+    assert prof.xi_mean_abs_z == prof.xi_mean_abs_y == m
+    assert m.provenance == "mc"
 
 
 def test_moment_iid_and_garch():
@@ -382,3 +393,40 @@ def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch, name):
     for floats in (1, 1000):
         monkeypatch.setattr(processes, "_CHUNK_FLOATS", floats)
         assert estimates() == default
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    for n in range(1, 20001):
+        assert processes._next_fast_len(n) == next_fast_len(n, real=True), n
+
+
+def test_special_function_swaps_match_scipy():
+    # math.lgamma / math.erf stand in for scipy.special on scalar arguments
+    from scipy.special import erf, gammaln
+
+    from rcbounds.bounds import expected_scale_caps
+    from rcbounds.learning import _folded_normal_mean
+
+    def close(got, want):
+        return abs(got - want) <= 1e-14 * abs(want)
+
+    for d in range(1, 9):
+        row = math.sqrt(2.0) * math.exp(gammaln((d + 1) / 2) - gammaln(d / 2))
+        e_c, _ = expected_scale_caps(5, d, "gaussian")
+        assert close(e_c, 5 * row)
+        law = InnovationLaw("gaussian", d, 1.3)
+        for q in (0.5, 1.0, 2.0, 3.7):
+            want = (1.3 ** q * 2.0 ** (q / 2)
+                    * np.exp(gammaln((d + q) / 2) - gammaln(d / 2)))
+            assert close(law.norm_power_moment(q), want)
+    laplace = InnovationLaw("laplace", 1, 0.7)
+    for q in (0.5, 1.0, 2.0, 3.7):
+        assert close(laplace.norm_power_moment(q),
+                     0.7 ** q * np.exp(gammaln(q + 1.0)))
+    for mu, var in ((0.3, 1.2), (-2.0, 0.5), (5.0, 0.1), (0.0, 2.0),
+                    (1e-3, 3.0)):
+        want = (np.sqrt(2.0 * var / np.pi) * np.exp(-mu ** 2 / (2.0 * var))
+                + mu * erf(mu / np.sqrt(2.0 * var)))
+        assert close(_folded_normal_mean(mu, var), want)
