@@ -12,6 +12,7 @@ experiment ran to completion but its pass condition failed.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -23,6 +24,8 @@ import numpy as np
 from .bounds import (
     BoundInputs,
     PhiFunction,
+    bound_from_constants,
+    expected_gap_constants,
     min_sample_size,
     rademacher_constant,
     risk_bound,
@@ -531,12 +534,14 @@ def run_samplesize(config, out_dir):
                                              "samplesize config"))
     prefix = _prefix(config, "samplesize")
 
+    consts = expected_gap_constants(inputs, case)
     n_min = min_sample_size(inputs, case, epsilon, delta, n_cap=n_cap)
     out = {"command": "samplesize", "case": case, "delta": delta,
            "epsilon": epsilon, "n_cap": n_cap,
            "n_min": None if n_min is None else int(n_min)}
     if n_min is not None:
-        out["bound_at_n_min"] = risk_bound(inputs, n_min, delta, case).total
+        out["bound_at_n_min"] = bound_from_constants(consts, n_min, delta).total
+    out["provenance"] = list(consts.provenance)
     json_path = out_dir / f"{prefix}.json"
     _write_json(json_path, out)
     out["report"] = str(json_path)
@@ -582,10 +587,12 @@ def _coverage_profile(config, klass, model, seed):
     target = _require(config, "target", "validate config")
     if target.get("kind") == "teacher":
         return _cfg(teacher_target_profile, z_prof, klass)
+    # an independent target is an i.i.d. process of its own law: its theta
+    # is exactly zero, and the lipschitz y-role (l_y, w_y, xi_*_y) must
+    # describe that law
     if z_prof.regime != "lipschitz":
-        return z_prof
-    # an independent target is an i.i.d. process of its own law, and the
-    # lipschitz y-role (l_y, w_y, xi_*_y) must describe that law
+        return dataclasses.replace(z_prof, c_y=Moment(0.0, 0.0, "exact-zero"),
+                                   exact_zero_y=True)
     y_law = _law_from_spec(_require(target, "law", "target spec"), "target law")
     y_prof = dependence_params(IIDProcess(y_law), n_mc=n_mc, seed=seed + 5)
     return combine_profiles(z_prof, y_prof)

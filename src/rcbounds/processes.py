@@ -169,7 +169,10 @@ class InnovationLaw:
             return 1.0
         d, s, q = self.dim, self.scale, float(power)
         if self.kind == "gaussian":
-            # ||xi||/s is chi_d distributed.
+            # ||xi||/s is chi_d distributed; at even q its moment is the
+            # integer d (d + 2) ... (d + q - 2), exact in floating point
+            if q % 2 == 0:
+                return s ** q * math.prod(range(d, d + int(q), 2))
             return (s ** q * 2.0 ** (q / 2)
                     * np.exp(math.lgamma((d + q) / 2) - math.lgamma(d / 2)))
         if d == 1:
@@ -501,26 +504,32 @@ def batch_paths(model, n_paths, n, burn_in=None, seed=0):
 def _mc_mean(draw, values, n_mc, seed):
     """Mean and standard error of values(xi) over n_mc trials.
 
-    Trial i draws its innovations with draw(default_rng(seed + i)), so its
-    value does not depend on chunking; trials are stacked along a leading
-    axis in chunks of about _CHUNK_FLOATS innovation floats, and the n_mc
-    values are reduced once, so neither does the estimate.
+    One rng = default_rng(seed) serves the whole estimate: trial i is the
+    i-th consecutive draw(rng), one complete draw per trial in stream order,
+    so its value does not depend on chunking.  Trials are written along the
+    leading axis of one buffer of about _CHUNK_FLOATS innovation floats,
+    chunk by chunk, and the n_mc values are reduced once, so neither does
+    the estimate.
     """
-    size = max(1, _CHUNK_FLOATS // draw(np.random.default_rng(seed)).size)
+    rng = np.random.default_rng(seed)
+    first = draw(rng)  # trial 0, which also sizes the chunk buffer
+    size = min(n_mc, max(1, _CHUNK_FLOATS // first.size))
+    buf = np.empty((size,) + first.shape)
+    buf[0] = first
     vals = np.empty(n_mc)
     for lo in range(0, n_mc, size):
         hi = min(n_mc, lo + size)
-        # no name holds a chunk's innovations past values(): the next chunk
-        # is drawn only after they are freed
-        vals[lo:hi] = values(np.stack([draw(np.random.default_rng(seed + i))
-                                       for i in range(lo, hi)]))
+        for i in range(max(lo, 1), hi):
+            buf[i - lo] = draw(rng)
+        vals[lo:hi] = values(buf[:hi - lo])
     return Moment(float(vals.mean()), float(vals.std() / np.sqrt(n_mc)), "mc")
 
 
 def estimate_theta(model, tau, n_mc=10_000, history=None, seed=0):
     """Monte Carlo estimate of the coupling coefficient theta(tau).
 
-    Trial i draws, from default_rng(seed + i), two histories of
+    One rng = default_rng(seed) serves all n_mc trials; trial i takes the
+    i-th consecutive draw of two histories of
     L = model.lag(history) + 1 innovations at times -L+1 .. 0 (history
     defaults to max(200, 10 tau)).  The second keeps its own draws at times
     <= -tau and takes the first's at the tau times after; one transform of
@@ -789,9 +798,10 @@ def analytic_moment(model, order):
 def moment(model, order, n_mc=10_000, seed=0, burn_in=None):
     """Monte Carlo E||Z_0||_2^order over independent stationary draws.
 
-    Trial i is the last value of batch_paths(model, 1, 1, burn_in,
-    seed + i).  Returns a Moment with provenance "mc" and the standard
-    error of the mean.
+    Trial i is the last value of batch_paths(model, 1, 1, burn_in, rng),
+    with one rng = default_rng(seed) shared by the n_mc trials in order.
+    Returns a Moment with provenance "mc" and the standard error of the
+    mean.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")

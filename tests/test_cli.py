@@ -9,7 +9,12 @@ import pytest
 import rcbounds
 from rcbounds.bounds import risk_bound
 from rcbounds.cli import _coverage_profile, bound_inputs_from_spec, main
-from rcbounds.processes import InnovationLaw, dependence_params, model_from_spec
+from rcbounds.processes import (
+    InnovationLaw,
+    Moment,
+    dependence_params,
+    model_from_spec,
+)
 
 GARCH = {"kind": "garch11", "omega": 0.05, "alpha": 0.10, "beta": 0.85}
 IID_UNIF = {"kind": "iid", "innovation": {"kind": "uniform", "dim": 1,
@@ -364,6 +369,21 @@ def test_bound_report_lists_input_provenance(tmp_path, capsys):
     assert data["provenance"] == ["mc moment input"]
 
 
+def test_samplesize_report_lists_input_provenance(tmp_path, capsys):
+    inputs = dict(GEO_INPUTS, e_loss_zero={"value": 0.5, "std_error": 0.01})
+    for name, spec in (("exact", GEO_INPUTS), ("mc", inputs)):
+        cfg = write_config(tmp_path, f"{name}.json",
+                           {"case": "geometric", "delta": 0.1, "epsilon": 5.0,
+                            "inputs": spec, "prefix": name})
+        code, _, _ = run_cli(capsys, ["samplesize", "--config", cfg,
+                                      "--out", str(tmp_path)])
+        assert code == 0
+    assert json.loads((tmp_path / "exact.json").read_text())["provenance"] == []
+    data = json.loads((tmp_path / "mc.json").read_text())
+    assert data["n_min"] is not None
+    assert data["provenance"] == ["mc moment input"]
+
+
 COVERAGE = {"kind": "coverage", "class": LIN_CLASS, "process": IID_UNIF,
             "case": "bounded", "n": 256, "n_trials": 8, "n_random": 4,
             "history": 40, "n_pool": 2000, "erm_iters": 10, "seed": 0}
@@ -397,3 +417,34 @@ def test_coverage_independent_target_profile_from_target_law(tmp_path,
     code, report, _ = run_cli(capsys, ["validate", "--config", cfg,
                                        "--out", str(tmp_path)])
     assert code == 0 and report["case"] == "bounded" and report["pass"]
+
+
+def test_coverage_independent_target_y_role_is_exact_zero(tmp_path, capsys):
+    target = {"kind": "independent",
+              "law": {"kind": "gaussian", "dim": 1, "scale": 0.5}}
+    config = dict(COVERAGE, process=GARCH, target=target, case="geometric",
+                  profile_mc=2000, prefix="cov")
+    model = model_from_spec(GARCH)
+    prof = _coverage_profile(config, None, model, 0)
+    inputs = dependence_params(model, n_mc=2000, seed=5)
+    assert prof.exact_zero_y and prof.c_y == Moment(0.0, 0.0, "exact-zero")
+    assert (prof.regime, prof.c_z, prof.rate_z) == ("geometric", inputs.c_z,
+                                                     inputs.rate_z)
+    # the same run with the y-role copied from the inputs
+    copied = {"regime": "geometric", "rate_z": inputs.rate_z,
+              "rate_y": inputs.rate_y,
+              "c_z": {"value": inputs.c_z.value,
+                      "std_error": inputs.c_z.std_error},
+              "c_y": {"value": inputs.c_y.value,
+                      "std_error": inputs.c_y.std_error}}
+    reports = []
+    for name, cfg in (("zero.json", config),
+                      ("copied.json", dict(config, profile=copied))):
+        code, report, _ = run_cli(capsys, [
+            "validate", "--config", write_config(tmp_path, name, cfg),
+            "--out", str(tmp_path)])
+        assert code == 0 and report["coverage"] == 1.0
+        reports.append(report)
+    zero, old = reports
+    assert zero["gaps"] == old["gaps"]
+    assert zero["bound"] < old["bound"]

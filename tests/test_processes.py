@@ -266,8 +266,11 @@ def test_moment_is_mean_over_one_step_paths(name):
     for burn_in in (None, 7):
         for order in (1, 2):
             m = moment(model, order, n_mc=n_mc, seed=seed, burn_in=burn_in)
+            # default_rng returns a Generator unaltered: the trials draw
+            # consecutively from one stream
+            rng = np.random.default_rng(seed)
             want = np.mean([
-                np.linalg.norm(batch_paths(model, 1, 1, burn_in, seed + i)[0, -1]) ** order
+                np.linalg.norm(batch_paths(model, 1, 1, burn_in, rng)[0, -1]) ** order
                 for i in range(n_mc)])
             assert abs(m.value - want) <= 1e-12 * max(1.0, want)
             assert m.provenance == "mc"
@@ -275,13 +278,15 @@ def test_moment_is_mean_over_one_step_paths(name):
 
 def _coupled_theta_by_loop(tau, history, n_mc, seed, step, draw):
     """theta(tau) from two explicit trajectories per trial: trial i draws
-    2 (history + 1) innovations from default_rng(seed + i), the first half
-    drives the original path and the second half, with the original's last
-    tau innovations put back, the coupled one."""
+    the i-th consecutive 2 (history + 1) innovations from one
+    default_rng(seed), the first half drives the original path and the
+    second half, with the original's last tau innovations put back, the
+    coupled one."""
     steps = history + 1
+    rng = np.random.default_rng(seed)
     vals = []
     for i in range(n_mc):
-        xi = draw(np.random.default_rng(seed + i), 2 * steps)
+        xi = draw(rng, 2 * steps)
         orig = xi[:steps]
         coupled = np.concatenate([xi[steps:2 * steps - tau], orig[steps - tau:]])
         vals.append(np.linalg.norm(step(orig) - step(coupled)))
@@ -395,11 +400,40 @@ def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch, name):
         assert estimates() == default
 
 
+@pytest.mark.parametrize("name", ["var1-1d-scaled", "garch-squared", "arfima"])
+def test_mc_estimate_builds_one_generator(monkeypatch, name):
+    model = SHIFT_MODELS[name]
+    builds = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        builds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    for estimate in (lambda: estimate_theta(model, 2, n_mc=50, history=20, seed=7),
+                     lambda: moment(model, 1, n_mc=50, seed=7, burn_in=10),
+                     lambda: moment(model, 2, n_mc=50, seed=7)):
+        builds.clear()
+        assert estimate().provenance == "mc"
+        assert builds == [7]
+
+
 def test_next_fast_len_matches_scipy():
     from scipy.fft import next_fast_len
 
     for n in range(1, 20001):
         assert processes._next_fast_len(n) == next_fast_len(n, real=True), n
+
+
+def test_gaussian_even_moments_are_exact():
+    # E||xi||^2 = d s^2 and E||xi||^4 = d (d + 2) s^4, bit for bit
+    for s in (1.0, 0.7, 1.3):
+        for d in range(1, 9):
+            law = InnovationLaw("gaussian", d, s)
+            assert law.norm_power_moment(2) == d * s ** 2
+            assert law.norm_power_moment(4.0) == d * (d + 2) * s ** 4
+            assert law.second_moment() == Moment(d * s ** 2, 0.0, "analytic")
 
 
 def test_special_function_swaps_match_scipy():
