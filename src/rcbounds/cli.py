@@ -696,6 +696,7 @@ def _validate_coverage(config, jobs):
             "coverage": cov.coverage, "bound": cov.bound,
             "median_gap": cov.median_gap, "max_gap": cov.max_gap,
             "slack": cov.slack, "gaps": list(cov.gaps),
+            "pool_std_error": cov.pool_std_error,
             "pass": cov.coverage == 1.0 and cov.slack > 1.0}
 
 

@@ -11,6 +11,7 @@ readouts), so an experiment can refute a bound but never certify more
 than the candidates show.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,6 +80,9 @@ class CoverageResult:
     max_gap: float
     slack: float
     gaps: tuple = ()
+    # largest standard error of a true risk estimated on the Monte Carlo
+    # pool (candidates and ERM fits); None when no pool was drawn
+    pool_std_error: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +287,42 @@ def teacher_target_profile(z_profile, teacher_klass_or_caps, exact_zero_ok=True)
 # ---------------------------------------------------------------------------
 
 
-def _pool_states(candidates, joint, loss, n_pool, history, seed):
-    """Stationary (per-candidate prediction, target) pool for true risks."""
-    z, y = sample_joint(joint, n_pool, history, seed)
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    preds = []
-    for hyp in candidates:
-        x0 = zero_input_fixed_point(hyp.reservoir)
-        preds.append(hyp.readout(iterate_states_batch(hyp.reservoir, z, x0=x0)))
-    return preds, y
+def _lazy_pool(joint, n_pool, history, seed):
+    """The stationary (z, y) pool sample_joint(joint, n_pool, history, seed),
+    drawn on the first call and returned again by every later one."""
+
+    @functools.cache
+    def pool():
+        z, y = sample_joint(joint, n_pool, history, seed)
+        return z, np.atleast_2d(np.asarray(y, dtype=float))
+
+    return pool
 
 
-def _true_risks(candidates, joint, loss, n_pool, history, seed):
+def _max_std_error(per_sample):
+    """Largest standard error of the means along the last (sample) axis."""
+    n = per_sample.shape[-1]
+    return float(per_sample.std(axis=-1, ddof=1).max() / math.sqrt(n))
+
+
+def _true_risks(candidates, joint, loss, pool):
     """Per-candidate statistical risks: exact where the closed form
-    applies, otherwise one shared Monte Carlo pool."""
-    out = [None] * len(candidates)
-    need_mc = []
+    applies, otherwise the mean loss on the stationary pool, which pool()
+    draws only then.  Returns the risks and the largest standard error of
+    the pool means (None when every closed form applied)."""
+    out = np.empty(len(candidates))
+    std_error = None
     for i, hyp in enumerate(candidates):
         try:
             out[i] = exact_risk(hyp, joint, loss).value
         except ValueError:
-            need_mc.append(i)
-    if need_mc:
-        preds, y = _pool_states([candidates[i] for i in need_mc], joint, loss,
-                                n_pool, history, seed)
-        for j, i in enumerate(need_mc):
-            out[i] = float(loss.per_sample(preds[j], y).mean())
-    return np.array(out)
+            z, y = pool()
+            x0 = zero_input_fixed_point(hyp.reservoir)
+            per = loss.per_sample(
+                hyp.readout(iterate_states_batch(hyp.reservoir, z, x0=x0)), y)
+            out[i] = per.mean()
+            std_error = max(std_error or 0.0, _max_std_error(per))
+    return out, std_error
 
 
 def _empirical_risks(candidates, z_train, y_train, loss):
@@ -332,6 +345,12 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
     set (plus an ERM-fitted readout on a fixed reservoir) of
     statistical risk minus zero-padded empirical risk.  Coverage is the
     fraction of trials with sup-gap <= bound.
+
+    True risks use the closed form of exact_risk where it applies, and
+    otherwise one stationary pool of n_pool pairs, shared by the
+    candidates and the ERM fits and drawn only if one of them needs it.
+    Seed offsets: + 11 the loss at zero e0, + 12 the target moment yl2,
+    + 14 the training series, + 15 the pool, + 16 the ERM starts.
     """
     candidates = candidate_set(klass, n_random=n_random, seed=seed)
     e0 = expected_loss_at_zero(joint, loss, n_mc=n_pool, history=history,
@@ -340,7 +359,8 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
     inputs = bound_inputs_from_class(klass, loss, profile, e0, yl2, phi=phi)
     report = risk_bound(inputs, n, delta, case)
 
-    true_r = _true_risks(candidates, joint, loss, n_pool, history, seed + 13)
+    pool = _lazy_pool(joint, n_pool, history, seed + 15)
+    true_r, pool_se = _true_risks(candidates, joint, loss, pool)
     z_train, y_train = sample_joint_paths(joint, n_trials, n, history=history,
                                           seed=seed + 14)
     emp = _empirical_risks(candidates, z_train, y_train, loss)
@@ -351,9 +371,8 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
         x0 = zero_input_fixed_point(erm_res)
         states = iterate_states_batch(erm_res, z_train, x0=x0,
                                       return_all=True)
-        pool_z, pool_y = sample_joint(joint, n_pool, history, seed + 15)
+        pool_z, pool_y = pool()
         pool_s = iterate_states_batch(erm_res, pool_z, x0=x0)
-        pool_y = np.atleast_2d(np.asarray(pool_y, dtype=float))
         fits = fit_readout_erm(states, y_train, caps=(klass.l_h, klass.l_h0),
                                loss=loss, n_iter=erm_iters, n_restarts=2,
                                seed=seed + 16)
@@ -365,7 +384,10 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
         # every trial's pool predictions from one (n_pool, N) @ (N, T m)
         pool_pred = (pool_s @ w.reshape(-1, w.shape[2]).T).reshape(
             len(pool_s), n_trials, -1).swapaxes(0, 1) + a
-        r_true = loss.risk(pool_pred, pool_y)
+        # per-sample pool losses: the risk over a length-1 sample axis
+        per = loss.risk(pool_pred[..., None, :], pool_y[:, None, :])
+        r_true = per.mean(axis=-1)
+        pool_se = max(pool_se or 0.0, _max_std_error(per))
         r_emp = loss.risk(states @ w.swapaxes(1, 2) + a, y_train)
         gaps = np.maximum(gaps, r_true - r_emp)
 
@@ -376,7 +398,7 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
         coverage=float(covered.mean()), bound=report.total, median_gap=med,
         max_gap=float(gaps.max()),
         slack=report.total / med if med > 0 else math.inf,
-        gaps=tuple(float(g) for g in gaps))
+        gaps=tuple(float(g) for g in gaps), pool_std_error=pool_se)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +532,8 @@ def consistency_curve(klass, joint, loss, profile, case, ns, n_trials=30,
 
     Returns one dict per n with the bound, the median and max sup-gap over
     trials, and the coverage at this delta.  True risks use the closed
-    forms when available, falling back to one shared Monte Carlo pool.
+    forms when available, falling back to one shared Monte Carlo pool
+    (seed + 23), drawn only if a candidate needs it.
     Training draws are seeded by the value of n, so a row does not depend
     on where its n sits in the grid (rows for a repeated n coincide).
     """
@@ -519,7 +542,8 @@ def consistency_curve(klass, joint, loss, profile, case, ns, n_trials=30,
                                seed=seed + 21)
     yl2 = target_l2_moment(joint, n_mc=n_pool, history=history, seed=seed + 22)
     inputs = bound_inputs_from_class(klass, loss, profile, e0, yl2, phi=phi)
-    true_r = _true_risks(candidates, joint, loss, n_pool, history, seed + 23)
+    true_r, _ = _true_risks(candidates, joint, loss,
+                            _lazy_pool(joint, n_pool, history, seed + 23))
 
     rows = []
     for n in ns:

@@ -389,6 +389,32 @@ COVERAGE = {"kind": "coverage", "class": LIN_CLASS, "process": IID_UNIF,
             "history": 40, "n_pool": 2000, "erm_iters": 10, "seed": 0}
 
 
+def test_coverage_report_gives_pool_std_error(tmp_path, capsys):
+    runs = {
+        # teacher targets on i.i.d. inputs: every true risk is closed form
+        "closed": dict(COVERAGE, target={"kind": "teacher"},
+                       case="geometric", profile_mc=500, fit_erm=False),
+        "arfima": {**COVERAGE, "case": "algebraic", "n_pool": 500,
+                   "profile_mc": 500,
+                   "class": dict(LIN_CLASS, input_bound=5.0,
+                                 input_second_moment=1.3),
+                   "process": {"kind": "arfima", "d": 0.3, "trunc": 60},
+                   "target": {"kind": "independent",
+                              "law": {"kind": "gaussian", "dim": 1,
+                                      "scale": 0.7}}},
+    }
+    errors = {}
+    for name, config in runs.items():
+        cfg = write_config(tmp_path, f"{name}.json",
+                           dict(config, prefix=name))
+        code, report, _ = run_cli(capsys, ["validate", "--config", cfg,
+                                           "--out", str(tmp_path)])
+        assert code == 0
+        errors[name] = report["pool_std_error"]
+    assert errors["closed"] is None
+    assert isinstance(errors["arfima"], float) and errors["arfima"] > 0
+
+
 def test_coverage_unbounded_independent_target_is_refused(tmp_path, capsys):
     # gaussian targets have no bound, so the bounded case does not apply;
     # the y-role used to copy the inputs' xi_bound = 1 and report a pass

@@ -272,7 +272,7 @@ def test_erm_batch_matches_single_fits(kind, m):
 
 
 def test_exact_risk_refuses_a_kappa_chain_beyond_its_cap():
-    from rcbounds.validation import _true_risks
+    from rcbounds.validation import _lazy_pool, _true_risks
 
     res = LinearReservoir(np.diag([0.9999, 0.2]), np.ones((2, 1)), np.zeros(2))
     hyp = Hypothesis(res, Readout(np.array([[0.5, 0.5]]), np.zeros(1)))
@@ -280,5 +280,5 @@ def test_exact_risk_refuses_a_kappa_chain_beyond_its_cap():
     joint = IndependentJoint(IIDProcess(unif), unif)
     with pytest.raises(ValueError, match="kappa chain"):
         exact_risk(hyp, joint, ABS)
-    risks = _true_risks([hyp], joint, ABS, n_pool=200, history=50, seed=0)
+    risks, _ = _true_risks([hyp], joint, ABS, _lazy_pool(joint, 200, 50, 0))
     assert risks.shape == (1,) and np.isfinite(risks[0])

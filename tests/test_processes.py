@@ -390,8 +390,8 @@ def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch, name):
     model = SHIFT_MODELS[name]
 
     def estimates():
-        return (moment(model, 1, n_mc=301, seed=3),
-                moment(model, 2, n_mc=301, seed=3),
+        return (moment(model, 1, n_mc=301, seed=3, burn_in=20),
+                moment(model, 2, n_mc=301, seed=3, burn_in=20),
                 estimate_theta(model, 2, n_mc=301, history=30, seed=5))
 
     default = estimates()

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from rcbounds import validation
 from rcbounds.bounds import rademacher_constant
 from rcbounds.learning import IndependentJoint, LossFunction, TeacherJoint
 from rcbounds.processes import (
     ARFIMAProcess,
+    DependenceProfile,
     IIDProcess,
     InnovationLaw,
     Moment,
@@ -116,6 +118,44 @@ def test_risk_gap_certificate_covers():
     assert cov.coverage == 1.0
     assert cov.slack > 1.0
     assert cov.max_gap <= cov.bound
+
+
+def test_risk_gap_experiment_draws_one_pool(monkeypatch):
+    seeds = []
+    sample_joint = validation.sample_joint
+
+    def counting_sample_joint(joint, n_mc, history, seed=0):
+        if seed not in (3 + 11, 3 + 12):  # the e0 and yl2 moments
+            seeds.append(seed)
+        return sample_joint(joint, n_mc, history, seed)
+
+    monkeypatch.setattr(validation, "sample_joint", counting_sample_joint)
+    # ARFIMA inputs: exact_risk declines, so candidates and ERM fits both
+    # need the pool
+    arfima = ARFIMAProcess(d_frac=0.3, trunc=60)
+    zp = dependence_params(arfima)
+    prof = DependenceProfile(regime="algebraic", c_z=zp.c_z,
+                             rate_z=zp.rate_z,
+                             c_y=Moment(0.0, 0.0, "exact-zero"),
+                             rate_y=zp.rate_z, exact_zero_y=True)
+    klass = LinearClass(n_state=3, n_input=1, n_out=1, lam_a=0.5, lam_c=0.5,
+                        lam_zeta=0.2, l_h=1.0, l_h0=0.2, input_bound=5.0,
+                        input_second_moment=Moment(1.3, 0.0, "analytic"))
+    joint = IndependentJoint(arfima, InnovationLaw("gaussian", 1, 0.7))
+    cov = risk_gap_experiment(klass, joint, ABS, prof, "algebraic", n=64,
+                              n_trials=4, n_random=3, seed=3, history=40,
+                              n_pool=500, erm_iters=10)
+    assert seeds == [3 + 15]
+    assert cov.pool_std_error > 0
+
+    # i.i.d. inputs, closed-form risks for every candidate, no ERM: no pool
+    seeds.clear()
+    klass, joint, prof = teacher_setup()
+    cov = risk_gap_experiment(klass, joint, ABS, prof, "geometric", n=64,
+                              n_trials=4, n_random=3, seed=3, history=40,
+                              n_pool=500, fit_erm=False)
+    assert seeds == []
+    assert cov.pool_std_error is None
 
 
 def test_consistency_curve_decreases():
