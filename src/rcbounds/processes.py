@@ -18,9 +18,13 @@ coupling coefficient
     theta(tau) = E|| G(..., xi_{-1}, xi_0)
                     - G(..., xi~_{-tau-1}, xi~_{-tau}, xi_{-tau+1}, ..., xi_0) ||_2
 
-(innovations at times <= -tau replaced by an independent copy).  The module
-also gives analytic decay envelopes theta(tau) <= C * lambda^tau or
-C * tau^(-alpha) and moments with explicit provenance.
+(innovations at times <= -tau replaced by an independent copy).  Each model
+also states its closed forms once: dependence(mean_abs, nominal_rate), its
+decay envelope theta(tau) <= C * lambda^tau or C * tau^(-alpha) as a
+DependenceProfile (mean_abs() gives E||Z_0||_2 where C needs it);
+analytic_moment(order), E||Z_0||_2^order or None; and kind, spec() and
+from_spec(spec), its JSON spec.  dependence_params, analytic_moment,
+model_to_spec and model_from_spec are generic over these members.
 """
 
 import math
@@ -214,6 +218,7 @@ class IIDProcess:
 
     law: InnovationLaw
     burn_in = 0
+    kind = "iid"
 
     @property
     def dim(self):
@@ -228,6 +233,33 @@ class IIDProcess:
     def transform(self, xi, n):
         return xi[..., -n:, :]
 
+    def dependence(self, mean_abs, nominal_rate):
+        """Exactly independent: a lipschitz profile with l = 1 and the
+        exact-zero flags set, reported at the nominal rate."""
+        # Z_0 is the innovation, so E||xi|| is c (Monte Carlo for the laws
+        # without a closed form)
+        c, law = mean_abs(), self.law
+        c2 = Moment(2 * c.value, 2 * c.std_error, c.provenance)
+        w = WeightingSequence("geometric", nominal_rate)
+        return DependenceProfile(
+            regime="lipschitz", c_z=c2, rate_z=nominal_rate, c_y=c2,
+            rate_y=nominal_rate, exact_zero_z=True, exact_zero_y=True,
+            l_z=1.0, l_y=1.0, w_z=w, w_y=w, xi_mean_abs_z=c, xi_mean_abs_y=c,
+            xi_second_z=law.second_moment(), xi_second_y=law.second_moment(),
+            xi_bound_z=law.bound(), xi_bound_y=law.bound(),
+            xi_law_z=law, xi_law_y=law)
+
+    def analytic_moment(self, order):
+        return self.law.mean_abs_norm() if order == 1 else self.law.second_moment()
+
+    def spec(self):
+        return {"innovation": _law_to_spec(self.law)}
+
+    @classmethod
+    def from_spec(cls, spec):
+        _fields(spec, (), ("innovation",))
+        return cls(_law_from_spec(spec.get("innovation", {})))
+
 
 @dataclass(frozen=True)
 class MAProcess:
@@ -237,6 +269,7 @@ class MAProcess:
     law: InnovationLaw
     burn_in = 0
     dim = 1
+    kind = "ma"
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -254,6 +287,37 @@ class MAProcess:
     def transform(self, xi, n):
         return _filter(xi[..., 0], np.concatenate(([1.0], self.coeffs)), n)
 
+    def dependence(self, mean_abs, nominal_rate):
+        """Geometric at the nominal rate, with the smallest constant that
+        covers theta(tau) for tau <= q (theta is zero beyond the order q)."""
+        q = len(self.coeffs)
+        if self.law.kind == "gaussian":
+            # the coupled difference is N(0, 2 s^2 sum_{k>=tau} kernel_k^2)
+            kernel = np.concatenate(([1.0], self.coeffs))
+            tails = np.array([np.sum(kernel[t:] ** 2) for t in range(1, q + 1)])
+            thetas = np.sqrt(2.0 / np.pi) * np.sqrt(2.0 * (self.law.scale ** 2) * tails)
+            c = Moment(float(np.max(thetas / nominal_rate ** np.arange(1, q + 1))),
+                       0.0, "analytic")
+        else:
+            # crude but valid: theta(tau) <= 2 E||Z_0|| for every tau
+            m = mean_abs()
+            c = Moment(2 * m.value / nominal_rate ** q, 2 * m.std_error, m.provenance)
+        return _symmetric("geometric", c, nominal_rate)
+
+    def analytic_moment(self, order):
+        if self.law.kind != "gaussian":
+            return None
+        kernel = np.concatenate(([1.0], self.coeffs))
+        return _gaussian_moment(float(self.law.scale ** 2 * np.sum(kernel ** 2)), order)
+
+    def spec(self):
+        return {"coeffs": list(self.coeffs), "innovation": _law_to_spec(self.law)}
+
+    @classmethod
+    def from_spec(cls, spec):
+        coeffs, = _fields(spec, ("coeffs",), ("innovation",))
+        return cls(tuple(coeffs), _law_from_spec(spec.get("innovation", {})))
+
 
 @dataclass(frozen=True)
 class VAR1Process:
@@ -268,6 +332,7 @@ class VAR1Process:
     noise: InnovationLaw
     scale_law: InnovationLaw = None
     burn_in = 500
+    kind = "var1"
 
     def __post_init__(self):
         a = np.asarray(self.a_base, dtype=float)
@@ -317,6 +382,34 @@ class VAR1Process:
                 out[..., t - steps + n, :] = z
         return out
 
+    def dependence(self, mean_abs, nominal_rate):
+        """Geometric at rate E|s| |||A|||_2."""
+        return _geometric(mean_abs(), self.mean_coeff_norm(), nominal_rate)
+
+    def analytic_moment(self, order):
+        if self.scale_law is not None or order != 2:
+            return None
+        # vec stationary covariance: S = A S A^T + Cov(eta)
+        d = self.noise.dim
+        cov_eta = np.eye(d) * (self.noise.norm_power_moment(2) / d)
+        m = np.eye(d * d) - np.kron(self.a_base, self.a_base)
+        s = np.linalg.solve(m, cov_eta.reshape(-1)).reshape(d, d)
+        return Moment(float(np.trace(s)), 0.0, "analytic")
+
+    def spec(self):
+        out = {"a": self.a_base.tolist(), "innovation": _law_to_spec(self.noise)}
+        if self.scale_law is not None:
+            out["scale_innovation"] = _law_to_spec(self.scale_law)
+        return out
+
+    @classmethod
+    def from_spec(cls, spec):
+        a, = _fields(spec, ("a",), ("innovation", "scale_innovation"))
+        scale_law = (_law_from_spec(spec["scale_innovation"])
+                     if "scale_innovation" in spec else None)
+        return cls(np.asarray(a, dtype=float),
+                   _law_from_spec(spec.get("innovation", {"dim": len(a)})), scale_law)
+
 
 @dataclass(frozen=True)
 class GARCHProcess:
@@ -333,6 +426,7 @@ class GARCHProcess:
     beta: float
     representation: str = "returns"
     burn_in = 500
+    kind = "garch11"
 
     def __post_init__(self):
         if self.omega < 0 or self.alpha < 0 or self.beta < 0:
@@ -372,6 +466,27 @@ class GARCHProcess:
             return np.stack([r ** 2, kept], axis=-1)
         return r[..., None]
 
+    def dependence(self, mean_abs, nominal_rate):
+        """Geometric at rate alpha + beta (the companion form's)."""
+        return _geometric(mean_abs(), self.alpha + self.beta, nominal_rate)
+
+    def analytic_moment(self, order):
+        if order == 2 and self.representation == "returns":
+            # E[r^2] = E[sigma^2] = stationary variance
+            return Moment(self.stationary_variance, 0.0, "analytic")
+        return None
+
+    def spec(self):
+        return {"omega": self.omega, "alpha": self.alpha, "beta": self.beta,
+                "representation": self.representation}
+
+    @classmethod
+    def from_spec(cls, spec):
+        omega, alpha, beta = _fields(spec, ("omega", "alpha", "beta"),
+                                     ("representation",))
+        return cls(float(omega), float(alpha), float(beta),
+                   spec.get("representation", "returns"))
+
 
 @dataclass(frozen=True)
 class ARFIMAProcess:
@@ -385,6 +500,7 @@ class ARFIMAProcess:
     d_frac: float
     trunc: int = 10_000
     dim = 1
+    kind = "arfima"
 
     def __post_init__(self):
         if not -0.5 < self.d_frac < 0.5:
@@ -407,6 +523,50 @@ class ARFIMAProcess:
         # the innovations before the n values set the truncation order
         phi = arfima_coefficients(self.d_frac, xi.shape[-2] - n)
         return _filter(xi[..., 0], phi, n)
+
+    def dependence(self, mean_abs, nominal_rate):
+        """Algebraic with exponent 1/2 - d_frac and an analytic constant."""
+        alpha = 0.5 - self.d_frac
+        phi = arfima_coefficients(self.d_frac, self.trunc)
+        tail_sq = np.cumsum(phi[::-1] ** 2)[::-1]  # tail_sq[t] = sum_{k>=t} phi_k^2
+        taus = np.arange(1, self.trunc + 1, dtype=float)
+        theta = 2.0 / np.sqrt(np.pi) * np.sqrt(tail_sq[1:])
+        c = Moment(float(np.max(theta * taus ** alpha)), 0.0, "analytic")
+        return _symmetric("algebraic", c, alpha)
+
+    def analytic_moment(self, order):
+        phi = arfima_coefficients(self.d_frac, self.trunc)
+        return _gaussian_moment(float(np.sum(phi ** 2)), order)
+
+    def spec(self):
+        return {"d": self.d_frac, "trunc": self.trunc}
+
+    @classmethod
+    def from_spec(cls, spec):
+        d, = _fields(spec, ("d",), ("trunc",))
+        return cls(float(d), int(spec.get("trunc", 10_000)))
+
+
+def _symmetric(regime, c, rate, exact_zero=False):
+    """A profile whose z- and y-roles are the same envelope c, rate."""
+    return DependenceProfile(regime=regime, c_z=c, rate_z=rate, c_y=c, rate_y=rate,
+                             exact_zero_z=exact_zero, exact_zero_y=exact_zero)
+
+
+def _geometric(mean_abs, lam, nominal_rate):
+    """Geometric envelope 2 E||Z_0|| lam^tau; lam = 0 means independent
+    and is reported at the nominal rate with the exact-zero flags set."""
+    c = Moment(2 * mean_abs.value, 2 * mean_abs.std_error, mean_abs.provenance)
+    if lam <= 0.0:
+        return _symmetric("geometric", c, nominal_rate, exact_zero=True)
+    return _symmetric("geometric", c, lam)
+
+
+def _gaussian_moment(var, order):
+    """E|Z|^order (order 1 or 2) of a centred scalar Gaussian of variance var."""
+    if order == 2:
+        return Moment(var, 0.0, "analytic")
+    return Moment(float(np.sqrt(2 * var / np.pi)), 0.0, "analytic")
 
 
 def arfima_coefficients(d_frac, count):
@@ -636,16 +796,6 @@ class DependenceProfile:
         return c * rate ** tau
 
 
-def _ma_theta_exact(model, tau):
-    # gaussian innovations: the coupled difference is N(0, 2 s^2 sum tail^2)
-    kernel = np.concatenate(([1.0], model.coeffs))
-    tail = kernel[tau:]
-    if tail.size == 0:
-        return 0.0
-    s = model.law.scale
-    return float(np.sqrt(2.0 / np.pi) * np.sqrt(2.0 * (s ** 2) * np.sum(tail ** 2)))
-
-
 def _mean_abs_z0(model, n_mc, seed):
     analytic = analytic_moment(model, 1)
     if analytic is not None:
@@ -654,81 +804,12 @@ def _mean_abs_z0(model, n_mc, seed):
 
 
 def dependence_params(model, n_mc=20_000, seed=0, nominal_rate=0.5):
-    """Analytic dependence profile of a built-in model.
+    """Analytic dependence profile of a built-in model, model.dependence.
 
-    GARCH and VAR1 are geometric with rate E|s| |||A|||_2 (alpha + beta for
-    GARCH's companion form); ARFIMA is algebraic with exponent 1/2 - d_frac;
-    IID is exactly independent and reported as geometric with a nominal rate
-    and the exact-zero flag set.  Envelope constants requiring E||Z_0||_2 are
-    Monte Carlo estimated (provenance "mc") when no closed form exists.
+    Envelope constants requiring E||Z_0||_2 are Monte Carlo estimated
+    (provenance "mc", n_mc trials at seed) when no closed form exists.
     """
-    if isinstance(model, IIDProcess):
-        c = _mean_abs_z0(model, n_mc, seed)
-        c2 = Moment(2 * c.value, 2 * c.std_error, c.provenance)
-        law = model.law
-        return DependenceProfile(
-            regime="lipschitz", c_z=c2, rate_z=nominal_rate, c_y=c2,
-            rate_y=nominal_rate, exact_zero_z=True, exact_zero_y=True,
-            l_z=1.0, l_y=1.0,
-            w_z=WeightingSequence("geometric", nominal_rate),
-            w_y=WeightingSequence("geometric", nominal_rate),
-            # Z_0 is the innovation, so E||xi|| is c (Monte Carlo for
-            # the laws without a closed form)
-            xi_mean_abs_z=c, xi_mean_abs_y=c,
-            xi_second_z=law.second_moment(), xi_second_y=law.second_moment(),
-            xi_bound_z=law.bound(), xi_bound_y=law.bound(),
-            xi_law_z=law, xi_law_y=law)
-
-    if isinstance(model, MAProcess):
-        if model.law.kind == "gaussian":
-            thetas = np.array([_ma_theta_exact(model, t)
-                               for t in range(1, len(model.coeffs) + 1)])
-            c = Moment(float(np.max(thetas / nominal_rate ** np.arange(1, len(thetas) + 1))),
-                       0.0, "analytic")
-        else:
-            # crude but valid: theta(tau) <= 2 E||Z_0|| for every tau
-            m = _mean_abs_z0(model, n_mc, seed)
-            c = Moment(2 * m.value / nominal_rate ** len(model.coeffs),
-                       2 * m.std_error, m.provenance)
-        return DependenceProfile(regime="geometric", c_z=c, rate_z=nominal_rate,
-                                 c_y=c, rate_y=nominal_rate)
-
-    if isinstance(model, VAR1Process):
-        lam = model.mean_coeff_norm()
-        if lam <= 0.0:
-            # degenerate A = 0: the process is IID noise
-            m = _mean_abs_z0(model, n_mc, seed)
-            c = Moment(2 * m.value, 2 * m.std_error, m.provenance)
-            return DependenceProfile(regime="geometric", c_z=c, rate_z=nominal_rate,
-                                     c_y=c, rate_y=nominal_rate,
-                                     exact_zero_z=True, exact_zero_y=True)
-        m = _mean_abs_z0(model, n_mc, seed)
-        c = Moment(2 * m.value, 2 * m.std_error, m.provenance)
-        return DependenceProfile(regime="geometric", c_z=c, rate_z=lam, c_y=c, rate_y=lam)
-
-    if isinstance(model, GARCHProcess):
-        lam = model.alpha + model.beta
-        m = _mean_abs_z0(model, n_mc, seed)
-        c = Moment(2 * m.value, 2 * m.std_error, m.provenance)
-        if lam <= 0.0:
-            return DependenceProfile(regime="geometric", c_z=c, rate_z=nominal_rate,
-                                     c_y=c, rate_y=nominal_rate,
-                                     exact_zero_z=True, exact_zero_y=True)
-        return DependenceProfile(regime="geometric", c_z=c, rate_z=lam, c_y=c, rate_y=lam)
-
-    if isinstance(model, ARFIMAProcess):
-        alpha = 0.5 - model.d_frac
-        if alpha <= 0:
-            raise ValueError("algebraic envelope needs d_frac < 1/2")
-        phi = arfima_coefficients(model.d_frac, model.trunc)
-        tail_sq = np.cumsum(phi[::-1] ** 2)[::-1]  # tail_sq[t] = sum_{k>=t} phi_k^2
-        taus = np.arange(1, model.trunc + 1, dtype=float)
-        theta = 2.0 / np.sqrt(np.pi) * np.sqrt(tail_sq[1:])
-        c = Moment(float(np.max(theta * taus ** alpha)), 0.0, "analytic")
-        return DependenceProfile(regime="algebraic", c_z=c, rate_z=alpha,
-                                 c_y=c, rate_y=alpha)
-
-    raise ValueError(f"unsupported model {type(model).__name__}")
+    return model.dependence(lambda: _mean_abs_z0(model, n_mc, seed), nominal_rate)
 
 
 def combine_profiles(z_profile, y_profile):
@@ -759,40 +840,7 @@ def analytic_moment(model, order):
     """Closed-form E||Z_0||_2^order when available, else None."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if isinstance(model, IIDProcess):
-        v = model.law.norm_power_moment(order)
-        return None if v is None else Moment(float(v), 0.0, "analytic")
-    if isinstance(model, (MAProcess, ARFIMAProcess)):
-        if isinstance(model, MAProcess):
-            if model.law.kind != "gaussian":
-                return None
-            kernel = np.concatenate(([1.0], model.coeffs))
-            var = float(model.law.scale ** 2 * np.sum(kernel ** 2))
-        else:
-            phi = arfima_coefficients(model.d_frac, model.trunc)
-            var = float(np.sum(phi ** 2))
-        if order == 2:
-            return Moment(var, 0.0, "analytic")
-        return Moment(float(np.sqrt(2 * var / np.pi)), 0.0, "analytic")
-    if isinstance(model, GARCHProcess):
-        if order == 2 and model.representation == "returns":
-            # E[r^2] = E[sigma^2] = stationary variance
-            return Moment(model.stationary_variance, 0.0, "analytic")
-        return None
-    if isinstance(model, VAR1Process):
-        if model.scale_law is None and order == 2:
-            # vec stationary covariance: S = A S A^T + Cov(eta)
-            d = model.noise.dim
-            sm = model.noise.norm_power_moment(2)
-            if sm is None:
-                return None
-            cov_eta = np.eye(d) * (sm / d)
-            a = model.a_base
-            m = np.eye(d * d) - np.kron(a, a)
-            s = np.linalg.solve(m, cov_eta.reshape(-1)).reshape(d, d)
-            return Moment(float(np.trace(s)), 0.0, "analytic")
-        return None
-    raise ValueError(f"unsupported model {type(model).__name__}")
+    return model.analytic_moment(order)
 
 
 def moment(model, order, n_mc=10_000, seed=0, burn_in=None):
@@ -887,60 +935,31 @@ def model_from_spec(spec):
     """Build a process model from a JSON-style dict; unknown keys rejected."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("process spec must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "iid":
-        allowed = {"kind", "innovation"}
-        _check_keys(spec, allowed)
-        return IIDProcess(law=_law_from_spec(spec.get("innovation", {})))
-    if kind == "ma":
-        _check_keys(spec, {"kind", "coeffs", "innovation"})
-        return MAProcess(coeffs=tuple(spec["coeffs"]),
-                         law=_law_from_spec(spec.get("innovation", {})))
-    if kind == "var1":
-        _check_keys(spec, {"kind", "a", "innovation", "scale_innovation"})
-        scale_law = (_law_from_spec(spec["scale_innovation"])
-                     if "scale_innovation" in spec else None)
-        return VAR1Process(a_base=np.asarray(spec["a"], dtype=float),
-                           noise=_law_from_spec(spec.get("innovation", {"dim": len(spec["a"])})),
-                           scale_law=scale_law)
-    if kind == "garch11":
-        _check_keys(spec, {"kind", "omega", "alpha", "beta", "representation"})
-        return GARCHProcess(omega=float(spec["omega"]), alpha=float(spec["alpha"]),
-                            beta=float(spec["beta"]),
-                            representation=spec.get("representation", "returns"))
-    if kind == "arfima":
-        _check_keys(spec, {"kind", "d", "trunc"})
-        return ARFIMAProcess(d_frac=float(spec["d"]),
-                             trunc=int(spec.get("trunc", 10_000)))
-    raise ValueError(f"unknown process kind {kind!r}")
+    for model in _MODELS:
+        if model.kind == spec["kind"]:
+            return model.from_spec(spec)
+    raise ValueError(f"unknown process kind {spec['kind']!r}")
 
 
 def model_to_spec(model):
     """Inverse of model_from_spec (matrices as nested lists)."""
-    if isinstance(model, IIDProcess):
-        return {"kind": "iid", "innovation": _law_to_spec(model.law)}
-    if isinstance(model, MAProcess):
-        return {"kind": "ma", "coeffs": list(model.coeffs),
-                "innovation": _law_to_spec(model.law)}
-    if isinstance(model, VAR1Process):
-        out = {"kind": "var1", "a": model.a_base.tolist(),
-               "innovation": _law_to_spec(model.noise)}
-        if model.scale_law is not None:
-            out["scale_innovation"] = _law_to_spec(model.scale_law)
-        return out
-    if isinstance(model, GARCHProcess):
-        return {"kind": "garch11", "omega": model.omega, "alpha": model.alpha,
-                "beta": model.beta, "representation": model.representation}
-    if isinstance(model, ARFIMAProcess):
-        return {"kind": "arfima", "d": model.d_frac, "trunc": model.trunc}
-    raise ValueError(f"unsupported model {type(model).__name__}")
+    return {"kind": model.kind, **model.spec()}
 
 
 def _law_to_spec(law):
     return {"kind": law.kind, "dim": law.dim, "scale": law.scale}
 
 
-def _check_keys(spec, allowed):
-    unknown = set(spec) - allowed
+def _fields(spec, required, optional):
+    """Values of a process spec's required keys, in order; an unknown or a
+    missing key raises ValueError naming it."""
+    unknown = set(spec) - {"kind", *required, *optional}
     if unknown:
         raise ValueError(f"unknown keys in process spec: {sorted(unknown)}")
+    for key in required:
+        if key not in spec:
+            raise ValueError(f"missing key {key!r} in {spec['kind']} process spec")
+    return [spec[key] for key in required]
+
+
+_MODELS = (IIDProcess, MAProcess, VAR1Process, GARCHProcess, ARFIMAProcess)

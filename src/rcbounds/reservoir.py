@@ -15,7 +15,9 @@ Three families are implemented:
 
 Hypothesis classes are norm-capped boxes around each family; they carry the
 derived constants (contraction modulus, state-ball radius, input-Lipschitz
-modulus) used by the risk certificates.
+modulus) used by the risk certificates.  Each class states its cap geometry
+once: draw_reservoir(rng) draws a member reservoir inside the caps, and
+saturate(reservoir) gives a member whose binding caps are active.
 """
 
 from dataclasses import dataclass
@@ -592,10 +594,6 @@ class LinearClass:
             raise ValueError("lam_c and lam_zeta must be >= 0")
 
     @property
-    def family(self):
-        return "linear"
-
-    @property
     def r(self):
         return self.lam_a
 
@@ -618,6 +616,19 @@ class LinearClass:
                 and np.linalg.norm(res.zeta) <= self.lam_zeta + tol
                 and ro.lipschitz <= self.l_h + tol
                 and ro.offset_norm <= self.l_h0 + tol)
+
+    def draw_reservoir(self, rng):
+        n, d = self.n_state, self.n_input
+        return LinearReservoir(
+            _scaled(rng.uniform(-1.0, 1.0, (n, n)), self.lam_a, _spec_norm, rng),
+            _scaled(rng.uniform(-1.0, 1.0, (n, d)), self.lam_c, _spec_norm, rng),
+            _scaled(rng.uniform(-1.0, 1.0, (n,)), self.lam_zeta, np.linalg.norm, rng))
+
+    def saturate(self, reservoir):
+        """Every cap active: A, C and zeta scaled to lam_a, lam_c, lam_zeta."""
+        return LinearReservoir(_scaled(reservoir.a, self.lam_a, _spec_norm),
+                               _scaled(reservoir.c, self.lam_c, _spec_norm),
+                               _scaled(reservoir.zeta, self.lam_zeta, np.linalg.norm))
 
 
 @dataclass(frozen=True)
@@ -661,10 +672,6 @@ class EchoStateClass:
                 float(np.sqrt(self.n_state) * np.linalg.norm(self.row_a)))
         if self.spec_c is None:
             object.__setattr__(self, "spec_c", float(np.linalg.norm(self.row_c)))
-
-    @property
-    def family(self):
-        return "echo_state"
 
     @property
     def lam_a(self):
@@ -718,6 +725,29 @@ class EchoStateClass:
                 and ro.lipschitz <= self.l_h + tol
                 and ro.offset_norm <= self.l_h0 + tol)
 
+    def draw_reservoir(self, rng):
+        """Each row drawn inside its row cap, then A and C scaled down onto
+        their spectral caps when they exceed them."""
+        a = np.stack([_scaled(rng.uniform(-1.0, 1.0, self.n_state), cap,
+                              lambda v: np.abs(v).max(), rng)
+                      for cap in self.row_a])
+        c = np.stack([_scaled(rng.uniform(-1.0, 1.0, self.n_input), cap,
+                              np.linalg.norm, rng) for cap in self.row_c])
+        zeta = np.array([_scaled(rng.uniform(-1.0, 1.0, 1), cap, np.linalg.norm,
+                                 rng)[0] for cap in self.row_zeta])
+        return EchoStateReservoir(_spec_capped(a, self.spec_a),
+                                  _spec_capped(c, self.spec_c), zeta, self.activation)
+
+    def saturate(self, reservoir):
+        """A and C scaled until a row or the spectral cap is active; each
+        zeta_l at its cap with the sign of the given zeta_l."""
+        a, c, zeta = reservoir.a, reservoir.c, reservoir.zeta
+        return EchoStateReservoir(
+            _to_binding_cap(a, np.abs(a).max(axis=1), self.row_a, self.spec_a),
+            _to_binding_cap(c, np.linalg.norm(c, axis=1), self.row_c, self.spec_c),
+            np.where(zeta != 0, np.copysign(self.row_zeta, zeta), self.row_zeta),
+            self.activation)
+
 
 @dataclass(frozen=True)
 class StateAffineClass:
@@ -756,10 +786,6 @@ class StateAffineClass:
             object.__setattr__(self, name, a)
 
     @property
-    def family(self):
-        return "state_affine"
-
-    @property
     def r(self):
         return self.lam_sas * self.input_bound
 
@@ -784,6 +810,39 @@ class StateAffineClass:
         ok_q = res.q.sup_norm_on_box(k) <= k * self.c_sas + tol
         return (ok_p and ok_q and ro.lipschitz <= self.l_h + tol
                 and ro.offset_norm <= self.l_h0 + tol)
+
+    def draw_reservoir(self, rng):
+        k, n = self.input_bound, self.n_state
+
+        def draw(alphas, cols, total_cap):
+            # split the summed cap across terms by uniform proportions
+            weights = rng.uniform(0.0, 1.0, len(alphas))
+            weights *= rng.uniform() / max(weights.sum(), 1e-300)
+            coeffs = np.empty((len(alphas), n, cols))
+            for t, row in enumerate(alphas):
+                cap_t = weights[t] * total_cap / k ** sum(row)
+                coeffs[t] = _scaled(rng.uniform(-1.0, 1.0, (n, cols)), cap_t,
+                                    _spec_norm, rng)
+                # _scaled draws another U(0,1) factor; undo it to keep the split
+                nrm = _spec_norm(coeffs[t])
+                if nrm > 0:
+                    coeffs[t] *= cap_t / nrm
+            return MatrixPolynomial(np.asarray(alphas, dtype=int), coeffs)
+
+        return StateAffineReservoir(draw(self.alphas_p, n, k * self.lam_sas),
+                                    draw(self.alphas_q, 1, k * self.c_sas))
+
+    def saturate(self, reservoir):
+        """p and q scaled to their summed caps K lam_sas and K c_sas."""
+        k = self.input_bound
+
+        def to_cap(poly, cap):
+            s = poly.sup_norm_on_box(k)
+            return poly if s == 0 else MatrixPolynomial(poly.alphas,
+                                                        poly.coeffs * (cap / s))
+
+        return StateAffineReservoir(to_cap(reservoir.p, k * self.lam_sas),
+                                    to_cap(reservoir.q, k * self.c_sas))
 
 
 @dataclass(frozen=True)
@@ -822,10 +881,6 @@ class RandomEchoStateClass:
             raise ValueError("scales must be >= 0")
         if self.lam_base_a <= 0.0:
             raise ValueError("base A must be nonzero")
-
-    @property
-    def family(self):
-        return "echo_state_random"
 
     @property
     def n_state(self):
@@ -897,25 +952,57 @@ class RandomEchoStateClass:
                 and ro.lipschitz <= self.l_h + tol
                 and ro.offset_norm <= self.l_h0 + tol)
 
+    def draw_reservoir(self, rng):
+        return self.member(rng.uniform(-1.0, 1.0) * self.rho_a_max,
+                           rng.uniform(-1.0, 1.0) * self.c_scale,
+                           rng.uniform(-1.0, 1.0) * self.zeta_scale)
+
+    def saturate(self, reservoir):
+        """The member at the largest scales, rho_a just inside its open cap."""
+        return self.member(self.rho_a_max * (1.0 - 1e-9), self.c_scale,
+                           self.zeta_scale)
+
 
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
 
-def _rescaled(rng, shape, target, norm):
-    """Matrix with the given norm equal to u * target, u ~ U(0, 1)."""
-    m = rng.uniform(-1.0, 1.0, shape)
+def _spec_norm(m):
+    return np.linalg.norm(m, 2)
+
+
+def _scaled(m, cap, norm, rng=None):
+    """m rescaled to norm(m) = cap, or to u * cap with u ~ U(0, 1) drawn
+    from rng when one is given; zero (and no draw) when cap or norm(m) is 0."""
     cur = norm(m)
-    if cur == 0.0 or target == 0.0:
-        return np.zeros(shape)
-    return m * (rng.uniform() * target / cur)
+    if cur == 0.0 or cap == 0.0:
+        return np.zeros_like(m)
+    if rng is not None:
+        cap = rng.uniform() * cap
+    return m * (cap / cur)
+
+
+def _spec_capped(m, cap):
+    """m scaled down onto the spectral cap when it exceeds it."""
+    spec = _spec_norm(m)
+    return m * (cap / spec) if spec > cap else m
+
+
+def _to_binding_cap(m, row_norms, row_caps, spec_cap):
+    """m times the largest factor that keeps each row norm within its cap
+    and the spectral norm within spec_cap, so one of these caps is active."""
+    factors = [cap / v for cap, v in zip(row_caps, row_norms) if v > 0]
+    spec = _spec_norm(m)
+    if spec > 0:
+        factors.append(spec_cap / spec)
+    return m * min(factors) if factors else m
 
 
 def _sample_readout(rng, klass):
-    w = _rescaled(rng, (klass.n_out, klass.n_state), klass.l_h,
-                  lambda m: np.linalg.norm(m, 2))
-    a = _rescaled(rng, (klass.n_out,), klass.l_h0, np.linalg.norm)
+    w = _scaled(rng.uniform(-1.0, 1.0, (klass.n_out, klass.n_state)), klass.l_h,
+                _spec_norm, rng)
+    a = _scaled(rng.uniform(-1.0, 1.0, (klass.n_out,)), klass.l_h0, np.linalg.norm, rng)
     return Readout(w, a)
 
 
@@ -925,71 +1012,15 @@ def sample_from_class(klass, n=1, seed=0):
     Matrices are drawn with uniform(-1, 1) entries and rescaled so that each
     capped norm equals u * cap with an independent u ~ U(0, 1); over many
     draws the realized norms sweep out the cap interval without exceeding
-    it.  Returns a list of Hypothesis (trial i uses rng seed + i).
+    it.  Returns a list of Hypothesis (trial i uses rng seed + i, which
+    draws the reservoir with klass.draw_reservoir and then the readout).
     """
     out = []
     for i in range(n):
         rng = np.random.default_rng(seed + i)
-        if isinstance(klass, LinearClass):
-            res = LinearReservoir(
-                _rescaled(rng, (klass.n_state, klass.n_state), klass.lam_a,
-                          lambda m: np.linalg.norm(m, 2)),
-                _rescaled(rng, (klass.n_state, klass.n_input), klass.lam_c,
-                          lambda m: np.linalg.norm(m, 2)),
-                _rescaled(rng, (klass.n_state,), klass.lam_zeta, np.linalg.norm))
-        elif isinstance(klass, EchoStateClass):
-            a = np.stack([_rescaled(rng, (klass.n_state,), klass.row_a[l],
-                                    lambda v: np.abs(v).max())
-                          for l in range(klass.n_state)])
-            spec = np.linalg.norm(a, 2)
-            if spec > klass.spec_a:
-                a *= klass.spec_a / spec
-            c = np.stack([_rescaled(rng, (klass.n_input,), klass.row_c[l],
-                                    np.linalg.norm)
-                          for l in range(klass.n_state)])
-            spec = np.linalg.norm(c, 2)
-            if spec > klass.spec_c:
-                c *= klass.spec_c / spec
-            zeta = np.array([_rescaled(rng, (1,), klass.row_zeta[l], np.linalg.norm)[0]
-                             for l in range(klass.n_state)])
-            res = EchoStateReservoir(a, c, zeta, klass.activation)
-        elif isinstance(klass, StateAffineClass):
-            res = _sample_sas(rng, klass)
-        elif isinstance(klass, RandomEchoStateClass):
-            rho_a = rng.uniform(-1.0, 1.0) * klass.rho_a_max
-            rho_c = rng.uniform(-1.0, 1.0) * klass.c_scale
-            rho_z = rng.uniform(-1.0, 1.0) * klass.zeta_scale
-            res = klass.member(rho_a, rho_c, rho_z)
-        else:
-            raise ValueError(f"unsupported class {type(klass).__name__}")
+        res = klass.draw_reservoir(rng)
         out.append(Hypothesis(res, _sample_readout(rng, klass)))
     return out
-
-
-def _sample_sas(rng, klass):
-    k = klass.input_bound
-
-    def draw(alphas, rows, cols, total_cap):
-        terms = len(alphas)
-        # split the summed cap across terms by uniform proportions
-        weights = rng.uniform(0.0, 1.0, terms)
-        weights *= rng.uniform() / max(weights.sum(), 1e-300)
-        coeffs = np.empty((terms, rows, cols))
-        for t, row in enumerate(alphas):
-            deg = sum(row)
-            cap_t = weights[t] * total_cap / k ** deg
-            coeffs[t] = _rescaled(rng, (rows, cols), cap_t,
-                                  lambda m: np.linalg.norm(m, 2))
-            # _rescaled multiplies by another U(0,1); undo to keep the split
-            nrm = np.linalg.norm(coeffs[t], 2)
-            if nrm > 0:
-                coeffs[t] *= cap_t / nrm
-        return MatrixPolynomial(np.asarray(alphas, dtype=int), coeffs)
-
-    n = klass.n_state
-    p = draw(klass.alphas_p, n, n, k * klass.lam_sas)
-    q = draw(klass.alphas_q, n, 1, k * klass.c_sas)
-    return StateAffineReservoir(p, q)
 
 
 def random_esn(n_state, n_input, n_out, a, c_scale, zeta_scale, l_h, l_h0,

@@ -34,16 +34,9 @@ from .learning import (
 )
 from .processes import DependenceProfile, Moment, batch_paths
 from .reservoir import (
-    EchoStateClass,
-    EchoStateReservoir,
     Hypothesis,
-    LinearClass,
-    LinearReservoir,
-    MatrixPolynomial,
-    RandomEchoStateClass,
     Readout,
-    StateAffineClass,
-    StateAffineReservoir,
+    _scaled,
     bound_M_F,
     contraction_modulus,
     input_lipschitz,
@@ -90,64 +83,14 @@ class CoverageResult:
 # ---------------------------------------------------------------------------
 
 
-def _scale_matrix(m, cap, norm):
-    cur = norm(m)
-    if cap == 0.0 or cur == 0.0:
-        return np.zeros_like(m)
-    return m * (cap / cur)
-
-
 def _push_to_caps(klass, hyp):
     """A member whose binding cap constraints are active (boundary point)."""
-    res, ro = hyp.reservoir, hyp.readout
-    spec = lambda m: np.linalg.norm(m, 2)
-    if isinstance(klass, LinearClass):
-        res = LinearReservoir(
-            _scale_matrix(res.a, klass.lam_a, spec),
-            _scale_matrix(res.c, klass.lam_c, spec),
-            _scale_matrix(res.zeta, klass.lam_zeta, np.linalg.norm))
-    elif isinstance(klass, EchoStateClass):
-        factors = []
-        row_inf = np.abs(res.a).max(axis=1)
-        for l in range(klass.n_state):
-            if row_inf[l] > 0:
-                factors.append(klass.row_a[l] / row_inf[l])
-        sa = spec(res.a)
-        if sa > 0:
-            factors.append(klass.spec_a / sa)
-        a = res.a * min(factors) if factors else res.a
-        factors = []
-        row_2 = np.linalg.norm(res.c, axis=1)
-        for l in range(klass.n_state):
-            if row_2[l] > 0:
-                factors.append(klass.row_c[l] / row_2[l])
-        sc = spec(res.c)
-        if sc > 0:
-            factors.append(klass.spec_c / sc)
-        c = res.c * min(factors) if factors else res.c
-        zeta = np.array([math.copysign(klass.row_zeta[l], z) if z != 0
-                         else klass.row_zeta[l]
-                         for l, z in enumerate(res.zeta)])
-        res = EchoStateReservoir(a, c, zeta, klass.activation)
-    elif isinstance(klass, StateAffineClass):
-        k = klass.input_bound
-        sp = res.p.sup_norm_on_box(k)
-        sq = res.q.sup_norm_on_box(k)
-        p = res.p if sp == 0 else MatrixPolynomial(
-            np.asarray(klass.alphas_p), res.p.coeffs * (k * klass.lam_sas / sp))
-        q = res.q if sq == 0 else MatrixPolynomial(
-            np.asarray(klass.alphas_q), res.q.coeffs * (k * klass.c_sas / sq))
-        res = StateAffineReservoir(p, q)
-    elif isinstance(klass, RandomEchoStateClass):
-        res = klass.member(klass.rho_a_max * (1.0 - 1e-9), klass.c_scale,
-                           klass.zeta_scale)
-    else:
-        raise ValueError(f"unsupported class {type(klass).__name__}")
-    w = _scale_matrix(ro.w, klass.l_h, spec)
-    a = _scale_matrix(ro.a, klass.l_h0, np.linalg.norm)
+    ro = hyp.readout
+    w = _scaled(ro.w, klass.l_h, lambda m: np.linalg.norm(m, 2))
+    a = _scaled(ro.a, klass.l_h0, np.linalg.norm)
     if klass.l_h0 > 0 and np.linalg.norm(a) == 0.0:
         a = np.full(klass.n_out, klass.l_h0 / math.sqrt(klass.n_out))
-    return Hypothesis(res, Readout(w, a))
+    return Hypothesis(klass.saturate(hyp.reservoir), Readout(w, a))
 
 
 def candidate_set(klass, n_random=12, seed=0, include_boundary=True,

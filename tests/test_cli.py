@@ -226,6 +226,55 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert code == 2 and "delta" in err
 
 
+@pytest.mark.parametrize("process, key", [
+    ({"kind": "ma"}, "coeffs"),
+    ({"kind": "garch11", "omega": 0.05, "beta": 0.85}, "alpha"),
+    ({"kind": "arfima", "trunc": 100}, "d"),
+    ({"kind": "var1"}, "a"),
+])
+def test_process_spec_missing_key_exits_two(tmp_path, capsys, process, key):
+    cfg = write_config(tmp_path, "sim.json",
+                       {"process": process, "n": 8, "seed": 0, "prefix": "m"})
+    code, report, err = run_cli(capsys, ["simulate", "--config", cfg,
+                                         "--out", str(tmp_path)])
+    assert code == 2 and report is None and "config error" in err
+    assert repr(key) in err
+
+
+ESN_CLASS = {"family": "esn", "n_state": 3, "n_input": 1, "n_out": 1,
+             "row_a": [0.2, 0.2, 0.2], "row_c": [0.5, 0.5, 0.5],
+             "row_zeta": [0.1, 0.1, 0.1], "l_h": 1.0, "l_h0": 0.5,
+             "input_bound": 1.0}
+SAS_CLASS = {"family": "sas", "n_state": 2, "n_input": 1, "n_out": 1,
+             "alphas_p": [[0], [1]], "alphas_q": [[0], [2]], "lam_sas": 0.45,
+             "c_sas": 0.8, "input_bound": 1.0, "l_h": 1.0, "l_h0": 0.5}
+RANDOM_ESN_CLASS = {"family": "random_esn", "n_state": 4, "n_input": 1,
+                    "n_out": 1, "a": 0.5, "c_scale": 1.0, "zeta_scale": 0.5,
+                    "l_h": 1.0, "l_h0": 0.5, "base_seed": 3}
+
+
+@pytest.mark.parametrize("klass", [ESN_CLASS, SAS_CLASS, RANDOM_ESN_CLASS],
+                         ids=["esn", "sas", "random_esn"])
+def test_validate_lipschitz_builds_each_family(tmp_path, capsys, klass):
+    # 8 sampled members, the cap-saturating one and the zero readout
+    cfg = write_config(tmp_path, "lip.json",
+                       {"kind": "lipschitz", "class": klass, "input_bound": 1,
+                        "n_pairs": 20, "history": 16, "prefix": "lip"})
+    code, report, _ = run_cli(capsys, ["validate", "--config", cfg,
+                                       "--out", str(tmp_path)])
+    assert code == 0 and report["n_systems"] == 10
+
+
+def test_sas_class_spec_needs_input_bound(tmp_path, capsys):
+    klass = {k: v for k, v in SAS_CLASS.items() if k != "input_bound"}
+    cfg = write_config(tmp_path, "lip.json",
+                       {"kind": "lipschitz", "class": klass, "input_bound": 1,
+                        "n_pairs": 20, "history": 16, "prefix": "lip"})
+    code, report, err = run_cli(capsys, ["validate", "--config", cfg,
+                                         "--out", str(tmp_path)])
+    assert code == 2 and report is None and "input_bound" in err
+
+
 def test_runtime_error_exits_three(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

@@ -213,7 +213,10 @@ def test_model_spec_roundtrip():
         MAProcess(coeffs=(0.4, 0.1), law=GAUSS),
         VAR1Process(a_base=np.array([[0.3, 0.0], [0.1, 0.2]]),
                     noise=InnovationLaw("gaussian", 2, 1.0)),
+        VAR1Process(a_base=np.array([[0.4]]), noise=GAUSS,
+                    scale_law=InnovationLaw("uniform", 1, 1.0)),
         GARCHProcess(omega=0.1, alpha=0.05, beta=0.9),
+        GARCHProcess(omega=0.1, alpha=0.05, beta=0.9, representation="squared"),
         ARFIMAProcess(d_frac=0.25, trunc=500),
     ]
     for model in models:

@@ -232,7 +232,10 @@ def test_sampled_linear_norms_sweep_the_cap():
 
 
 def test_sampled_members_pass_contains():
-    for klass in (small_linear_class(), small_esn_class(), small_sas_class()):
+    rand = random_esn(5, 2, 1, a=0.5, c_scale=1.0, zeta_scale=0.5, l_h=1.0,
+                      l_h0=0.5, seed=7, input_second_moment=M2)
+    for klass in (small_linear_class(), small_esn_class(), small_sas_class(),
+                  rand):
         for hyp in sample_from_class(klass, n=25, seed=9):
             assert klass.contains(hyp)
 

@@ -15,10 +15,13 @@ from rcbounds.processes import (
     dependence_params,
 )
 from rcbounds.reservoir import (
+    EchoStateClass,
     Hypothesis,
     LinearClass,
     LinearReservoir,
     Readout,
+    StateAffineClass,
+    random_esn,
     sample_from_class,
 )
 from rcbounds.validation import (
@@ -63,6 +66,48 @@ def test_candidate_set_contains_boundary_and_zero():
                for h in cands)
     for h in cands:
         assert klass.contains(h)
+
+
+def _row_or_spectral_ratio(klass, res):
+    # largest of the row-cap and spectral-cap ratios of A; 1 when one is active
+    rows = np.abs(res.a).max(axis=1) / np.asarray(klass.row_a)
+    return max(rows.max(), np.linalg.norm(res.a, 2) / klass.spec_a), 1.0
+
+
+# class factory, and (value, cap) of the cap its boundary member makes active
+BOUNDARY_CASES = {
+    "linear": (uniform_linear_class,
+               lambda k, res: (np.linalg.norm(res.a, 2), k.lam_a)),
+    "esn": (lambda: EchoStateClass(
+                n_state=3, n_input=1, n_out=1, row_a=(0.2, 0.3, 0.25),
+                row_c=(0.5, 0.4, 0.5), row_zeta=(0.1, 0.0, 0.2), l_h=1.0,
+                l_h0=0.3, input_bound=1.0, input_second_moment=M2_UNIF),
+            _row_or_spectral_ratio),
+    "sas": (lambda: StateAffineClass(
+                n_state=2, n_input=1, n_out=1, alphas_p=((0,), (1,)),
+                alphas_q=((0,), (2,)), lam_sas=0.45, c_sas=0.8,
+                input_bound=1.5, l_h=1.0, l_h0=0.5),
+            lambda k, res: (res.p.sup_norm_on_box(k.input_bound),
+                            k.input_bound * k.lam_sas)),
+    "random_esn": (lambda: random_esn(5, 1, 1, a=0.5, c_scale=1.0,
+                                      zeta_scale=0.5, l_h=1.0, l_h0=0.5,
+                                      seed=7, input_second_moment=M2_UNIF),
+                   lambda k, res: (k.activation.lipschitz
+                                   * np.sum(np.abs(res.a).max(axis=1)),
+                                   k.a * (1.0 - 1e-9))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BOUNDARY_CASES))
+def test_candidate_set_boundary_member_has_binding_cap_active(family):
+    make, binding = BOUNDARY_CASES[family]
+    klass = make()
+    n_random = 5
+    for seed in (0, 3):
+        boundary = candidate_set(klass, n_random=n_random, seed=seed)[n_random]
+        assert klass.contains(boundary)
+        value, cap = binding(klass, boundary.reservoir)
+        assert value == pytest.approx(cap, rel=1e-12)
 
 
 def test_mc_rademacher_constant_candidate():
