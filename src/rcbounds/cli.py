@@ -216,8 +216,9 @@ def class_from_spec(spec):
                     spec_c=(float(spec["spec_c"]) if spec.get("spec_c") is not None else None),
                     **args)
     if family == "sas":
-        _check_keys(spec, common | {"alphas_p", "alphas_q", "lam_sas", "c_sas"},
-                    "sas class spec")
+        # a state affine class takes no input_second_moment
+        _check_keys(spec, common - {"input_second_moment"}
+                    | {"alphas_p", "alphas_q", "lam_sas", "c_sas"}, "sas class spec")
         if ib is None:
             raise ConfigError("sas class spec needs input_bound")
         args.pop("input_second_moment")

@@ -178,10 +178,20 @@ def idealized_empirical_risk(hyp, inputs, targets, pre_inputs, loss):
 
 @dataclass(frozen=True)
 class IndependentJoint:
-    """Inputs from z_model; targets i.i.d. from y_law, independent of z."""
+    """Inputs from z_model; targets i.i.d. from y_law, independent of z.
+
+    Its target side reads like a teacher joint's: no teacher, and the
+    target itself as the noise.
+    """
 
     z_model: object
     y_law: object
+
+    teacher = None
+
+    @property
+    def noise(self):
+        return self.y_law
 
     @property
     def n_out(self):
@@ -202,8 +212,28 @@ class TeacherJoint:
     noise_law: object = None
 
     @property
+    def noise(self):
+        return self.noise_law
+
+    @property
     def n_out(self):
         return self.teacher.readout.w.shape[0]
+
+
+def _targets(joint, z, rng, every_step):
+    """Targets along input paths z (paths, n, d): the teacher's readout
+    (when the joint has a teacher) plus i.i.d. noise drawn from rng, at
+    the final time of each path or, with every_step, at every time."""
+    shape = z.shape[:2] if every_step else z.shape[:1]
+    noise = None if joint.noise is None else joint.noise.sample(rng, *shape)
+    if joint.teacher is None:
+        return noise
+    res = joint.teacher.reservoir
+    states = iterate_states_batch(res, z, x0=zero_input_fixed_point(res),
+                                  return_all=every_step)
+    y = joint.teacher.readout(states.reshape(-1, res.n_state))
+    y = y.reshape(shape + (-1,))
+    return y if noise is None else y + noise
 
 
 def sample_joint(joint, n_mc, history, seed=0):
@@ -216,17 +246,7 @@ def sample_joint(joint, n_mc, history, seed=0):
         raise ValueError("history must be >= 1")
     z = batch_paths(joint.z_model, n_mc, history, seed=seed)
     rng = np.random.default_rng(seed + n_mc + 1)  # target noise stream
-    if isinstance(joint, IndependentJoint):
-        y = joint.y_law.sample(rng, n_mc)
-        return z, y
-    if isinstance(joint, TeacherJoint):
-        x0 = zero_input_fixed_point(joint.teacher.reservoir)
-        finals = iterate_states_batch(joint.teacher.reservoir, z, x0=x0)
-        y = joint.teacher.readout(finals)
-        if joint.noise_law is not None:
-            y = y + joint.noise_law.sample(rng, n_mc)
-        return z, y
-    raise ValueError(f"unsupported joint model {type(joint).__name__}")
+    return z, _targets(joint, z, rng, every_step=False)
 
 
 def sample_joint_paths(joint, n_trials, n, history=200, seed=0):
@@ -242,18 +262,7 @@ def sample_joint_paths(joint, n_trials, n, history=200, seed=0):
     total = history + n
     z = batch_paths(joint.z_model, n_trials, total, seed=seed)
     rng = np.random.default_rng(seed + n_trials + 1)
-    if isinstance(joint, IndependentJoint):
-        y = joint.y_law.sample(rng, n_trials, total)
-    elif isinstance(joint, TeacherJoint):
-        x0 = zero_input_fixed_point(joint.teacher.reservoir)
-        states = iterate_states_batch(joint.teacher.reservoir, z, x0=x0,
-                                      return_all=True)
-        y = joint.teacher.readout(states.reshape(n_trials * total, -1))
-        y = y.reshape(n_trials, total, -1)
-        if joint.noise_law is not None:
-            y = y + joint.noise_law.sample(rng, n_trials, total)
-    else:
-        raise ValueError(f"unsupported joint model {type(joint).__name__}")
+    y = _targets(joint, z, rng, every_step=True)
     return z[:, history:], y[:, history:]
 
 
@@ -369,10 +378,12 @@ def _lrc_kappa_chain(res, readout, tol=1e-16):
 def exact_risk(hyp, joint, loss):
     """Closed-form statistical risk for linear scalar-output hypotheses.
 
-    Requires the absolute loss, a linear reservoir with scalar output and
-    i.i.d. inputs.  Gaussian inputs with gaussian targets (independent or
-    linear teacher plus gaussian noise) reduce to a folded-normal mean via
-    the stationary state covariance.  Uniform inputs reduce to a
+    Requires the absolute loss, a linear reservoir with scalar output, i.i.d.
+    inputs and scalar targets: i.i.d. draws, or a linear teacher plus
+    optional i.i.d. noise.  Gaussian inputs with gaussian targets (or noise)
+    reduce to a folded-normal mean via the stationary state covariance,
+    the hypothesis state stacked with the teacher's when there is one.
+    Uniform inputs with gaussian or uniform targets (or noise) reduce to a
     characteristic-function quadrature over the prediction-error law.
     Raises ValueError outside this scope, which includes uniform inputs
     whose kappa chain needs more than _KAPPA_TERMS terms.
@@ -389,82 +400,65 @@ def exact_risk(hyp, joint, loss):
     zm = joint.z_model
     if not isinstance(zm, IIDProcess):
         raise ValueError("exact_risk needs i.i.d. inputs")
+    teacher, noise = joint.teacher, joint.noise
+    if teacher is not None and not isinstance(teacher.reservoir, LinearReservoir):
+        raise ValueError("exact_risk needs a linear teacher")
+    if joint.n_out != 1:
+        raise ValueError("exact_risk needs scalar targets")
     if zm.law.kind == "uniform":
         return _exact_risk_uniform(hyp, joint, loss)
     if zm.law.kind != "gaussian":
         raise ValueError("exact_risk needs gaussian or uniform inputs")
+    if noise is not None and noise.kind != "gaussian":
+        raise ValueError("gaussian inputs need gaussian targets or noise")
     s2 = zm.law.scale ** 2
 
-    # stationary mean and covariance of the hypothesis state
+    # stationary mean of the prediction error, and the state whose
+    # stationary covariance gives its variance
     mu_h = np.linalg.solve(np.eye(res.n_state) - res.a, res.zeta)
-
-    if isinstance(joint, IndependentJoint):
-        if joint.y_law.kind != "gaussian" or joint.y_law.dim != 1:
-            raise ValueError("independent targets must be scalar gaussian")
-        cov = solve_discrete_lyapunov(res.a, s2 * (res.c @ res.c.T))
-        mu = float((ro.w @ mu_h + ro.a)[0])
-        var = float(ro.w[0] @ cov @ ro.w[0]) + joint.y_law.scale ** 2
-        return Moment(loss.l_l * _folded_normal_mean(mu, var), 0.0, "analytic")
-
-    if isinstance(joint, TeacherJoint):
-        tres, tro = joint.teacher.reservoir, joint.teacher.readout
-        if not isinstance(tres, LinearReservoir) or tro.w.shape[0] != 1:
-            raise ValueError("exact_risk needs a linear teacher with scalar output")
-        if joint.noise_law is not None and joint.noise_law.kind != "gaussian":
-            raise ValueError("teacher noise must be gaussian")
+    mu = ro.w @ mu_h + ro.a
+    a, c, w = res.a, res.c, ro.w[0]
+    if teacher is not None:
+        tres, tro = teacher.reservoir, teacher.readout
         n1, n2 = res.n_state, tres.n_state
-        a_big = np.zeros((n1 + n2, n1 + n2))
-        a_big[:n1, :n1] = res.a
-        a_big[n1:, n1:] = tres.a
-        c_big = np.vstack([res.c, tres.c])
-        cov = solve_discrete_lyapunov(a_big, s2 * (c_big @ c_big.T))
+        a = np.zeros((n1 + n2, n1 + n2))
+        a[:n1, :n1] = res.a
+        a[n1:, n1:] = tres.a
+        c = np.vstack([res.c, tres.c])
+        w = np.concatenate([ro.w[0], -tro.w[0]])
         mu_t = np.linalg.solve(np.eye(n2) - tres.a, tres.zeta)
-        w_big = np.concatenate([ro.w[0], -tro.w[0]])
-        mu = float((ro.w @ mu_h + ro.a - tro.w @ mu_t - tro.a)[0])
-        var = float(w_big @ cov @ w_big)
-        if joint.noise_law is not None:
-            var += joint.noise_law.scale ** 2
-        return Moment(loss.l_l * _folded_normal_mean(mu, var), 0.0, "analytic")
-
-    raise ValueError(f"unsupported joint model {type(joint).__name__}")
+        mu = mu - tro.w @ mu_t - tro.a
+    cov = solve_discrete_lyapunov(a, s2 * (c @ c.T))
+    var = float(w @ cov @ w)
+    if noise is not None:
+        var += noise.scale ** 2
+    return Moment(loss.l_l * _folded_normal_mean(float(mu[0]), var), 0.0,
+                  "analytic")
 
 
 def _exact_risk_uniform(hyp, joint, loss):
     # prediction error = sum of independent scaled uniforms (one per input
-    # coordinate per lag) plus optional gaussian noise plus a constant
+    # coordinate per lag, and the noise when uniform) plus optional gaussian
+    # noise plus a constant
     scale = joint.z_model.law.scale
-    kap, mu_h = _lrc_kappa_chain(hyp.reservoir, hyp.readout)
-
-    if isinstance(joint, IndependentJoint):
-        if joint.y_law.dim != 1:
-            raise ValueError("independent targets must be scalar")
-        deltas = list(np.abs(kap.ravel()) * scale)
-        gv = 0.0
-        if joint.y_law.kind == "gaussian":
-            gv = joint.y_law.scale ** 2
-        elif joint.y_law.kind == "uniform":
-            deltas.append(joint.y_law.scale)
-        else:
-            raise ValueError("targets must be gaussian or uniform")
-        return Moment(loss.l_l * _mean_abs_cf(deltas, gv, mu_h), 0.0,
-                      "analytic")
-
-    if isinstance(joint, TeacherJoint):
-        tres, tro = joint.teacher.reservoir, joint.teacher.readout
-        if not isinstance(tres, LinearReservoir) or tro.w.shape[0] != 1:
-            raise ValueError("exact_risk needs a linear teacher with scalar output")
-        if joint.noise_law is not None and joint.noise_law.kind != "gaussian":
-            raise ValueError("teacher noise must be gaussian")
-        kap_t, mu_t = _lrc_kappa_chain(tres, tro)
-        j = max(kap.shape[0], kap_t.shape[0])
-        diff = np.zeros((j, kap.shape[1]))
+    kap, mu = _lrc_kappa_chain(hyp.reservoir, hyp.readout)
+    if joint.teacher is not None:
+        kap_t, mu_t = _lrc_kappa_chain(joint.teacher.reservoir,
+                                       joint.teacher.readout)
+        diff = np.zeros((max(kap.shape[0], kap_t.shape[0]), kap.shape[1]))
         diff[: kap.shape[0]] = kap
         diff[: kap_t.shape[0]] -= kap_t
-        gv = joint.noise_law.scale ** 2 if joint.noise_law is not None else 0.0
-        return Moment(loss.l_l * _mean_abs_cf(np.abs(diff.ravel()) * scale,
-                                              gv, mu_h - mu_t), 0.0, "analytic")
-
-    raise ValueError(f"unsupported joint model {type(joint).__name__}")
+        kap, mu = diff, mu - mu_t
+    deltas = list(np.abs(kap.ravel()) * scale)
+    gv = 0.0
+    kind = None if joint.noise is None else joint.noise.kind
+    if kind == "gaussian":
+        gv = joint.noise.scale ** 2
+    elif kind == "uniform":
+        deltas.append(joint.noise.scale)
+    elif kind is not None:
+        raise ValueError("targets must be gaussian or uniform")
+    return Moment(loss.l_l * _mean_abs_cf(deltas, gv, mu), 0.0, "analytic")
 
 
 # ---------------------------------------------------------------------------

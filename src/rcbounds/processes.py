@@ -301,7 +301,8 @@ class MAProcess:
         else:
             # crude but valid: theta(tau) <= 2 E||Z_0|| for every tau
             m = mean_abs()
-            c = Moment(2 * m.value / nominal_rate ** q, 2 * m.std_error, m.provenance)
+            c = Moment(2 * m.value / nominal_rate ** q,
+                       2 * m.std_error / nominal_rate ** q, m.provenance)
         return _symmetric("geometric", c, nominal_rate)
 
     def analytic_moment(self, order):

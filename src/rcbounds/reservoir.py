@@ -13,6 +13,11 @@ Three families are implemented:
   state affine x_t = p(z_t) x_{t-1} + q(z_t), p and q polynomials in z with
                matrix (resp. vector) coefficients, inputs in a sup-norm box
 
+Each system states its rules once, as methods: step (the map F),
+contraction_modulus, bound_M_F, input_lipschitz and zero_input_fixed_point.
+The module functions of the same names call them; the linear system
+inherits every echo state rule but the fixed point, which it solves for.
+
 Hypothesis classes are norm-capped boxes around each family; they carry the
 derived constants (contraction modulus, state-ball radius, input-Lipschitz
 modulus) used by the risk certificates.  Each class states its cap geometry
@@ -182,6 +187,50 @@ class EchoStateReservoir:
     def n_input(self):
         return self.c.shape[1]
 
+    def step(self, x, z):
+        pre = self.a @ x
+        # np.dot, not @: matmul over an inner dimension of 1 (scalar
+        # inputs) is several times slower than BLAS on (N, b) blocks
+        pre += np.dot(self.c, z)
+        pre += self.zeta.reshape((-1,) + (1,) * (pre.ndim - 1))
+        return self.activation(pre)
+
+    def contraction_modulus(self, input_bound=None):
+        return self.activation.lipschitz * float(np.linalg.norm(self.a, 2))
+
+    def bound_M_F(self, input_bound=None):
+        """sqrt(N) for bounded activations, (|||C||| M + ||zeta||) /
+        (1 - |||A|||) for bounded inputs, the minimum when both apply."""
+        cands = []
+        ob = self.activation.output_bound
+        if ob is not None:
+            cands.append(np.sqrt(self.n_state) * ob)
+        if input_bound is not None:
+            r = self.contraction_modulus()
+            if r < 1.0:
+                ls = self.activation.lipschitz
+                cn = float(np.linalg.norm(self.c, 2))
+                zn = float(np.linalg.norm(self.zeta))
+                # sigma(0) = 0 for the whole catalog, so no additive term
+                cands.append(ls * (cn * float(input_bound) + zn) / (1.0 - r))
+        if not cands:
+            raise ValueError("unbounded activation needs input_bound and r < 1")
+        return float(min(cands))
+
+    def input_lipschitz(self, input_bound=None, m_f=None):
+        return self.activation.lipschitz * float(np.linalg.norm(self.c, 2))
+
+    def zero_input_fixed_point(self, tol=1e-14, max_iter=10_000):
+        """Iterates x -> F(x, 0) from 0 until a step moves less than tol."""
+        z0 = np.zeros(self.n_input)
+        x = np.zeros(self.n_state)
+        for _ in range(max_iter):
+            nxt = self.step(x, z0)
+            if np.linalg.norm(nxt - x) <= tol:
+                return nxt
+            x = nxt
+        return x
+
 
 @dataclass(frozen=True)
 class LinearReservoir(EchoStateReservoir):
@@ -199,9 +248,15 @@ class LinearReservoir(EchoStateReservoir):
             raise ValueError("linear reservoirs have the identity activation")
         super().__post_init__()
 
+    def zero_input_fixed_point(self, tol=1e-14, max_iter=10_000):
+        return np.linalg.solve(np.eye(self.n_state) - self.a, self.zeta)
+
 
 @dataclass(frozen=True)
 class StateAffineReservoir:
+    """x_t = p(z_t) x_{t-1} + q(z_t); every rule but the map itself holds
+    over the input box ||z||_inf <= input_bound, which it therefore needs."""
+
     p: MatrixPolynomial
     q: MatrixPolynomial
 
@@ -221,6 +276,44 @@ class StateAffineReservoir:
     @property
     def n_input(self):
         return self.p.n_input
+
+    def step(self, x, z):
+        """p(z) x as sum_t z^alpha_t (P_t x): no per-sample (N, N) matrix."""
+        p, q = self.p.coeffs, self.q.coeffs
+        terms, n, _ = p.shape
+        px = (p.reshape(terms * n, n) @ x).reshape((terms, n) + x.shape[1:])
+        return (np.einsum("t...,tn...->n...", self.p.monomials(z), px)
+                + q[:, :, 0].T @ self.q.monomials(z))
+
+    def contraction_modulus(self, input_bound=None):
+        if input_bound is None:
+            raise ValueError("state affine systems need input_bound")
+        return self.p.sup_norm_on_box(float(input_bound))
+
+    def bound_M_F(self, input_bound=None):
+        """M_q / (1 - M_p) over the input box."""
+        if input_bound is None:
+            raise ValueError("state affine systems need input_bound")
+        mp = self.p.sup_norm_on_box(float(input_bound))
+        if mp >= 1.0:
+            raise ValueError("state map is not a contraction on the box")
+        mq = self.q.sup_norm_on_box(float(input_bound))
+        return mq / (1.0 - mp)
+
+    def input_lipschitz(self, input_bound=None, m_f=None):
+        """Holds for states inside the ball of radius m_f (default M_F)."""
+        if input_bound is None:
+            raise ValueError("state affine systems need input_bound")
+        if m_f is None:
+            m_f = self.bound_M_F(input_bound)
+        return (self.p.lipschitz_on_box(float(input_bound)) * float(m_f)
+                + self.q.lipschitz_on_box(float(input_bound)))
+
+    def zero_input_fixed_point(self, tol=1e-14, max_iter=10_000):
+        z0 = np.zeros(self.n_input)
+        p0 = self.p.eval(z0)
+        q0 = self.q.eval(z0)[:, 0]
+        return np.linalg.solve(np.eye(self.n_state) - p0, q0)
 
 
 @dataclass(frozen=True)
@@ -257,100 +350,28 @@ class Hypothesis:
 
 
 def state_update(system, x, z):
-    """One step x -> F(x, z), the only place each family's map is written.
+    """One step x -> F(x, z), system.step on float arrays.
 
     Single path: x is (N,) and z is (d,).  Batch of b paths, stored
     column-wise so every step works on contiguous rows: x is (N, b) and
-    z is (d, b); the result has the shape of x.  The state affine map
-    applies p(z) x as sum_t z^alpha_t (P_t x), so no per-sample (N, N)
-    matrix is formed.
+    z is (d, b); the result has the shape of x.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if isinstance(system, EchoStateReservoir):
-        pre = system.a @ x
-        # np.dot, not @: matmul over an inner dimension of 1 (scalar
-        # inputs) is several times slower than BLAS on (N, b) blocks
-        pre += np.dot(system.c, z)
-        pre += system.zeta.reshape((-1,) + (1,) * (pre.ndim - 1))
-        return system.activation(pre)
-    if isinstance(system, StateAffineReservoir):
-        p, q = system.p.coeffs, system.q.coeffs
-        terms, n, _ = p.shape
-        px = (p.reshape(terms * n, n) @ x).reshape((terms, n) + x.shape[1:])
-        return (np.einsum("t...,tn...->n...", system.p.monomials(z), px)
-                + q[:, :, 0].T @ system.q.monomials(z))
-    raise ValueError(f"unsupported system {type(system).__name__}")
+    return system.step(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
 
 
 def contraction_modulus(system, input_bound=None):
-    """State-contraction coefficient r = sup_z Lip_x F(., z).
-
-    For the state affine family the sup runs over the input box
-    ||z||_inf <= input_bound, which is therefore required.
-    """
-    if isinstance(system, EchoStateReservoir):
-        return system.activation.lipschitz * float(np.linalg.norm(system.a, 2))
-    if isinstance(system, StateAffineReservoir):
-        if input_bound is None:
-            raise ValueError("state affine systems need input_bound")
-        return system.p.sup_norm_on_box(float(input_bound))
-    raise ValueError(f"unsupported system {type(system).__name__}")
+    """State-contraction coefficient r = sup_z Lip_x F(., z)."""
+    return system.contraction_modulus(input_bound)
 
 
 def bound_M_F(system, input_bound=None):
-    """Radius of a ball around 0 that the state dynamics cannot leave.
-
-    Echo state (linear = identity activation): sqrt(N) for bounded
-    activations, (|||C||| M + ||zeta||) / (1 - |||A|||) for bounded inputs,
-    the minimum when both apply.  State affine: M_q / (1 - M_p) over the
-    input box.
-    """
-    if isinstance(system, EchoStateReservoir):
-        cands = []
-        ob = system.activation.output_bound
-        if ob is not None:
-            cands.append(np.sqrt(system.n_state) * ob)
-        if input_bound is not None:
-            r = contraction_modulus(system)
-            if r < 1.0:
-                ls = system.activation.lipschitz
-                cn = float(np.linalg.norm(system.c, 2))
-                zn = float(np.linalg.norm(system.zeta))
-                # sigma(0) = 0 for the whole catalog, so no additive term
-                cands.append(ls * (cn * float(input_bound) + zn) / (1.0 - r))
-        if not cands:
-            raise ValueError("unbounded activation needs input_bound and r < 1")
-        return float(min(cands))
-
-    if isinstance(system, StateAffineReservoir):
-        if input_bound is None:
-            raise ValueError("state affine systems need input_bound")
-        mp = system.p.sup_norm_on_box(float(input_bound))
-        if mp >= 1.0:
-            raise ValueError("state map is not a contraction on the box")
-        mq = system.q.sup_norm_on_box(float(input_bound))
-        return mq / (1.0 - mp)
-
-    raise ValueError(f"unsupported system {type(system).__name__}")
+    """Radius of a ball around 0 that the state dynamics cannot leave."""
+    return system.bound_M_F(input_bound)
 
 
 def input_lipschitz(system, input_bound=None, m_f=None):
-    """Modulus L_R with ||F(x, z) - F(x, z')|| <= L_R ||z - z'||_2.
-
-    For the state affine family the modulus holds on the input box and for
-    states inside the invariant ball of radius m_f (computed when omitted).
-    """
-    if isinstance(system, EchoStateReservoir):
-        return system.activation.lipschitz * float(np.linalg.norm(system.c, 2))
-    if isinstance(system, StateAffineReservoir):
-        if input_bound is None:
-            raise ValueError("state affine systems need input_bound")
-        if m_f is None:
-            m_f = bound_M_F(system, input_bound)
-        return (system.p.lipschitz_on_box(float(input_bound)) * float(m_f)
-                + system.q.lipschitz_on_box(float(input_bound)))
-    raise ValueError(f"unsupported system {type(system).__name__}")
+    """Modulus L_R with ||F(x, z) - F(x, z')|| <= L_R ||z - z'||_2."""
+    return system.input_lipschitz(input_bound, m_f)
 
 
 def default_washout(system, input_bound=None):
@@ -365,29 +386,9 @@ def default_washout(system, input_bound=None):
 
 
 def zero_input_fixed_point(system, tol=1e-14, max_iter=10_000):
-    """The unique fixed point of x -> F(x, 0) for a contracting system.
-
-    This is where a filter driven by a zero-padded past sits when the
-    window opens.  Linear and state affine families solve the linear
-    system directly; echo state iterates to tolerance.
-    """
-    if isinstance(system, LinearReservoir):
-        return np.linalg.solve(np.eye(system.n_state) - system.a, system.zeta)
-    if isinstance(system, StateAffineReservoir):
-        z0 = np.zeros(system.n_input)
-        p0 = system.p.eval(z0)
-        q0 = system.q.eval(z0)[:, 0]
-        return np.linalg.solve(np.eye(system.n_state) - p0, q0)
-    if isinstance(system, EchoStateReservoir):
-        z0 = np.zeros(system.n_input)
-        x = np.zeros(system.n_state)
-        for _ in range(max_iter):
-            nxt = state_update(system, x, z0)
-            if np.linalg.norm(nxt - x) <= tol:
-                return nxt
-            x = nxt
-        return x
-    raise ValueError(f"unsupported system {type(system).__name__}")
+    """The unique fixed point of x -> F(x, 0) for a contracting system,
+    where a filter driven by a zero-padded past sits when the window opens."""
+    return system.zero_input_fixed_point(tol, max_iter)
 
 
 def _as_inputs(system, inputs):
@@ -400,10 +401,11 @@ def _as_inputs(system, inputs):
 
 
 def _loop_states(system, z, x):
-    """States x_1..x_n of one path by repeated state_update."""
+    """States x_1..x_n of one path by repeated system.step."""
+    step = system.step
     states = np.empty((z.shape[0], system.n_state))
     for t in range(z.shape[0]):
-        x = state_update(system, x, z[t])
+        x = step(x, z[t])
         states[t] = x
     return states
 
@@ -459,7 +461,7 @@ def iterate_states_batch(system, inputs, x0=None, return_all=False):
 
     Paths are processed in blocks of _PATH_BLOCK.  Each block's inputs are
     transposed to (n, n_input, block) and its states kept as (N, block),
-    so every state_update call works on contiguous rows; no transposed copy
+    so every step works on contiguous rows; no transposed copy
     of the whole input is made.  Final states of a linear reservoir skip
     the time loop and come from one matmul with the kernel A^(n-t) C.
     """
@@ -472,13 +474,14 @@ def iterate_states_batch(system, inputs, x0=None, return_all=False):
     x0 = np.broadcast_to(x0, (b, n_state))
     if isinstance(system, LinearReservoir) and not return_all:
         return _linear_final_states(system, z, x0)
+    step = system.step
     out = np.empty((b, n, n_state) if return_all else (b, n_state))
     for lo in range(0, b, _PATH_BLOCK):
         hi = min(b, lo + _PATH_BLOCK)
         zt = np.ascontiguousarray(z[lo:hi].transpose(1, 2, 0))
         x = np.ascontiguousarray(x0[lo:hi].T)
         for t in range(n):
-            x = state_update(system, x, zt[t])
+            x = step(x, zt[t])
             if return_all:
                 out[lo:hi, t] = x.T
         if not return_all:

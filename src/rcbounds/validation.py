@@ -25,8 +25,6 @@ from .bounds import (
     truncation_risk_gap,
 )
 from .learning import (
-    IndependentJoint,
-    TeacherJoint,
     exact_risk,
     fit_readout_erm,
     sample_joint,
@@ -165,8 +163,8 @@ def mc_rademacher(candidates, model, k, n_rep=64, history=None, seed=0,
 
 def expected_loss_at_zero(joint, loss, n_mc=20000, history=200, seed=0):
     """E|L(0, Y_0)| as a Moment; analytic for independent scalar targets."""
-    if isinstance(joint, IndependentJoint) and joint.y_law.dim == 1:
-        law = joint.y_law
+    if joint.teacher is None and joint.noise.dim == 1:
+        law = joint.noise
         per = {"gaussian": law.scale * math.sqrt(2.0 / math.pi),
                "uniform": law.scale / 2.0,
                "laplace": law.scale}[law.kind]
@@ -180,8 +178,8 @@ def expected_loss_at_zero(joint, loss, n_mc=20000, history=200, seed=0):
 
 def target_l2_moment(joint, n_mc=20000, history=200, seed=0):
     """E[||Y_0||_2^2]^(1/2) as a Moment; analytic for independent targets."""
-    if isinstance(joint, IndependentJoint):
-        m2 = joint.y_law.norm_power_moment(2.0)
+    if joint.teacher is None:
+        m2 = joint.noise.norm_power_moment(2.0)
         if m2 is not None:
             return Moment(math.sqrt(float(m2)), 0.0, "analytic")
     _, y = sample_joint(joint, n_mc, history, seed)

@@ -275,6 +275,18 @@ def test_sas_class_spec_needs_input_bound(tmp_path, capsys):
     assert code == 2 and report is None and "input_bound" in err
 
 
+def test_sas_class_spec_refuses_input_second_moment(tmp_path, capsys):
+    # a state affine class has no such field, so the setting must not be
+    # dropped without a word
+    klass = dict(SAS_CLASS, input_second_moment=0.5)
+    cfg = write_config(tmp_path, "lip.json",
+                       {"kind": "lipschitz", "class": klass, "input_bound": 1,
+                        "n_pairs": 20, "history": 16, "prefix": "lip"})
+    code, report, err = run_cli(capsys, ["validate", "--config", cfg,
+                                         "--out", str(tmp_path)])
+    assert code == 2 and report is None and "input_second_moment" in err
+
+
 def test_runtime_error_exits_three(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

@@ -143,9 +143,21 @@ def test_statistical_risk_zero_vs_normal_targets():
     assert est.std_error > 0
 
 
-def test_exact_risk_matches_mc():
+UNIF = InnovationLaw("uniform", 1, 1.0)
+TEACHER = scalar_hypothesis(a=0.3, c=0.7, w=1.0, bias=-0.2)
+
+
+@pytest.mark.parametrize("joint", [
+    IndependentJoint(IIDProcess(GAUSS), GAUSS),
+    IndependentJoint(IIDProcess(UNIF), InnovationLaw("uniform", 1, 0.8)),
+    TeacherJoint(IIDProcess(GAUSS), TEACHER, InnovationLaw("gaussian", 1, 0.3)),
+    TeacherJoint(IIDProcess(UNIF), TEACHER, InnovationLaw("gaussian", 1, 0.3)),
+    TeacherJoint(IIDProcess(UNIF), TEACHER, InnovationLaw("uniform", 1, 0.5)),
+], ids=["independent-gaussian_z", "independent-uniform_z",
+        "teacher_gaussian_noise-gaussian_z", "teacher_gaussian_noise-uniform_z",
+        "teacher_uniform_noise-uniform_z"])
+def test_exact_risk_matches_mc(joint):
     hyp = scalar_hypothesis(a=0.5, c=1.0, w=0.8, bias=0.1)
-    joint = IndependentJoint(IIDProcess(GAUSS), GAUSS)
     exact = exact_risk(hyp, joint, ABS)
     est = statistical_risk_mc(hyp, joint, ABS, n_mc=20000, history=80,
                               seed=2)

@@ -156,6 +156,18 @@ def test_dependence_params_iid_without_closed_form_mean(kind):
     assert m.provenance == "mc"
 
 
+def test_ma_mc_constant_carries_its_relative_std_error():
+    # a non-gaussian MA(q) scales the Monte Carlo E||Z_0|| by
+    # 2 / nominal_rate^q, and its standard error with it
+    model = MAProcess(coeffs=(0.4, 0.1), law=InnovationLaw("uniform", 1, 1.0))
+    n_mc, seed = 2000, 3
+    c_z = dependence_params(model, n_mc=n_mc, seed=seed).c_z
+    m = moment(model, 1, n_mc=n_mc, seed=seed)
+    assert c_z.provenance == m.provenance == "mc"
+    assert c_z.std_error / c_z.value == pytest.approx(m.std_error / m.value,
+                                                      rel=1e-12)
+
+
 def test_moment_iid_and_garch():
     m = moment(IIDProcess(GAUSS), 2, n_mc=20000, seed=0)
     assert abs(m.value - 1.0) <= 3 * m.std_error
