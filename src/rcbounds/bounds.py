@@ -298,14 +298,39 @@ def block_bias(tau, r, l_l, l_h, l_r, m_f, profile):
 
     l_l (2 r^tau m_f l_h + theta_y(tau)
          + l_r l_h sum_{l=0}^{tau-1} r^l theta_z(tau - l)).
+
+    Under a geometric-type envelope theta_z(s) = c lam^s the sum is the
+    geometric series c lam sum_{l<tau} r^l lam^(tau-1-l), taken in closed
+    form; an algebraic envelope (tau ~ n^beta) is summed term by term.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
     prof = geometric_envelope(profile)
-    ls = np.arange(tau)
-    conv = float(np.sum(r ** ls * prof.theta_envelope("z", tau - ls)))
+    if prof.regime == "algebraic":
+        ls = np.arange(tau)
+        conv = float(np.sum(r ** ls * prof.theta_envelope("z", tau - ls)))
+    elif prof.exact_zero_z:
+        conv = 0.0
+    else:
+        conv = prof.c_z.value * prof.rate_z * _power_sum(r, prof.rate_z, tau)
     theta_y = float(prof.theta_envelope("y", tau))
     return l_l * (2.0 * r ** tau * m_f * l_h + theta_y + l_r * l_h * conv)
+
+
+def _power_sum(x, y, tau):
+    """sum_{l<tau} x^l y^(tau-1-l) for 0 <= x, y with max(x, y) > 0.
+
+    The sum is symmetric in x and y.  With hi = max(x, y) and
+    q = min(x, y) / hi = e^u it is hi^(tau-1) expm1(tau u) / expm1(u),
+    which stays accurate as q -> 1 and is hi^(tau-1) tau at q = 1.
+    """
+    hi, lo = max(x, y), min(x, y)
+    if lo == hi:
+        return hi ** (tau - 1) * tau
+    if lo == 0.0:
+        return hi ** (tau - 1)
+    u = math.log1p((lo - hi) / hi)
+    return hi ** (tau - 1) * (math.expm1(tau * u) / math.expm1(u))
 
 
 def block_length(n, lambda_max=None, alpha=None):

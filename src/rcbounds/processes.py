@@ -11,9 +11,9 @@ driven by i.i.d. innovations, and each model states its G once, as
     lag(burn_in)              innovations drawn before the n returned values
     dim, burn_in              output dimension and default burn-in
 
-Three generic drivers use nothing else: batch_paths (and generate_path)
-simulates paths, moment estimates E||Z_0||^order, and estimate_theta the
-coupling coefficient
+Three generic drivers use nothing else and one chunking rule (blocks of
+about _CHUNK_FLOATS innovation floats): batch_paths simulates paths, moment
+E||Z_0||^order and estimate_theta the coupling coefficient
 
     theta(tau) = E|| G(..., xi_{-1}, xi_0)
                     - G(..., xi~_{-tau-1}, xi~_{-tau}, xi_{-tau+1}, ..., xi_0) ||_2
@@ -56,8 +56,8 @@ __all__ = [
     "model_to_spec",
 ]
 
-# Monte Carlo chunking keeps per-block innovation storage near this many floats.
-_CHUNK_FLOATS = 4_000_000
+# Innovation floats per driver block; an FFT transform holds about three.
+_CHUNK_FLOATS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -376,9 +376,10 @@ class VAR1Process:
         d, steps = self.dim, xi.shape[-2]
         out = np.empty(xi.shape[:-2] + (n, d))
         z = np.zeros(xi.shape[:-2] + (d,))
-        at = self.a_base.T
         for t in range(steps):
-            z = xi[..., t, d:] * (z @ at) + xi[..., t, :d]
+            # z A^T by columns: a matmul's rounding depends on the row count
+            za = sum(z[..., k, None] * self.a_base[:, k] for k in range(d))
+            z = xi[..., t, d:] * za + xi[..., t, :d]
             if t >= steps - n:
                 out[..., t - steps + n, :] = z
         return out
@@ -508,6 +509,8 @@ class ARFIMAProcess:
             raise ValueError("d_frac must lie in (-1/2, 1/2)")
         if self.trunc < 1:
             raise ValueError("trunc must be >= 1")
+        # phi_0..phi_trunc once; transform takes the prefix its lag needs
+        object.__setattr__(self, "_phi", arfima_coefficients(self.d_frac, self.trunc))
 
     @property
     def burn_in(self):
@@ -522,22 +525,19 @@ class ARFIMAProcess:
 
     def transform(self, xi, n):
         # the innovations before the n values set the truncation order
-        phi = arfima_coefficients(self.d_frac, xi.shape[-2] - n)
-        return _filter(xi[..., 0], phi, n)
+        return _filter(xi[..., 0], self._phi[:xi.shape[-2] - n + 1], n)
 
     def dependence(self, mean_abs, nominal_rate):
         """Algebraic with exponent 1/2 - d_frac and an analytic constant."""
         alpha = 0.5 - self.d_frac
-        phi = arfima_coefficients(self.d_frac, self.trunc)
-        tail_sq = np.cumsum(phi[::-1] ** 2)[::-1]  # tail_sq[t] = sum_{k>=t} phi_k^2
+        tail_sq = np.cumsum(self._phi[::-1] ** 2)[::-1]  # sum_{k>=t} phi_k^2
         taus = np.arange(1, self.trunc + 1, dtype=float)
         theta = 2.0 / np.sqrt(np.pi) * np.sqrt(tail_sq[1:])
         c = Moment(float(np.max(theta * taus ** alpha)), 0.0, "analytic")
         return _symmetric("algebraic", c, alpha)
 
     def analytic_moment(self, order):
-        phi = arfima_coefficients(self.d_frac, self.trunc)
-        return _gaussian_moment(float(np.sum(phi ** 2)), order)
+        return _gaussian_moment(float(np.sum(self._phi ** 2)), order)
 
     def spec(self):
         return {"d": self.d_frac, "trunc": self.trunc}
@@ -589,24 +589,18 @@ def _filter(x, kernel, n):
     len(kernel) - 1 values before the n kept ones.
 
     One value is a dot product with the last len(kernel) entries.  Paths
-    take a circular FFT convolution of length >= x.shape[-1], which is
-    exact on every output past the first len(kernel) - 1 (only those wrap
-    around), run over row chunks of about _CHUNK_FLOATS floats and written
-    straight into the (rows, n) result.
+    take one circular FFT convolution of length >= x.shape[-1], exact on
+    every output past the first len(kernel) - 1 (only those wrap around).
+    Memory is O(output + x), as the drivers pass blocks of about
+    _CHUNK_FLOATS floats; a row's values do not depend on its block.
     """
     steps = x.shape[-1]
     if n == 1:
         return (x[..., steps - kernel.size:] @ kernel[::-1])[..., None, None]
-    rows = x.reshape(-1, steps)
     size = _next_fast_len(steps)
-    kf = np.fft.rfft(kernel, size)
-    out = np.empty((rows.shape[0], n))
-    chunk = max(1, _CHUNK_FLOATS // size)
-    for lo in range(0, rows.shape[0], chunk):
-        spec = np.fft.rfft(rows[lo:lo + chunk], size)
-        spec *= kf
-        out[lo:lo + chunk] = np.fft.irfft(spec, size)[:, steps - n:steps]
-    return out.reshape(x.shape[:-1] + (n, 1))
+    spec = np.fft.rfft(x, size)
+    spec *= np.fft.rfft(kernel, size)
+    return np.fft.irfft(spec, size)[..., steps - n:steps, None]
 
 
 def _next_fast_len(n):
@@ -644,17 +638,22 @@ def batch_paths(model, n_paths, n, burn_in=None, seed=0):
     """n_paths independent length-n paths at once, shape (n_paths, n, d).
 
     One rng stream per call draws model.lag(burn_in) + n innovations per
-    path; the recursions loop over time only, so Monte Carlo experiments
-    stay cheap.  burn_in: transient steps discarded for the recursive models
-    (VAR1, GARCH); for ARFIMA the moving-average truncation order, capped at
-    model.trunc (0 selects model.trunc).  None selects model.burn_in (500
-    for the recursions, model.trunc for ARFIMA).  With n_paths = 1 this is
-    generate_path with the same seed.
+    path, in row chunks of about _CHUNK_FLOATS floats, each transformed into
+    the result: memory is O(output + chunk).  Rows of a model that draws its
+    innovations in one call (all but VAR1 with a scale_law) do not depend on
+    the chunk size.  burn_in: steps discarded by the recursions (VAR1,
+    GARCH); ARFIMA's truncation order, capped at model.trunc (0 selects
+    model.trunc).  None selects model.burn_in.
     """
     if n_paths < 1 or n < 1:
         raise ValueError("n_paths and n must be >= 1")
     rng = np.random.default_rng(seed)
-    return model.transform(model.innovations(rng, n_paths, _lag(model, burn_in) + n), n)
+    steps = _lag(model, burn_in) + n
+    chunk = max(1, _CHUNK_FLOATS // steps)
+    out = np.empty((n_paths, n, model.dim))
+    for block in np.split(out, range(chunk, n_paths, chunk)):
+        block[:] = model.transform(model.innovations(rng, len(block), steps), n)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,41 @@ def test_block_bias_vanishes_without_dependence():
     assert abs(got - 0.5) < 1e-14
 
 
+def test_block_bias_closed_form_matches_the_summed_series():
+    # m_f = 0 and an exact-zero y-role leave l_l l_r l_h sum_l r^l theta_z(tau - l)
+    def summed(tau, r, lam):
+        ls = np.arange(tau)
+        return 1.3 * 1.1 * 0.8 * float(np.sum(r ** ls * 0.7 * lam ** (tau - ls)))
+
+    for lam in (0.1, 0.5, 0.9, 0.999):
+        prof = DependenceProfile(regime="geometric", c_z=Moment(0.7), rate_z=lam,
+                                 c_y=Moment(0.0), rate_y=0.5, exact_zero_y=True)
+        for r in (lam, lam + 1e-12, lam - 1e-12, 0.5 * lam, min(0.9999, 1.5 * lam),
+                  0.0):
+            for tau in (1, 2, 50, 1000):
+                got = B.block_bias(tau, r, 1.3, 0.8, 1.1, 0.0, prof)
+                want = summed(tau, r, lam)
+                assert abs(got - want) <= 1e-12 * want, (lam, r, tau)
+
+
+def test_block_bias_is_constant_time_near_r_one():
+    import time
+    import tracemalloc
+
+    inp = inputs_with(geometric_profile(), r=1.0 - 1e-6)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        total = B.expectation_gap_bound(inp, 10 ** 8)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(total) and total > 0
+    assert elapsed < 0.1
+    assert peak < 2 ** 20
+
+
 def test_geometric_case_constants():
     cc = B.expected_gap_constants(inputs_with(geometric_profile()),
                                   "geometric")

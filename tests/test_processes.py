@@ -397,6 +397,40 @@ def test_filter_matches_explicit_convolution(monkeypatch, name, n):
     assert np.max(np.abs(got[..., 0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+# every model but var1-1d-scaled draws its innovations in one call, so the
+# rows do not depend on how batch_paths splits them
+ONE_DRAW_MODELS = sorted(set(SHIFT_MODELS) - {"var1-1d-scaled"})
+
+
+@pytest.mark.parametrize("name", ONE_DRAW_MODELS)
+def test_batch_paths_do_not_depend_on_chunk_size(monkeypatch, name):
+    model = SHIFT_MODELS[name]
+    n_paths, n, burn_in = 7, 20, 30
+    steps = model.lag(burn_in) + n
+    default = batch_paths(model, n_paths, n, burn_in, seed=6)
+    assert default.shape == (n_paths, n, model.dim)
+    # one row per chunk, then chunks of 3, 3 and a ragged 1
+    for floats in (1, 3 * steps + 1):
+        monkeypatch.setattr(processes, "_CHUNK_FLOATS", floats)
+        assert np.array_equal(batch_paths(model, n_paths, n, burn_in, seed=6), default)
+
+
+def test_batch_paths_never_holds_all_innovations():
+    import tracemalloc
+
+    model = ARFIMAProcess(d_frac=0.3, trunc=4000)
+    n_paths, n = 3000, 200
+    tracemalloc.start()
+    try:
+        z = batch_paths(model, n_paths, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert z.shape == (n_paths, n, 1)
+    # below the (3000, 4200) innovation array that one draw would hold
+    assert peak < n_paths * (model.trunc + n) * 8
+
+
 CHUNK_MODELS = ("iid-laplace-2d", "ma-uniform", "garch-squared", "arfima")
 
 
