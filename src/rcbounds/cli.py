@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
+    _CASES,
     BoundInputs,
     PhiFunction,
     bound_from_constants,
@@ -36,7 +37,6 @@ from .processes import (
     IIDProcess,
     InnovationLaw,
     Moment,
-    WeightingSequence,
     batch_paths,
     combine_profiles,
     dependence_params,
@@ -70,10 +70,6 @@ __all__ = [
     "run_validate",
 ]
 
-CASES = ("bounded", "phi_moment", "geometric", "algebraic")
-VALIDATE_KINDS = ("rademacher", "coverage", "truncation", "lipschitz",
-                  "theta", "consistency")
-
 
 class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
@@ -98,6 +94,13 @@ def _require(spec, key, where):
     return spec[key]
 
 
+def _case(config, where):
+    case = str(_require(config, "case", where))
+    if case not in _CASES:
+        raise ConfigError(f"case must be one of {list(_CASES)}")
+    return case
+
+
 def _cfg(build, *args, **kwargs):
     """Run a constructor on config data; its ValueErrors are config errors."""
     try:
@@ -111,7 +114,7 @@ def _cfg(build, *args, **kwargs):
 def _pos_int(value, where, minimum=1):
     try:
         n = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be an integer") from None
     if n < minimum:
         raise ConfigError(f"{where} must be >= {minimum}")
@@ -119,20 +122,14 @@ def _pos_int(value, where, minimum=1):
 
 
 def _pos_float(value, where):
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number") from None
+    x = _read(float, value, where)
     if not x > 0:
         raise ConfigError(f"{where} must be > 0")
     return x
 
 
 def _prob(value, where):
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number") from None
+    x = _read(float, value, where)
     if not 0 < x < 1:
         raise ConfigError(f"{where} must lie in (0, 1)")
     return x
@@ -154,158 +151,88 @@ def _moment(value, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _alpha_rows(value, where):
+def _read(typ, value, where):
+    """One config value read as the annotated type of its field."""
+    if typ is int:
+        return _pos_int(value, where)
+    if typ is Moment:
+        return _moment(value, where)
+    if dataclasses.is_dataclass(typ) and typ is not Activation:
+        return _from_spec(typ, value, f"{where} spec")
     try:
-        return tuple(tuple(int(e) for e in row) for row in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be rows of integer exponents") from None
+        return typ(value)  # float, str, bool, tuple, Activation
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def _law_from_spec(spec, where):
-    _check_keys(spec, {"kind", "dim", "scale"}, where)
-    return _cfg(InnovationLaw, str(_require(spec, "kind", where)),
-                dim=int(spec.get("dim", 1)), scale=float(spec.get("scale", 1.0)))
+def _from_spec(cls, spec, where):
+    """A frozen dataclass built from a config block.
+
+    The keys are the fields of cls; a field without a default is
+    required, a null leaves a field that defaults to None unset, and each
+    value is read by the field's annotated type.
+    """
+    fields = dataclasses.fields(cls)
+    _check_keys(spec, [f.name for f in fields], where)
+    kwargs = {}
+    for f in fields:
+        if f.name in spec and not (spec[f.name] is None and f.default is None):
+            kwargs[f.name] = _read(f.type, spec[f.name], f.name)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing key {f.name!r} in {where}")
+    return _cfg(cls, **kwargs)
 
 
-def _weights_from_spec(spec, where):
-    _check_keys(spec, {"kind", "param"}, where)
-    return _cfg(WeightingSequence, str(_require(spec, "kind", where)),
-                float(_require(spec, "param", where)))
+_FAMILIES = {"linear": LinearClass, "esn": EchoStateClass,
+             "sas": StateAffineClass}
+# random_esn's spec describes a draw (entry_law, base_seed), not the fields
+# of RandomEchoStateClass
+_RANDOM_ESN_REQUIRED = {"n_state": int, "n_input": int, "n_out": int,
+                        "a": float, "c_scale": float, "zeta_scale": float,
+                        "l_h": float, "l_h0": float}
+_RANDOM_ESN_OPTIONAL = {"activation": Activation, "input_bound": float,
+                        "input_second_moment": Moment}
 
 
-def _phi_from_spec(spec):
-    _check_keys(spec, {"kind", "p"}, "phi spec")
-    return _cfg(PhiFunction, str(_require(spec, "kind", "phi spec")),
-                p=float(spec.get("p", 2.0)))
+def _random_esn_from_spec(spec, where):
+    _check_keys(spec, {*_RANDOM_ESN_REQUIRED, *_RANDOM_ESN_OPTIONAL,
+                       "entry_law", "base_seed"}, where)
+    kw = {key: _read(typ, _require(spec, key, where), key)
+          for key, typ in _RANDOM_ESN_REQUIRED.items()}
+    kw.update({key: _read(typ, spec[key], key)
+               for key, typ in _RANDOM_ESN_OPTIONAL.items()
+               if spec.get(key) is not None})
+    return _cfg(random_esn, entry_law=str(spec.get("entry_law", "gaussian")),
+                seed=_pos_int(spec.get("base_seed", 0), "base_seed", minimum=0),
+                **kw)
 
 
 def class_from_spec(spec):
-    """Build a hypothesis class from a JSON-style dict."""
+    """Build a hypothesis class from a JSON-style dict: "family" picks the
+    class and the other keys are its fields."""
+    if not isinstance(spec, dict):
+        raise ConfigError("class spec must be a JSON object")
     family = str(_require(spec, "family", "class spec"))
-    m2 = (_moment(spec["input_second_moment"], "input_second_moment")
-          if spec.get("input_second_moment") is not None else None)
-    ib = (float(spec["input_bound"])
-          if spec.get("input_bound") is not None else None)
-    common = {"family", "n_state", "n_input", "n_out", "l_h", "l_h0",
-              "input_bound", "input_second_moment"}
-    args = dict(
-        n_state=_pos_int(_require(spec, "n_state", "class spec"), "n_state"),
-        n_input=_pos_int(_require(spec, "n_input", "class spec"), "n_input"),
-        n_out=_pos_int(_require(spec, "n_out", "class spec"), "n_out"),
-        l_h=_pos_float(_require(spec, "l_h", "class spec"), "l_h"),
-        l_h0=float(_require(spec, "l_h0", "class spec")),
-        input_bound=ib, input_second_moment=m2)
-
-    if family == "linear":
-        _check_keys(spec, common | {"lam_a", "lam_c", "lam_zeta"},
-                    "linear class spec")
-        return _cfg(LinearClass, lam_a=float(_require(spec, "lam_a", "class spec")),
-                    lam_c=float(_require(spec, "lam_c", "class spec")),
-                    lam_zeta=float(_require(spec, "lam_zeta", "class spec")),
-                    **args)
-    if family == "esn":
-        _check_keys(spec, common | {"row_a", "row_c", "row_zeta", "spec_a",
-                                    "spec_c", "activation"}, "esn class spec")
-        act = _cfg(Activation, str(spec.get("activation", "tanh")))
-        return _cfg(EchoStateClass,
-                    row_a=tuple(float(v) for v in _require(spec, "row_a", "class spec")),
-                    row_c=tuple(float(v) for v in _require(spec, "row_c", "class spec")),
-                    row_zeta=tuple(float(v) for v in _require(spec, "row_zeta", "class spec")),
-                    activation=act,
-                    spec_a=(float(spec["spec_a"]) if spec.get("spec_a") is not None else None),
-                    spec_c=(float(spec["spec_c"]) if spec.get("spec_c") is not None else None),
-                    **args)
-    if family == "sas":
-        # a state affine class takes no input_second_moment
-        _check_keys(spec, common - {"input_second_moment"}
-                    | {"alphas_p", "alphas_q", "lam_sas", "c_sas"}, "sas class spec")
-        if ib is None:
-            raise ConfigError("sas class spec needs input_bound")
-        args.pop("input_second_moment")
-        args.pop("input_bound")
-        return _cfg(StateAffineClass,
-                    alphas_p=_alpha_rows(_require(spec, "alphas_p", "class spec"), "alphas_p"),
-                    alphas_q=_alpha_rows(_require(spec, "alphas_q", "class spec"), "alphas_q"),
-                    lam_sas=float(_require(spec, "lam_sas", "class spec")),
-                    c_sas=float(_require(spec, "c_sas", "class spec")),
-                    input_bound=ib, **args)
+    fields = {k: v for k, v in spec.items() if k != "family"}
+    where = f"{family} class spec"
     if family == "random_esn":
-        _check_keys(spec, common | {"a", "c_scale", "zeta_scale", "entry_law",
-                                    "activation", "base_seed"},
-                    "random_esn class spec")
-        act = (_cfg(Activation, str(spec["activation"]))
-               if spec.get("activation") is not None else None)
-        args.pop("input_bound")
-        args.pop("input_second_moment")
-        return _cfg(random_esn,
-                    a=_pos_float(_require(spec, "a", "class spec"), "a"),
-                    c_scale=_pos_float(_require(spec, "c_scale", "class spec"), "c_scale"),
-                    zeta_scale=float(_require(spec, "zeta_scale", "class spec")),
-                    entry_law=str(spec.get("entry_law", "gaussian")),
-                    activation=act, seed=int(spec.get("base_seed", 0)),
-                    input_second_moment=m2, input_bound=ib, **args)
-    raise ConfigError(f"unknown class family {family!r}")
+        return _random_esn_from_spec(fields, where)
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown class family {family!r}")
+    return _from_spec(_FAMILIES[family], fields, where)
 
 
 def loss_from_spec(spec):
-    _check_keys(spec, {"kind", "l_l", "delta", "quantile"}, "loss spec")
-    return _cfg(LossFunction, kind=str(spec.get("kind", "absolute")),
-                l_l=float(spec.get("l_l", 1.0)),
-                delta=float(spec.get("delta", 1.0)),
-                quantile=float(spec.get("quantile", 0.5)))
+    return _from_spec(LossFunction, spec, "loss spec")
 
 
 def profile_from_spec(spec):
     """Explicit numeric dependence profile; moments may carry std errors."""
-    allowed = {"regime", "c_z", "rate_z", "c_y", "rate_y", "exact_zero_z",
-               "exact_zero_y", "l_z", "l_y", "w_z", "w_y", "xi_mean_abs_z",
-               "xi_mean_abs_y", "xi_second_z", "xi_second_y", "xi_bound_z",
-               "xi_bound_y", "xi_law_z", "xi_law_y"}
-    _check_keys(spec, allowed, "profile spec")
-    kw = dict(
-        regime=str(_require(spec, "regime", "profile spec")),
-        c_z=_moment(_require(spec, "c_z", "profile spec"), "c_z"),
-        rate_z=float(_require(spec, "rate_z", "profile spec")),
-        c_y=_moment(_require(spec, "c_y", "profile spec"), "c_y"),
-        rate_y=float(_require(spec, "rate_y", "profile spec")),
-        exact_zero_z=bool(spec.get("exact_zero_z", False)),
-        exact_zero_y=bool(spec.get("exact_zero_y", False)))
-    for key in ("l_z", "l_y", "xi_bound_z", "xi_bound_y"):
-        if spec.get(key) is not None:
-            kw[key] = float(spec[key])
-    for key in ("xi_mean_abs_z", "xi_mean_abs_y", "xi_second_z", "xi_second_y"):
-        if spec.get(key) is not None:
-            kw[key] = _moment(spec[key], key)
-    for key in ("w_z", "w_y"):
-        if spec.get(key) is not None:
-            kw[key] = _weights_from_spec(spec[key], key)
-    for key in ("xi_law_z", "xi_law_y"):
-        if spec.get(key) is not None:
-            kw[key] = _law_from_spec(spec[key], key)
-    return _cfg(DependenceProfile, **kw)
+    return _from_spec(DependenceProfile, spec, "profile spec")
 
 
 def bound_inputs_from_spec(spec):
-    allowed = {"r", "l_l", "l_h", "l_h0", "l_r", "m_f", "n_out", "c_rc",
-               "profile", "e_loss_zero", "y_l2_moment", "phi"}
-    _check_keys(spec, allowed, "inputs spec")
-    kw = dict(
-        r=float(_require(spec, "r", "inputs spec")),
-        l_l=float(_require(spec, "l_l", "inputs spec")),
-        l_h=float(_require(spec, "l_h", "inputs spec")),
-        l_h0=float(_require(spec, "l_h0", "inputs spec")),
-        l_r=float(_require(spec, "l_r", "inputs spec")),
-        m_f=float(_require(spec, "m_f", "inputs spec")),
-        n_out=_pos_int(_require(spec, "n_out", "inputs spec"), "n_out"),
-        c_rc=float(_require(spec, "c_rc", "inputs spec")),
-        profile=profile_from_spec(_require(spec, "profile", "inputs spec")),
-        e_loss_zero=_moment(_require(spec, "e_loss_zero", "inputs spec"),
-                            "e_loss_zero"))
-    if spec.get("y_l2_moment") is not None:
-        kw["y_l2_moment"] = _moment(spec["y_l2_moment"], "y_l2_moment")
-    if spec.get("phi") is not None:
-        kw["phi"] = _phi_from_spec(spec["phi"])
-    return _cfg(BoundInputs, **kw)
+    return _from_spec(BoundInputs, spec, "inputs spec")
 
 
 def _load_config(path, overrides, seed_flag):
@@ -492,9 +419,7 @@ def _parse_curve(text):
 def run_bound(config, out_dir, curve_flag):
     allowed = {"case", "n", "delta", "inputs", "curve", "prefix", "seed"}
     _check_keys(config, allowed, "bound config")
-    case = str(_require(config, "case", "bound config"))
-    if case not in CASES:
-        raise ConfigError(f"case must be one of {list(CASES)}")
+    case = _case(config, "bound config")
     n = _pos_int(_require(config, "n", "bound config"), "n")
     delta = _prob(_require(config, "delta", "bound config"), "delta")
     inputs = bound_inputs_from_spec(_require(config, "inputs", "bound config"))
@@ -524,9 +449,7 @@ def run_bound(config, out_dir, curve_flag):
 def run_samplesize(config, out_dir):
     allowed = {"case", "delta", "epsilon", "n_cap", "inputs", "prefix", "seed"}
     _check_keys(config, allowed, "samplesize config")
-    case = str(_require(config, "case", "samplesize config"))
-    if case not in CASES:
-        raise ConfigError(f"case must be one of {list(CASES)}")
+    case = _case(config, "samplesize config")
     delta = _prob(_require(config, "delta", "samplesize config"), "delta")
     epsilon = _pos_float(_require(config, "epsilon", "samplesize config"),
                          "epsilon")
@@ -569,13 +492,14 @@ def _joint_from_spec(target, klass, model):
     _check_keys(target, {"kind", "law", "noise", "teacher_seed"}, "target spec")
     kind = str(_require(target, "kind", "target spec"))
     if kind == "independent":
-        law = _law_from_spec(_require(target, "law", "target spec"), "target law")
+        law = _from_spec(InnovationLaw, _require(target, "law", "target spec"),
+                         "target law")
         return _cfg(IndependentJoint, model, law)
     if kind == "teacher":
-        teacher = sample_from_class(klass, n=1,
-                                    seed=int(target.get("teacher_seed", 0)))[0]
+        seed = _pos_int(target.get("teacher_seed", 0), "teacher_seed", minimum=0)
+        teacher = sample_from_class(klass, n=1, seed=seed)[0]
         noise = (None if target.get("noise") is None
-                 else _law_from_spec(target["noise"], "teacher noise"))
+                 else _from_spec(InnovationLaw, target["noise"], "teacher noise"))
         return _cfg(TeacherJoint, model, teacher, noise_law=noise)
     raise ConfigError("target kind must be 'independent' or 'teacher'")
 
@@ -594,9 +518,26 @@ def _coverage_profile(config, klass, model, seed):
     if z_prof.regime != "lipschitz":
         return dataclasses.replace(z_prof, c_y=Moment(0.0, 0.0, "exact-zero"),
                                    exact_zero_y=True)
-    y_law = _law_from_spec(_require(target, "law", "target spec"), "target law")
+    y_law = _from_spec(InnovationLaw, _require(target, "law", "target spec"),
+                       "target law")
     y_prof = dependence_params(IIDProcess(y_law), n_mc=n_mc, seed=seed + 5)
     return combine_profiles(z_prof, y_prof)
+
+
+def _loss_and_phi(config):
+    phi = config.get("phi")
+    return (loss_from_spec(config.get("loss", {})),
+            None if phi is None else _from_spec(PhiFunction, phi, "phi spec"))
+
+
+def _experiment(config, seed):
+    """(klass, joint, profile, loss, phi) of a coverage or consistency config."""
+    klass = class_from_spec(_require(config, "class", "validate config"))
+    model = _cfg(model_from_spec, _require(config, "process", "validate config"))
+    joint = _joint_from_spec(_require(config, "target", "validate config"),
+                             klass, model)
+    loss, phi = _loss_and_phi(config)
+    return klass, joint, _coverage_profile(config, klass, model, seed), loss, phi
 
 
 def _rademacher_cell(payload):
@@ -619,17 +560,10 @@ def _theta_cell(payload):
 
 
 def _consistency_cell(payload):
-    config = payload["config"]
     seed = payload["seed"]
-    klass = class_from_spec(config["class"])
-    model = model_from_spec(config["process"])
-    joint = _joint_from_spec(_require(config, "target", "validate config"),
-                             klass, model)
-    prof = _coverage_profile(config, klass, model, seed)
-    loss = loss_from_spec(config.get("loss", {}))
-    phi = _phi_from_spec(config["phi"]) if config.get("phi") is not None else None
+    klass, joint, prof, loss, phi = _experiment(payload["config"], seed)
     return consistency_curve(
-        klass, joint, loss, prof, config["case"], [payload["n"]],
+        klass, joint, loss, prof, payload["config"]["case"], [payload["n"]],
         n_trials=payload["n_trials"], delta=payload["delta"],
         n_random=payload["n_random"], seed=seed, history=payload["history"],
         n_pool=payload["n_pool"], phi=phi)[0]
@@ -669,17 +603,9 @@ def _validate_coverage(config, jobs):
                "erm_iters", "fit_erm", "seed", "profile", "profile_mc",
                "phi", "prefix"}
     _check_keys(config, allowed, "validate config")
-    case = str(_require(config, "case", "validate config"))
-    if case not in CASES:
-        raise ConfigError(f"case must be one of {list(CASES)}")
-    klass = class_from_spec(_require(config, "class", "validate config"))
-    model = _cfg(model_from_spec, _require(config, "process", "validate config"))
+    case = _case(config, "validate config")
     seed = int(config.get("seed", 0))
-    joint = _joint_from_spec(_require(config, "target", "validate config"),
-                             klass, model)
-    prof = _coverage_profile(config, klass, model, seed)
-    loss = loss_from_spec(config.get("loss", {}))
-    phi = _phi_from_spec(config["phi"]) if config.get("phi") is not None else None
+    klass, joint, prof, loss, phi = _experiment(config, seed)
     cov = risk_gap_experiment(
         klass, joint, loss, prof, case,
         n=_pos_int(_require(config, "n", "validate config"), "n"),
@@ -707,7 +633,8 @@ def _validate_truncation(config, jobs):
     _check_keys(config, allowed, "validate config")
     klass = class_from_spec(_require(config, "class", "validate config"))
     model = _cfg(model_from_spec, _require(config, "process", "validate config"))
-    y_law = _law_from_spec(_require(config, "y_law", "validate config"), "y_law")
+    y_law = _from_spec(InnovationLaw, _require(config, "y_law",
+                                               "validate config"), "y_law")
     ns = tuple(_pos_int(n, "ns entry") for n in _require(config, "ns",
                                                          "validate config"))
     loss = (loss_from_spec(config["loss"]) if config.get("loss") is not None
@@ -783,12 +710,11 @@ def _validate_consistency(config, jobs):
                "n_trials", "n_random", "delta", "history", "n_pool", "seed",
                "profile", "profile_mc", "phi", "prefix"}
     _check_keys(config, allowed, "validate config")
-    case = str(_require(config, "case", "validate config"))
-    if case not in CASES:
-        raise ConfigError(f"case must be one of {list(CASES)}")
+    case = _case(config, "validate config")
     class_from_spec(_require(config, "class", "validate config"))
     _cfg(model_from_spec, _require(config, "process", "validate config"))
     _require(config, "target", "validate config")
+    _loss_and_phi(config)
     ns = [_pos_int(n, "ns entry") for n in _require(config, "ns",
                                                     "validate config")]
     seed = int(config.get("seed", 0))
@@ -819,8 +745,8 @@ _VALIDATORS = {
 
 def run_validate(config, out_dir, jobs):
     kind = str(_require(config, "kind", "validate config"))
-    if kind not in VALIDATE_KINDS:
-        raise ConfigError(f"validate kind must be one of {list(VALIDATE_KINDS)}")
+    if kind not in _VALIDATORS:
+        raise ConfigError(f"validate kind must be one of {list(_VALIDATORS)}")
     prefix = _prefix(config, f"validate_{kind}")
     report = _VALIDATORS[kind](config, jobs)
     json_path = out_dir / f"{prefix}.json"

@@ -7,8 +7,13 @@ from pathlib import Path
 import pytest
 
 import rcbounds
-from rcbounds.bounds import risk_bound
-from rcbounds.cli import _coverage_profile, bound_inputs_from_spec, main
+from rcbounds.bounds import PhiFunction, risk_bound
+from rcbounds.cli import (
+    _coverage_profile,
+    bound_inputs_from_spec,
+    class_from_spec,
+    main,
+)
 from rcbounds.processes import (
     InnovationLaw,
     Moment,
@@ -445,6 +450,9 @@ def test_samplesize_report_lists_input_provenance(tmp_path, capsys):
     assert data["provenance"] == ["mc moment input"]
 
 
+BOUND = {"case": "geometric", "n": 64, "delta": 0.1, "inputs": GEO_INPUTS}
+LIPSCHITZ = {"kind": "lipschitz", "input_bound": 1, "n_pairs": 20,
+             "history": 16}
 COVERAGE = {"kind": "coverage", "class": LIN_CLASS, "process": IID_UNIF,
             "case": "bounded", "n": 256, "n_trials": 8, "n_random": 4,
             "history": 40, "n_pool": 2000, "erm_iters": 10, "seed": 0}
@@ -535,3 +543,36 @@ def test_coverage_independent_target_y_role_is_exact_zero(tmp_path, capsys):
     zero, old = reports
     assert zero["gaps"] == old["gaps"]
     assert zero["bound"] < old["bound"]
+
+
+@pytest.mark.parametrize("command, config, override", [
+    ("bound", BOUND, "inputs.r=x"),
+    ("bound", BOUND, "inputs.profile.rate_z=x"),
+    ("validate", {**LIPSCHITZ, "class": LIN_CLASS}, "class.lam_a=null"),
+    ("validate", {**LIPSCHITZ, "class": ESN_CLASS}, "class.row_a=x"),
+    ("validate", {**LIPSCHITZ, "class": SAS_CLASS}, "class.c_sas=[1]"),
+    ("validate", {**LIPSCHITZ, "class": RANDOM_ESN_CLASS},
+     "class.base_seed=x"),
+    ("validate", dict(COVERAGE, target={"kind": "teacher"}), "loss.l_l=null"),
+    ("validate", dict(COVERAGE, target={"kind": "teacher"},
+                      phi={"kind": "power"}), "phi.p=x"),
+    ("validate", dict(COVERAGE, target={"kind": "independent",
+                                        "law": {"kind": "uniform"}}),
+     "target.law.scale=[]"),
+], ids=["inputs", "profile", "linear", "esn", "sas", "random_esn", "loss",
+        "phi", "target_law"])
+def test_malformed_block_value_exits_two(tmp_path, capsys, command, config,
+                                         override):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    code, report, err = run_cli(capsys, [command, "--config", cfg, "--out",
+                                         str(tmp_path), "--set", override])
+    assert code == 2 and report is None and "config error" in err
+
+
+def test_block_defaults_and_zero_caps_follow_the_types():
+    # a zero readout cap is a valid class, and phi's kind has a default
+    for klass in (LIN_CLASS, ESN_CLASS, SAS_CLASS, RANDOM_ESN_CLASS):
+        assert class_from_spec(dict(klass, l_h=0)).l_h == 0
+    assert class_from_spec(dict(RANDOM_ESN_CLASS, c_scale=0)).c_scale == 0
+    inputs = bound_inputs_from_spec(dict(CHAIN_INPUTS, phi={}))
+    assert inputs.phi == PhiFunction("power", 2.0)
