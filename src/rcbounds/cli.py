@@ -121,6 +121,11 @@ def _pos_int(value, where, minimum=1):
     return n
 
 
+def _seed(config):
+    """The config's top-level seed (default 0), an integer >= 0."""
+    return _pos_int(config.get("seed", 0), "seed", minimum=0)
+
+
 def _pos_float(value, where):
     x = _read(float, value, where)
     if not x > 0:
@@ -345,7 +350,7 @@ def run_simulate(config, out_dir):
     model = _cfg(model_from_spec, _require(config, "process", "simulate config"))
     n = _pos_int(_require(config, "n", "simulate config"), "n")
     n_paths = _pos_int(config.get("n_paths", 1), "n_paths")
-    seed = int(config.get("seed", 0))
+    seed = _seed(config)
     burn_in = (None if config.get("burn_in") is None
                else _pos_int(config["burn_in"], "burn_in", minimum=0))
     prefix = _prefix(config, "path")
@@ -576,7 +581,7 @@ def _validate_rademacher(config, jobs):
     klass = class_from_spec(_require(config, "class", "validate config"))
     _cfg(model_from_spec, _require(config, "process", "validate config"))
     ks = [_pos_int(k, "ks entry") for k in _require(config, "ks", "validate config")]
-    seed = int(config.get("seed", 0))
+    seed = _seed(config)
     n_rep = _pos_int(config.get("n_rep", 64), "n_rep")
     n_random = _pos_int(config.get("n_random", 16), "n_random")
     history = (None if config.get("history") is None
@@ -604,7 +609,7 @@ def _validate_coverage(config, jobs):
                "phi", "prefix"}
     _check_keys(config, allowed, "validate config")
     case = _case(config, "validate config")
-    seed = int(config.get("seed", 0))
+    seed = _seed(config)
     klass, joint, prof, loss, phi = _experiment(config, seed)
     cov = risk_gap_experiment(
         klass, joint, loss, prof, case,
@@ -643,7 +648,7 @@ def _validate_truncation(config, jobs):
         klass, model, y_law, ns=ns,
         n_trials=_pos_int(config.get("n_trials", 100), "n_trials"),
         n_random=_pos_int(config.get("n_random", 50), "n_random"),
-        loss=loss, seed=int(config.get("seed", 0)))
+        loss=loss, seed=_seed(config))
     return {"kind": "truncation", "ns": list(res["ns"]),
             "bounds": {str(n): res["bounds"][n] for n in res["ns"]},
             "max_gap": {str(n): res["max_gap"][n] for n in res["ns"]},
@@ -663,7 +668,7 @@ def _validate_lipschitz(config, jobs):
                                         "validate config"), "input_bound"),
         n_pairs=_pos_int(config.get("n_pairs", 200), "n_pairs"),
         history=_pos_int(config.get("history", 64), "history"),
-        seed=int(config.get("seed", 0)))
+        seed=_seed(config))
     return {"kind": "lipschitz", "worst_ratio": res["worst_ratio"],
             "n_pairs": res["n_pairs"], "n_systems": res["n_systems"],
             "pass": res["worst_ratio"] <= 1.0 + 1e-9}
@@ -679,7 +684,7 @@ def _validate_theta(config, jobs):
     decay = str(_require(config, "decay", "validate config"))
     if decay not in ("geometric", "algebraic"):
         raise ConfigError("decay must be 'geometric' or 'algebraic'")
-    seed = int(config.get("seed", 0))
+    seed = _seed(config)
     n_mc = _pos_int(config.get("n_mc", 10000), "n_mc", minimum=2)
     history = (None if config.get("history") is None
                else _pos_int(config["history"], "history"))
@@ -717,7 +722,7 @@ def _validate_consistency(config, jobs):
     _loss_and_phi(config)
     ns = [_pos_int(n, "ns entry") for n in _require(config, "ns",
                                                     "validate config")]
-    seed = int(config.get("seed", 0))
+    seed = _seed(config)
     shared = {"n_trials": _pos_int(config.get("n_trials", 30), "n_trials"),
               "delta": _prob(config.get("delta", 0.1), "delta"),
               "n_random": _pos_int(config.get("n_random", 8), "n_random"),

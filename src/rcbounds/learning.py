@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processes import Moment, batch_paths
+from .processes import Moment, _next_fast_len, batch_paths
 from .reservoir import (
     Hypothesis,
     LinearReservoir,
@@ -378,46 +378,61 @@ def _lrc_kappa_chain(res, readout, tol=1e-16):
 def exact_risk(hyp, joint, loss):
     """Closed-form statistical risk for linear scalar-output hypotheses.
 
-    Requires the absolute loss, a linear reservoir with scalar output, i.i.d.
-    inputs and scalar targets: i.i.d. draws, or a linear teacher plus
-    optional i.i.d. noise.  Gaussian inputs with gaussian targets (or noise)
-    reduce to a folded-normal mean via the stationary state covariance,
-    the hypothesis state stacked with the teacher's when there is one.
-    Uniform inputs with gaussian or uniform targets (or noise) reduce to a
-    characteristic-function quadrature over the prediction-error law.
-    Raises ValueError outside this scope, which includes uniform inputs
-    whose kappa chain needs more than _KAPPA_TERMS terms.
+    Requires the absolute loss, a linear reservoir with scalar output and
+    scalar targets: draws independent of the inputs, or a linear teacher
+    plus optional i.i.d. noise.  Inputs with a Gaussian moving-average form
+    (z_model.gaussian_ma(): i.i.d. Gaussian, Gaussian MA(q), ARFIMA) with
+    gaussian targets (or noise) reduce to a folded-normal mean via the
+    stationary state covariance, the hypothesis state stacked with the
+    teacher's when there is one.  I.i.d. uniform inputs with gaussian or
+    uniform targets (or noise) reduce to a characteristic-function
+    quadrature over the prediction-error law.  Raises ValueError outside
+    this scope, which includes uniform inputs whose kappa chain needs more
+    than _KAPPA_TERMS terms.
     """
-    from scipy.linalg import solve_discrete_lyapunov
+    zm = joint.z_model
+    if zm.kind == "iid" and zm.law.kind == "uniform":
+        _check_scope(hyp.reservoir, [hyp.readout], joint, loss)
+        return _exact_risk_uniform(hyp, joint, loss)
+    risk = _gaussian_risks(hyp.reservoir, [hyp.readout], joint, loss)[0]
+    return Moment(float(risk), 0.0, "analytic")
 
-    from .processes import IIDProcess
 
+def _check_scope(res, readouts, joint, loss):
     if loss.kind != "absolute":
         raise ValueError("exact_risk needs the absolute loss")
-    res, ro = hyp.reservoir, hyp.readout
-    if not isinstance(res, LinearReservoir) or ro.w.shape[0] != 1:
+    if (not isinstance(res, LinearReservoir)
+            or any(ro.w.shape[0] != 1 for ro in readouts)):
         raise ValueError("exact_risk needs a linear reservoir with scalar output")
-    zm = joint.z_model
-    if not isinstance(zm, IIDProcess):
-        raise ValueError("exact_risk needs i.i.d. inputs")
-    teacher, noise = joint.teacher, joint.noise
+    teacher = joint.teacher
     if teacher is not None and not isinstance(teacher.reservoir, LinearReservoir):
         raise ValueError("exact_risk needs a linear teacher")
     if joint.n_out != 1:
         raise ValueError("exact_risk needs scalar targets")
-    if zm.law.kind == "uniform":
-        return _exact_risk_uniform(hyp, joint, loss)
-    if zm.law.kind != "gaussian":
-        raise ValueError("exact_risk needs gaussian or uniform inputs")
+
+
+def _gaussian_risks(res, readouts, joint, loss):
+    """exact_risk of each readout on one linear reservoir under inputs with
+    a Gaussian moving-average form, from one stationary covariance of the
+    state (stacked with the teacher's), shape (len(readouts),).
+
+    Raises ValueError outside exact_risk's scope or when the inputs have no
+    Gaussian moving-average form.
+    """
+    _check_scope(res, readouts, joint, loss)
+    ma = joint.z_model.gaussian_ma()
+    if ma is None:
+        raise ValueError("exact_risk needs gaussian linear or i.i.d. uniform "
+                         "inputs")
+    teacher, noise = joint.teacher, joint.noise
     if noise is not None and noise.kind != "gaussian":
         raise ValueError("gaussian inputs need gaussian targets or noise")
-    s2 = zm.law.scale ** 2
+    kernel, scale = ma
 
     # stationary mean of the prediction error, and the state whose
     # stationary covariance gives its variance
     mu_h = np.linalg.solve(np.eye(res.n_state) - res.a, res.zeta)
-    mu = ro.w @ mu_h + ro.a
-    a, c, w = res.a, res.c, ro.w[0]
+    a, c = res.a, res.c
     if teacher is not None:
         tres, tro = teacher.reservoir, teacher.readout
         n1, n2 = res.n_state, tres.n_state
@@ -425,15 +440,53 @@ def exact_risk(hyp, joint, loss):
         a[:n1, :n1] = res.a
         a[n1:, n1:] = tres.a
         c = np.vstack([res.c, tres.c])
-        w = np.concatenate([ro.w[0], -tro.w[0]])
         mu_t = np.linalg.solve(np.eye(n2) - tres.a, tres.zeta)
-        mu = mu - tro.w @ mu_t - tro.a
-    cov = solve_discrete_lyapunov(a, s2 * (c @ c.T))
-    var = float(w @ cov @ w)
-    if noise is not None:
-        var += noise.scale ** 2
-    return Moment(loss.l_l * _folded_normal_mean(float(mu[0]), var), 0.0,
-                  "analytic")
+    cov = _stationary_covariance(a, c, kernel, scale ** 2)
+    risks = np.empty(len(readouts))
+    for i, ro in enumerate(readouts):
+        mu = ro.w @ mu_h + ro.a
+        w = ro.w[0]
+        if teacher is not None:
+            w = np.concatenate([w, -tro.w[0]])
+            mu = mu - tro.w @ mu_t - tro.a
+        var = float(w @ cov @ w)
+        if noise is not None:
+            var += noise.scale ** 2
+        risks[i] = loss.l_l * _folded_normal_mean(float(mu[0]), var)
+    return risks
+
+
+def _stationary_covariance(a, c, kernel, s2):
+    """Stationary covariance of x_t = A x_{t-1} + C z_t driven by
+    z_t = sum_{k<=K} kernel_k xi_{t-k}, xi i.i.d. N(0, s2 I):
+
+        s2 sum_{m<K} G_m G_m^T + solve_discrete_lyapunov(A, s2 G_K G_K^T)
+
+    with G_m = sum_{k<=m} kernel_k A^(m-k) C, the weight of xi_{t-m} in
+    x_t (beyond lag K it is A^(m-K) G_K).  The powers A^j C, j <= K, come
+    by doubling, and G_0..G_K from one FFT convolution along the lag axis.
+    At K = 0 this is the Lyapunov solve of i.i.d. inputs alone.
+    """
+    from scipy.linalg import solve_discrete_lyapunov
+
+    k = kernel.size - 1
+    if k == 0:
+        g = kernel[0] * c
+        return solve_discrete_lyapunov(a, s2 * (g @ g.T))
+    powers = np.empty((k + 1,) + c.shape)  # A^j C
+    powers[0] = c
+    a_m, m = a, 1
+    while m <= k:
+        take = min(m, k + 1 - m)
+        powers[m:m + take] = a_m @ powers[:take]
+        a_m = a_m @ a_m
+        m *= 2
+    size = _next_fast_len(2 * k + 1)
+    spec = np.fft.rfft(powers, size, axis=0)
+    spec *= np.fft.rfft(kernel, size)[:, None, None]
+    g = np.fft.irfft(spec, size, axis=0)[:k + 1]
+    head = g[:k].transpose(1, 0, 2).reshape(c.shape[0], -1)
+    return s2 * (head @ head.T) + solve_discrete_lyapunov(a, s2 * (g[k] @ g[k].T))
 
 
 def _exact_risk_uniform(hyp, joint, loss):

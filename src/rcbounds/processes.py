@@ -22,9 +22,12 @@ E||Z_0||^order and estimate_theta the coupling coefficient
 also states its closed forms once: dependence(mean_abs, nominal_rate), its
 decay envelope theta(tau) <= C * lambda^tau or C * tau^(-alpha) as a
 DependenceProfile (mean_abs() gives E||Z_0||_2 where C needs it);
-analytic_moment(order), E||Z_0||_2^order or None; and kind, spec() and
-from_spec(spec), its JSON spec.  dependence_params, analytic_moment,
-model_to_spec and model_from_spec are generic over these members.
+analytic_moment(order), E||Z_0||_2^order or None; gaussian_ma(), its
+Gaussian moving-average form (kernel phi_0..phi_K, scale s) with
+Z_t = sum_k phi_k xi_{t-k} and xi i.i.d. N(0, s^2 I), or None; and kind,
+spec() and from_spec(spec), its JSON spec.  dependence_params,
+analytic_moment, model_to_spec and model_from_spec are generic over these
+members.
 """
 
 import math
@@ -154,8 +157,8 @@ class InnovationLaw:
             raise ValueError(f"unknown innovation kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be finite and > 0")
 
     def sample(self, rng, *shape):
         full = tuple(shape) + (self.dim,)
@@ -252,6 +255,9 @@ class IIDProcess:
     def analytic_moment(self, order):
         return self.law.mean_abs_norm() if order == 1 else self.law.second_moment()
 
+    def gaussian_ma(self):
+        return (np.ones(1), self.law.scale) if self.law.kind == "gaussian" else None
+
     def spec(self):
         return {"innovation": _law_to_spec(self.law)}
 
@@ -277,6 +283,7 @@ class MAProcess:
             raise ValueError("MAProcess needs at least one lag coefficient")
         if self.law.dim != 1:
             raise ValueError("MAProcess is scalar; law.dim must be 1")
+        object.__setattr__(self, "_kernel", np.concatenate(([1.0], self.coeffs)))
 
     def lag(self, burn_in):
         return len(self.coeffs)
@@ -285,7 +292,7 @@ class MAProcess:
         return self.law.sample(rng, *shape)
 
     def transform(self, xi, n):
-        return _filter(xi[..., 0], np.concatenate(([1.0], self.coeffs)), n)
+        return _filter(xi[..., 0], self._kernel, n)
 
     def dependence(self, mean_abs, nominal_rate):
         """Geometric at the nominal rate, with the smallest constant that
@@ -293,8 +300,7 @@ class MAProcess:
         q = len(self.coeffs)
         if self.law.kind == "gaussian":
             # the coupled difference is N(0, 2 s^2 sum_{k>=tau} kernel_k^2)
-            kernel = np.concatenate(([1.0], self.coeffs))
-            tails = np.array([np.sum(kernel[t:] ** 2) for t in range(1, q + 1)])
+            tails = np.array([np.sum(self._kernel[t:] ** 2) for t in range(1, q + 1)])
             thetas = np.sqrt(2.0 / np.pi) * np.sqrt(2.0 * (self.law.scale ** 2) * tails)
             c = Moment(float(np.max(thetas / nominal_rate ** np.arange(1, q + 1))),
                        0.0, "analytic")
@@ -308,8 +314,11 @@ class MAProcess:
     def analytic_moment(self, order):
         if self.law.kind != "gaussian":
             return None
-        kernel = np.concatenate(([1.0], self.coeffs))
-        return _gaussian_moment(float(self.law.scale ** 2 * np.sum(kernel ** 2)), order)
+        return _gaussian_moment(float(self.law.scale ** 2 * np.sum(self._kernel ** 2)),
+                                order)
+
+    def gaussian_ma(self):
+        return (self._kernel, self.law.scale) if self.law.kind == "gaussian" else None
 
     def spec(self):
         return {"coeffs": list(self.coeffs), "innovation": _law_to_spec(self.law)}
@@ -398,6 +407,9 @@ class VAR1Process:
         s = np.linalg.solve(m, cov_eta.reshape(-1)).reshape(d, d)
         return Moment(float(np.trace(s)), 0.0, "analytic")
 
+    def gaussian_ma(self):
+        return None
+
     def spec(self):
         out = {"a": self.a_base.tolist(), "innovation": _law_to_spec(self.noise)}
         if self.scale_law is not None:
@@ -478,6 +490,9 @@ class GARCHProcess:
             return Moment(self.stationary_variance, 0.0, "analytic")
         return None
 
+    def gaussian_ma(self):
+        return None
+
     def spec(self):
         return {"omega": self.omega, "alpha": self.alpha, "beta": self.beta,
                 "representation": self.representation}
@@ -538,6 +553,9 @@ class ARFIMAProcess:
 
     def analytic_moment(self, order):
         return _gaussian_moment(float(np.sum(self._phi ** 2)), order)
+
+    def gaussian_ma(self):
+        return self._phi, 1.0
 
     def spec(self):
         return {"d": self.d_frac, "trunc": self.trunc}
@@ -779,6 +797,13 @@ class DependenceProfile:
                             ("xi_mean_abs_y", self.xi_mean_abs_y)):
                 if v is None:
                     raise ValueError(f"lipschitz regime requires {name}")
+        for name, v in (("l_z", self.l_z), ("l_y", self.l_y)):
+            if v is not None and not 0 <= v < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name, m in (("xi_mean_abs_z", self.xi_mean_abs_z),
+                        ("xi_mean_abs_y", self.xi_mean_abs_y)):
+            if m is not None and m.value < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def theta_envelope(self, which, tau):
         """Envelope value for theta^which(tau), which in {'z', 'y'}."""

@@ -564,9 +564,15 @@ def _ball_point(rng, n, radius):
 # ---------------------------------------------------------------------------
 
 
+def _check_caps(**caps):
+    """Each cap must be a finite number >= 0 (NaN fails the test too)."""
+    for name, v in caps.items():
+        if not 0.0 <= v < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0")
+
+
 def _check_common(l_h, l_h0, n_out):
-    if l_h < 0 or l_h0 < 0:
-        raise ValueError("readout caps must be >= 0")
+    _check_caps(l_h=l_h, l_h0=l_h0)
     if n_out < 1:
         raise ValueError("n_out must be >= 1")
 
@@ -593,8 +599,7 @@ class LinearClass:
         _check_common(self.l_h, self.l_h0, self.n_out)
         if not 0.0 <= self.lam_a < 1.0:
             raise ValueError("lam_a must lie in [0, 1)")
-        if self.lam_c < 0 or self.lam_zeta < 0:
-            raise ValueError("lam_c and lam_zeta must be >= 0")
+        _check_caps(lam_c=self.lam_c, lam_zeta=self.lam_zeta)
 
     @property
     def r(self):
@@ -666,8 +671,8 @@ class EchoStateClass:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (self.n_state,):
                 raise ValueError(f"{name} must have length n_state")
-            if (v < 0).any():
-                raise ValueError(f"{name} entries must be >= 0")
+            if not np.all((v >= 0) & (v < np.inf)):
+                raise ValueError(f"{name} entries must be finite and >= 0")
             object.__setattr__(self, name, tuple(v))
         if self.spec_a is None:
             object.__setattr__(
@@ -675,6 +680,7 @@ class EchoStateClass:
                 float(np.sqrt(self.n_state) * np.linalg.norm(self.row_a)))
         if self.spec_c is None:
             object.__setattr__(self, "spec_c", float(np.linalg.norm(self.row_c)))
+        _check_caps(spec_a=self.spec_a, spec_c=self.spec_c)
 
     @property
     def lam_a(self):
@@ -778,8 +784,7 @@ class StateAffineClass:
         _check_common(self.l_h, self.l_h0, self.n_out)
         if self.input_bound <= 0:
             raise ValueError("input_bound must be > 0")
-        if self.lam_sas < 0 or self.c_sas < 0:
-            raise ValueError("caps must be >= 0")
+        _check_caps(lam_sas=self.lam_sas, c_sas=self.c_sas)
         if self.lam_sas * self.input_bound >= 1.0:
             raise ValueError("need lam_sas * input_bound < 1")
         for name in ("alphas_p", "alphas_q"):
@@ -880,8 +885,7 @@ class RandomEchoStateClass:
         _check_common(self.l_h, self.l_h0, self.n_out)
         if not 0.0 < self.a < 1.0:
             raise ValueError("a must lie in (0, 1)")
-        if self.c_scale < 0 or self.zeta_scale < 0:
-            raise ValueError("scales must be >= 0")
+        _check_caps(c_scale=self.c_scale, zeta_scale=self.zeta_scale)
         if self.lam_base_a <= 0.0:
             raise ValueError("base A must be nonzero")
 

@@ -25,6 +25,7 @@ from .bounds import (
     truncation_risk_gap,
 )
 from .learning import (
+    _gaussian_risks,
     exact_risk,
     fit_readout_erm,
     sample_joint,
@@ -246,23 +247,41 @@ def _max_std_error(per_sample):
     return float(per_sample.std(axis=-1, ddof=1).max() / math.sqrt(n))
 
 
+def _pool_risks(res, readouts, loss, pool):
+    """Mean losses of readouts on one reservoir over the stationary pool,
+    which pool() draws on first use, from one pass of the pool through the
+    reservoir; with the largest standard error of those means."""
+    z, y = pool()
+    states = iterate_states_batch(res, z, x0=zero_input_fixed_point(res))
+    w = np.stack([ro.w for ro in readouts])  # (k, m, N)
+    a = np.stack([ro.a for ro in readouts])[:, None, :]
+    # every readout's pool predictions from one (n_pool, N) @ (N, k m)
+    pred = (states @ w.reshape(-1, w.shape[2]).T).reshape(
+        len(states), len(readouts), -1).swapaxes(0, 1) + a
+    # per-sample pool losses: the risk over a length-1 sample axis
+    per = loss.risk(pred[..., None, :], y[:, None, :])
+    return per.mean(axis=-1), _max_std_error(per)
+
+
 def _true_risks(candidates, joint, loss, pool):
     """Per-candidate statistical risks: exact where the closed form
     applies, otherwise the mean loss on the stationary pool, which pool()
-    draws only then.  Returns the risks and the largest standard error of
-    the pool means (None when every closed form applied)."""
+    draws only then, with one pool pass per reservoir.  Returns the risks
+    and the largest standard error of the pool means (None when every
+    closed form applied)."""
     out = np.empty(len(candidates))
-    std_error = None
+    on_pool = {}  # reservoir id -> indices of its candidates without one
     for i, hyp in enumerate(candidates):
         try:
             out[i] = exact_risk(hyp, joint, loss).value
         except ValueError:
-            z, y = pool()
-            x0 = zero_input_fixed_point(hyp.reservoir)
-            per = loss.per_sample(
-                hyp.readout(iterate_states_batch(hyp.reservoir, z, x0=x0)), y)
-            out[i] = per.mean()
-            std_error = max(std_error or 0.0, _max_std_error(per))
+            on_pool.setdefault(id(hyp.reservoir), []).append(i)
+    std_error = None
+    for idx in on_pool.values():
+        out[idx], se = _pool_risks(candidates[idx[0]].reservoir,
+                                   [candidates[i].readout for i in idx],
+                                   loss, pool)
+        std_error = max(std_error or 0.0, se)
     return out, std_error
 
 
@@ -287,9 +306,14 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
     statistical risk minus zero-padded empirical risk.  Coverage is the
     fraction of trials with sup-gap <= bound.
 
-    True risks use the closed form of exact_risk where it applies, and
+    True risks use the closed forms of exact_risk where they apply, and
     otherwise one stationary pool of n_pool pairs, shared by the
-    candidates and the ERM fits and drawn only if one of them needs it.
+    candidates and the ERM fits, drawn only if one of them needs it and
+    passed once through each reservoir that does.  The ERM fits share one
+    reservoir and take their risks from its one stationary covariance
+    under inputs with a Gaussian moving-average form (i.i.d. Gaussian,
+    Gaussian MA, ARFIMA); under other inputs, uniform ones included, they
+    use the pool.
     Seed offsets: + 11 the loss at zero e0, + 12 the target moment yl2,
     + 14 the training series, + 15 the pool, + 16 the ERM starts.
     """
@@ -309,26 +333,24 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
 
     if fit_erm:
         erm_res = candidates[0].reservoir
-        x0 = zero_input_fixed_point(erm_res)
-        states = iterate_states_batch(erm_res, z_train, x0=x0,
+        states = iterate_states_batch(erm_res, z_train,
+                                      x0=zero_input_fixed_point(erm_res),
                                       return_all=True)
-        pool_z, pool_y = pool()
-        pool_s = iterate_states_batch(erm_res, pool_z, x0=x0)
         fits = fit_readout_erm(states, y_train, caps=(klass.l_h, klass.l_h0),
                                loss=loss, n_iter=erm_iters, n_restarts=2,
                                seed=seed + 16)
         for ro in fits:
             if not klass.contains(Hypothesis(erm_res, ro)):
                 raise RuntimeError("fitted readout escaped the class caps")
+        # one stationary covariance serves every fit; a per-fit quadrature
+        # (uniform inputs) would cost more than the pool
+        try:
+            r_true = _gaussian_risks(erm_res, fits, joint, loss)
+        except ValueError:
+            r_true, se = _pool_risks(erm_res, fits, loss, pool)
+            pool_se = max(pool_se or 0.0, se)
         w = np.stack([ro.w for ro in fits])  # (n_trials, m, N)
         a = np.stack([ro.a for ro in fits])[:, None, :]
-        # every trial's pool predictions from one (n_pool, N) @ (N, T m)
-        pool_pred = (pool_s @ w.reshape(-1, w.shape[2]).T).reshape(
-            len(pool_s), n_trials, -1).swapaxes(0, 1) + a
-        # per-sample pool losses: the risk over a length-1 sample axis
-        per = loss.risk(pool_pred[..., None, :], pool_y[:, None, :])
-        r_true = per.mean(axis=-1)
-        pool_se = max(pool_se or 0.0, _max_std_error(per))
         r_emp = loss.risk(states @ w.swapaxes(1, 2) + a, y_train)
         gaps = np.maximum(gaps, r_true - r_emp)
 

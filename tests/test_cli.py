@@ -463,14 +463,16 @@ def test_coverage_report_gives_pool_std_error(tmp_path, capsys):
         # teacher targets on i.i.d. inputs: every true risk is closed form
         "closed": dict(COVERAGE, target={"kind": "teacher"},
                        case="geometric", profile_mc=500, fit_erm=False),
-        "arfima": {**COVERAGE, "case": "algebraic", "n_pool": 500,
-                   "profile_mc": 500,
-                   "class": dict(LIN_CLASS, input_bound=5.0,
-                                 input_second_moment=1.3),
-                   "process": {"kind": "arfima", "d": 0.3, "trunc": 60},
-                   "target": {"kind": "independent",
-                              "law": {"kind": "gaussian", "dim": 1,
-                                      "scale": 0.7}}},
+        # GARCH(1,1) inputs have no closed form: the pool gives them
+        "garch": {**COVERAGE, "case": "geometric", "n_pool": 500,
+                  "profile_mc": 500,
+                  "class": dict(LIN_CLASS, input_bound=5.0,
+                                input_second_moment=1.0),
+                  "process": {"kind": "garch11", "omega": 0.05,
+                              "alpha": 0.10, "beta": 0.85},
+                  "target": {"kind": "independent",
+                             "law": {"kind": "gaussian", "dim": 1,
+                                     "scale": 0.7}}},
     }
     errors = {}
     for name, config in runs.items():
@@ -481,7 +483,7 @@ def test_coverage_report_gives_pool_std_error(tmp_path, capsys):
         assert code == 0
         errors[name] = report["pool_std_error"]
     assert errors["closed"] is None
-    assert isinstance(errors["arfima"], float) and errors["arfima"] > 0
+    assert isinstance(errors["garch"], float) and errors["garch"] > 0
 
 
 def test_coverage_unbounded_independent_target_is_refused(tmp_path, capsys):
@@ -567,6 +569,38 @@ def test_malformed_block_value_exits_two(tmp_path, capsys, command, config,
     code, report, err = run_cli(capsys, [command, "--config", cfg, "--out",
                                          str(tmp_path), "--set", override])
     assert code == 2 and report is None and "config error" in err
+
+
+@pytest.mark.parametrize("command, config, override", [
+    ("simulate", {"process": IID_UNIF, "n": 4}, "seed=x"),
+    ("simulate", {"process": IID_UNIF, "n": 4}, "seed=-1"),
+    ("validate", LIPSCHITZ, "seed=-1"),
+    ("validate", dict(COVERAGE, target={"kind": "teacher"}), "seed=1.5x"),
+    ("validate", dict(COVERAGE, target={"kind": "teacher"}),
+     "class.l_h=Infinity"),
+    ("validate", dict(LIPSCHITZ, **{"class": ESN_CLASS}), "class.spec_a=-1"),
+    ("validate", dict(LIPSCHITZ, **{"class": SAS_CLASS}),
+     "class.c_sas=Infinity"),
+    ("validate", dict(COVERAGE, target={"kind": "independent",
+                                        "law": {"kind": "uniform"}}),
+     "target.law.scale=Infinity"),
+    ("bound", BOUND, "inputs.profile.l_z=-1"),
+], ids=["seed-text", "seed-negative", "validate-seed-negative",
+        "validate-seed-text", "linear-l_h-inf", "esn-spec_a-negative",
+        "sas-c_sas-inf", "law-scale-inf", "profile-l_z-negative"])
+def test_bad_seed_cap_or_profile_exits_two(tmp_path, capsys, command, config,
+                                           override):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    code, report, err = run_cli(capsys, [command, "--config", cfg, "--out",
+                                         str(tmp_path), "--set", override])
+    assert code == 2 and report is None and "config error" in err
+
+
+def test_negative_seed_flag_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, "sim.json", {"process": IID_UNIF, "n": 4})
+    code, report, err = run_cli(capsys, ["simulate", "--config", cfg, "--out",
+                                         str(tmp_path), "--seed", "-1"])
+    assert code == 2 and report is None and "seed" in err
 
 
 def test_block_defaults_and_zero_caps_follow_the_types():

@@ -15,7 +15,15 @@ from rcbounds.learning import (
     loss_value,
     statistical_risk_mc,
 )
-from rcbounds.processes import IIDProcess, InnovationLaw
+from rcbounds.learning import _gaussian_risks, _stationary_covariance
+from rcbounds.processes import (
+    ARFIMAProcess,
+    GARCHProcess,
+    IIDProcess,
+    InnovationLaw,
+    MAProcess,
+    VAR1Process,
+)
 from rcbounds.reservoir import (
     Hypothesis,
     LinearClass,
@@ -153,15 +161,71 @@ TEACHER = scalar_hypothesis(a=0.3, c=0.7, w=1.0, bias=-0.2)
     TeacherJoint(IIDProcess(GAUSS), TEACHER, InnovationLaw("gaussian", 1, 0.3)),
     TeacherJoint(IIDProcess(UNIF), TEACHER, InnovationLaw("gaussian", 1, 0.3)),
     TeacherJoint(IIDProcess(UNIF), TEACHER, InnovationLaw("uniform", 1, 0.5)),
+    IndependentJoint(ARFIMAProcess(d_frac=0.3, trunc=40), GAUSS),
+    IndependentJoint(MAProcess((0.5, -0.3, 0.8),
+                               InnovationLaw("gaussian", 1, 0.6)), GAUSS),
+    TeacherJoint(ARFIMAProcess(d_frac=0.3, trunc=40), TEACHER,
+                 InnovationLaw("gaussian", 1, 0.3)),
 ], ids=["independent-gaussian_z", "independent-uniform_z",
         "teacher_gaussian_noise-gaussian_z", "teacher_gaussian_noise-uniform_z",
-        "teacher_uniform_noise-uniform_z"])
+        "teacher_uniform_noise-uniform_z", "independent-arfima_z",
+        "independent-ma_z", "teacher_gaussian_noise-arfima_z"])
 def test_exact_risk_matches_mc(joint):
     hyp = scalar_hypothesis(a=0.5, c=1.0, w=0.8, bias=0.1)
     exact = exact_risk(hyp, joint, ABS)
     est = statistical_risk_mc(hyp, joint, ABS, n_mc=20000, history=80,
                               seed=2)
     assert abs(est.value - exact.value) <= 4 * est.std_error
+
+
+def test_exact_risk_keeps_its_iid_gaussian_values():
+    # i.i.d. Gaussian inputs take the plain Lyapunov solve, bit for bit
+    hyp = scalar_hypothesis(a=0.5, c=1.0, w=0.8, bias=0.1)
+    iid = IIDProcess(GAUSS)
+    assert exact_risk(hyp, IndependentJoint(iid, GAUSS),
+                      ABS).value == 1.0891467124940728
+    teacher = TeacherJoint(iid, TEACHER, InnovationLaw("gaussian", 1, 0.3))
+    assert exact_risk(hyp, teacher, ABS).value == 0.4080473310865449
+
+
+@pytest.mark.parametrize("z_model", [
+    VAR1Process(a_base=np.array([[0.5]]), noise=GAUSS),
+    GARCHProcess(omega=0.05, alpha=0.10, beta=0.85),
+    MAProcess((0.5, -0.3), InnovationLaw("laplace", 1, 1.0)),
+], ids=["var1", "garch", "laplace_ma"])
+def test_exact_risk_refuses_inputs_without_a_gaussian_ma_form(z_model):
+    hyp = scalar_hypothesis(a=0.5, c=1.0, w=0.8, bias=0.1)
+    with pytest.raises(ValueError):
+        exact_risk(hyp, IndependentJoint(z_model, GAUSS), ABS)
+
+
+def test_stationary_covariance_matches_the_lag_sum():
+    # sum_m s^2 G_m G_m^T over lags far past the kernel, G_m written out
+    rng = np.random.default_rng(4)
+    a = 0.3 * rng.standard_normal((3, 3))
+    c = rng.standard_normal((3, 2))
+    kernel = ARFIMAProcess(d_frac=0.3, trunc=25)._phi
+    powers = [c]
+    for _ in range(400):
+        powers.append(a @ powers[-1])
+    want = sum(g @ g.T for g in (
+        sum(kernel[k] * powers[m - k] for k in range(min(m, 25) + 1))
+        for m in range(400)))
+    got = _stationary_covariance(a, c, kernel, 0.49)
+    assert np.max(np.abs(got - 0.49 * want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_gaussian_risks_of_many_readouts_match_exact_risk():
+    klass = LinearClass(n_state=3, n_input=1, n_out=1, lam_a=0.6, lam_c=0.6,
+                        lam_zeta=0.3, l_h=1.0, l_h0=0.2)
+    hyps = sample_from_class(klass, 4, seed=5)
+    res = hyps[0].reservoir
+    readouts = [h.readout for h in hyps]
+    for z_model in (IIDProcess(GAUSS), ARFIMAProcess(d_frac=0.3, trunc=60)):
+        joint = TeacherJoint(z_model, hyps[1], InnovationLaw("gaussian", 1, 0.3))
+        risks = _gaussian_risks(res, readouts, joint, ABS)
+        assert risks.tolist() == [exact_risk(Hypothesis(res, ro), joint,
+                                             ABS).value for ro in readouts]
 
 
 def test_erm_median_under_absolute_loss():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -237,6 +238,39 @@ def test_model_spec_roundtrip():
         assert model_to_spec(back) == spec
     with pytest.raises(ValueError):
         model_from_spec({"kind": "iid", "bogus": 1})
+
+
+def test_gaussian_ma_forms():
+    iid = IIDProcess(InnovationLaw("gaussian", 2, 0.7))
+    kernel, scale = iid.gaussian_ma()
+    assert kernel.tolist() == [1.0] and scale == 0.7
+    ma = MAProcess(coeffs=(0.5, -0.3), law=InnovationLaw("gaussian", 1, 0.6))
+    kernel, scale = ma.gaussian_ma()
+    assert kernel.tolist() == [1.0, 0.5, -0.3] and scale == 0.6
+    arfima = ARFIMAProcess(d_frac=0.3, trunc=50)
+    kernel, scale = arfima.gaussian_ma()
+    assert np.array_equal(kernel, arfima_coefficients(0.3, 50)) and scale == 1.0
+    for model in (IIDProcess(InnovationLaw("uniform", 1, 1.0)),
+                  MAProcess(coeffs=(0.5,), law=InnovationLaw("laplace", 1, 1.0)),
+                  VAR1Process(a_base=np.array([[0.5]]), noise=GAUSS),
+                  GARCHProcess(omega=0.05, alpha=0.10, beta=0.85)):
+        assert model.gaussian_ma() is None
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
+def test_innovation_law_rejects_a_bad_scale(scale):
+    with pytest.raises(ValueError, match="scale"):
+        InnovationLaw("gaussian", 1, scale)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("l_z", -1.0), ("l_y", -0.5), ("l_z", math.inf),
+    ("xi_mean_abs_z", Moment(-0.1)), ("xi_mean_abs_y", Moment(-2.0)),
+])
+def test_dependence_profile_rejects_negative_lipschitz_data(field, value):
+    prof = dependence_params(IIDProcess(GAUSS))
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(prof, **{field: value})
 
 
 def test_moment_validation():

@@ -291,6 +291,40 @@ def test_class_invariant_validation():
                          input_bound=1.0, l_h=1.0, l_h0=0.0)
 
 
+LIN_CAPS = dict(n_state=2, n_input=1, n_out=1, lam_a=0.5, lam_c=1.0,
+                lam_zeta=0.2, l_h=1.0, l_h0=0.5)
+ESN_CAPS = dict(n_state=2, n_input=1, n_out=1, row_a=(0.2, 0.2),
+                row_c=(0.5, 0.5), row_zeta=(0.1, 0.1), l_h=1.0, l_h0=0.5)
+SAS_CAPS = dict(n_state=2, n_input=1, n_out=1, alphas_p=((0,),),
+                alphas_q=((0,),), lam_sas=0.4, c_sas=1.0, input_bound=1.0,
+                l_h=1.0, l_h0=0.5)
+
+
+@pytest.mark.parametrize("build, caps, bad", [
+    (LinearClass, LIN_CAPS, {"l_h": np.inf}),
+    (LinearClass, LIN_CAPS, {"l_h0": np.nan}),
+    (LinearClass, LIN_CAPS, {"lam_c": np.inf}),
+    (EchoStateClass, ESN_CAPS, {"spec_a": -1.0}),
+    (EchoStateClass, ESN_CAPS, {"spec_c": -0.5}),
+    (EchoStateClass, ESN_CAPS, {"row_c": (0.5, np.inf)}),
+    (EchoStateClass, ESN_CAPS, {"l_h": np.inf}),
+    (StateAffineClass, SAS_CAPS, {"c_sas": np.inf}),
+    (StateAffineClass, SAS_CAPS, {"l_h0": np.inf}),
+], ids=["linear-l_h", "linear-l_h0", "linear-lam_c", "esn-spec_a",
+        "esn-spec_c", "esn-row_c", "esn-l_h", "sas-c_sas", "sas-l_h0"])
+def test_class_rejects_non_finite_or_negative_caps(build, caps, bad):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        build(**{**caps, **bad})
+
+
+def test_random_esn_rejects_non_finite_caps():
+    for bad in ({"c_scale": np.inf}, {"l_h": np.inf}):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            random_esn(**{"n_state": 3, "n_input": 1, "n_out": 1, "a": 0.5,
+                          "c_scale": 1.0, "zeta_scale": 0.5, "l_h": 1.0,
+                          "l_h0": 0.5, **bad})
+
+
 def test_esn_class_rate_uses_spectral_cap():
     klass = small_esn_class()
     assert abs(klass.r - 0.6) < 1e-14

@@ -9,6 +9,7 @@ from rcbounds.learning import IndependentJoint, LossFunction, TeacherJoint
 from rcbounds.processes import (
     ARFIMAProcess,
     DependenceProfile,
+    GARCHProcess,
     IIDProcess,
     InnovationLaw,
     Moment,
@@ -175,19 +176,19 @@ def test_risk_gap_experiment_draws_one_pool(monkeypatch):
         return sample_joint(joint, n_mc, history, seed)
 
     monkeypatch.setattr(validation, "sample_joint", counting_sample_joint)
-    # ARFIMA inputs: exact_risk declines, so candidates and ERM fits both
-    # need the pool
-    arfima = ARFIMAProcess(d_frac=0.3, trunc=60)
-    zp = dependence_params(arfima)
-    prof = DependenceProfile(regime="algebraic", c_z=zp.c_z,
+    # GARCH(1,1) inputs: exact_risk declines, so candidates and ERM fits
+    # both need the pool
+    garch = GARCHProcess(omega=0.05, alpha=0.10, beta=0.85)
+    zp = dependence_params(garch, n_mc=500)
+    prof = DependenceProfile(regime="geometric", c_z=zp.c_z,
                              rate_z=zp.rate_z,
                              c_y=Moment(0.0, 0.0, "exact-zero"),
                              rate_y=zp.rate_z, exact_zero_y=True)
     klass = LinearClass(n_state=3, n_input=1, n_out=1, lam_a=0.5, lam_c=0.5,
                         lam_zeta=0.2, l_h=1.0, l_h0=0.2, input_bound=5.0,
-                        input_second_moment=Moment(1.3, 0.0, "analytic"))
-    joint = IndependentJoint(arfima, InnovationLaw("gaussian", 1, 0.7))
-    cov = risk_gap_experiment(klass, joint, ABS, prof, "algebraic", n=64,
+                        input_second_moment=Moment(1.0, 0.0, "analytic"))
+    joint = IndependentJoint(garch, InnovationLaw("gaussian", 1, 0.7))
+    cov = risk_gap_experiment(klass, joint, ABS, prof, "geometric", n=64,
                               n_trials=4, n_random=3, seed=3, history=40,
                               n_pool=500, erm_iters=10)
     assert seeds == [3 + 15]
@@ -201,6 +202,47 @@ def test_risk_gap_experiment_draws_one_pool(monkeypatch):
                               n_pool=500, fit_erm=False)
     assert seeds == []
     assert cov.pool_std_error is None
+
+
+def arfima_setup():
+    arfima = ARFIMAProcess(d_frac=0.3, trunc=60)
+    zp = dependence_params(arfima)
+    prof = DependenceProfile(regime="algebraic", c_z=zp.c_z,
+                             rate_z=zp.rate_z,
+                             c_y=Moment(0.0, 0.0, "exact-zero"),
+                             rate_y=zp.rate_z, exact_zero_y=True)
+    klass = LinearClass(n_state=3, n_input=1, n_out=1, lam_a=0.5, lam_c=0.5,
+                        lam_zeta=0.2, l_h=1.0, l_h0=0.2, input_bound=5.0,
+                        input_second_moment=Moment(1.3, 0.0, "analytic"))
+    return klass, IndependentJoint(arfima, InnovationLaw("gaussian", 1, 0.7)), prof
+
+
+def test_arfima_risk_gap_experiment_draws_no_pool(monkeypatch):
+    # ARFIMA inputs have a Gaussian moving-average form: every candidate
+    # gets its true risk in closed form, and the ERM fits all take theirs
+    # from one stationary covariance
+    drawn, batches = [], []
+    sample_joint = validation.sample_joint
+    gaussian_risks = validation._gaussian_risks
+
+    def counting_sample_joint(joint, n_mc, history, seed=0):
+        drawn.append(seed)
+        return sample_joint(joint, n_mc, history, seed)
+
+    def counting_gaussian_risks(res, readouts, joint, loss):
+        batches.append(len(readouts))
+        return gaussian_risks(res, readouts, joint, loss)
+
+    monkeypatch.setattr(validation, "sample_joint", counting_sample_joint)
+    monkeypatch.setattr(validation, "_gaussian_risks", counting_gaussian_risks)
+    klass, joint, prof = arfima_setup()
+    cov = risk_gap_experiment(klass, joint, ABS, prof, "algebraic", n=64,
+                              n_trials=4, n_random=3, seed=3, history=40,
+                              n_pool=500, erm_iters=10)
+    assert drawn == []
+    assert batches == [4]
+    assert cov.pool_std_error is None
+    assert cov.coverage == 1.0
 
 
 def test_consistency_curve_decreases():
