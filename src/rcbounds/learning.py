@@ -23,6 +23,7 @@ from .reservoir import (
     Hypothesis,
     LinearReservoir,
     Readout,
+    _powers,
     iterate_states,
     iterate_states_batch,
     zero_input_fixed_point,
@@ -344,35 +345,31 @@ def _mean_abs_cf(deltas, gauss_var, mu):
     return 2.0 / math.pi * (val + 1.0 / t_hi)
 
 
-# longest kappa chain the uniform-input closed form evaluates
+# longest kappa chain the uniform-input closed form evaluates, and its tail
 _KAPPA_TERMS = 100_000
+_KAPPA_TOL = 1e-16
 
 
-def _lrc_kappa_chain(res, readout, tol=1e-16):
+def _lrc_kappa_chain(res, readout):
     """Rows kappa_j = w A^j C of the linear prediction as a (J, d) array,
-    truncated once the spectral tail falls below tol, plus the constant
-    part w (I - A)^(-1) zeta + a.  Raises ValueError when that takes more
-    than _KAPPA_TERMS terms (|||A|||_2 close to 1), rather than dropping
-    the tail."""
+    truncated once the spectral tail falls below _KAPPA_TOL, plus the
+    constant w x* + a at the fixed point x*.  Raises ValueError when that
+    takes more than _KAPPA_TERMS terms (|||A|||_2 close to 1), rather than
+    dropping the tail."""
     rho = float(np.linalg.norm(res.a, 2))
     if rho >= 1.0:
         raise ValueError("need |||A|||_2 < 1")
     wn = float(np.linalg.norm(readout.w)) * float(np.linalg.norm(res.c, 2))
     j_max = 1
     if wn > 0 and rho > 0:
-        j_max = max(1, int(math.ceil(math.log(tol / (wn / (1 - rho)))
+        j_max = max(1, int(math.ceil(math.log(_KAPPA_TOL / (wn / (1 - rho)))
                                      / math.log(rho))))
     if j_max > _KAPPA_TERMS:
         raise ValueError(f"the kappa chain needs {j_max} terms, more than "
                          f"{_KAPPA_TERMS}")
-    rows = []
-    v = readout.w.copy()  # (1, N)
-    for _ in range(j_max):
-        rows.append((v @ res.c)[0])
-        v = v @ res.a
-    const = float((readout.w @ np.linalg.solve(np.eye(res.n_state) - res.a,
-                                               res.zeta) + readout.a)[0])
-    return np.array(rows), const
+    rows = (readout.w @ _powers(res.a, res.c, j_max))[:, 0]
+    const = float((readout.w @ res.zero_input_fixed_point() + readout.a)[0])
+    return rows, const
 
 
 def exact_risk(hyp, joint, loss):
@@ -431,7 +428,7 @@ def _gaussian_risks(res, readouts, joint, loss):
 
     # stationary mean of the prediction error, and the state whose
     # stationary covariance gives its variance
-    mu_h = np.linalg.solve(np.eye(res.n_state) - res.a, res.zeta)
+    mu_h = res.zero_input_fixed_point()
     a, c = res.a, res.c
     if teacher is not None:
         tres, tro = teacher.reservoir, teacher.readout
@@ -440,7 +437,7 @@ def _gaussian_risks(res, readouts, joint, loss):
         a[:n1, :n1] = res.a
         a[n1:, n1:] = tres.a
         c = np.vstack([res.c, tres.c])
-        mu_t = np.linalg.solve(np.eye(n2) - tres.a, tres.zeta)
+        mu_t = tres.zero_input_fixed_point()
     cov = _stationary_covariance(a, c, kernel, scale ** 2)
     risks = np.empty(len(readouts))
     for i, ro in enumerate(readouts):
@@ -473,14 +470,7 @@ def _stationary_covariance(a, c, kernel, s2):
     if k == 0:
         g = kernel[0] * c
         return solve_discrete_lyapunov(a, s2 * (g @ g.T))
-    powers = np.empty((k + 1,) + c.shape)  # A^j C
-    powers[0] = c
-    a_m, m = a, 1
-    while m <= k:
-        take = min(m, k + 1 - m)
-        powers[m:m + take] = a_m @ powers[:take]
-        a_m = a_m @ a_m
-        m *= 2
+    powers = _powers(a, c, k + 1)  # A^j C
     size = _next_fast_len(2 * k + 1)
     spec = np.fft.rfft(powers, size, axis=0)
     spec *= np.fft.rfft(kernel, size)[:, None, None]

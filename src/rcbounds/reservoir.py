@@ -14,9 +14,10 @@ Three families are implemented:
                matrix (resp. vector) coefficients, inputs in a sup-norm box
 
 Each system states its rules once, as methods: step (the map F),
-contraction_modulus, bound_M_F, input_lipschitz and zero_input_fixed_point.
-The module functions of the same names call them; the linear system
-inherits every echo state rule but the fixed point, which it solves for.
+contraction_modulus, bound_M_F, input_lipschitz, zero_input_fixed_point
+and states (the batched recursion).  The module functions call them; the
+linear system inherits every echo state rule but the fixed point, which it
+solves for, and the final states, which it forms from A^j [C | zeta].
 
 Hypothesis classes are norm-capped boxes around each family; they carry the
 derived constants (contraction modulus, state-ball radius, input-Lipschitz
@@ -57,6 +58,33 @@ __all__ = [
 ]
 
 _WASHOUT_TOL = 1e-10
+_FIXED_POINT_TOL = 1e-14
+_FIXED_POINT_ITERS = 10_000
+# paths per block of the batched recursion: one block's transposed inputs
+# and states stay small next to the caller's (batch, n, d) input array
+_PATH_BLOCK = 4096
+
+
+def _time_loop_states(system, z, x0, return_all=False):
+    """system.states of the echo state and state affine systems: final
+    states (b, N), or all states (b, n, N), of the paths z (b, n, d) from
+    x0 (b, N).  Paths go in blocks of _PATH_BLOCK, each block's inputs
+    transposed to (n, d, block) and its states kept as (N, block), so
+    every step works on contiguous rows."""
+    step = system.step
+    b, n, _ = z.shape
+    out = np.empty((b, n, x0.shape[1]) if return_all else x0.shape)
+    for lo in range(0, b, _PATH_BLOCK):
+        hi = min(b, lo + _PATH_BLOCK)
+        zt = np.ascontiguousarray(z[lo:hi].transpose(1, 2, 0))
+        x = np.ascontiguousarray(x0[lo:hi].T)
+        for t in range(n):
+            x = step(x, zt[t])
+            if return_all:
+                out[lo:hi, t] = x.T
+        if not return_all:
+            out[lo:hi] = x.T
+    return out
 
 
 @dataclass(frozen=True)
@@ -220,16 +248,18 @@ class EchoStateReservoir:
     def input_lipschitz(self, input_bound=None, m_f=None):
         return self.activation.lipschitz * float(np.linalg.norm(self.c, 2))
 
-    def zero_input_fixed_point(self, tol=1e-14, max_iter=10_000):
-        """Iterates x -> F(x, 0) from 0 until a step moves less than tol."""
+    def zero_input_fixed_point(self):
+        """Iterates F(., 0) from 0 until a step moves <= _FIXED_POINT_TOL."""
         z0 = np.zeros(self.n_input)
         x = np.zeros(self.n_state)
-        for _ in range(max_iter):
+        for _ in range(_FIXED_POINT_ITERS):
             nxt = self.step(x, z0)
-            if np.linalg.norm(nxt - x) <= tol:
+            if np.linalg.norm(nxt - x) <= _FIXED_POINT_TOL:
                 return nxt
             x = nxt
         return x
+
+    states = _time_loop_states
 
 
 @dataclass(frozen=True)
@@ -248,8 +278,26 @@ class LinearReservoir(EchoStateReservoir):
             raise ValueError("linear reservoirs have the identity activation")
         super().__post_init__()
 
-    def zero_input_fixed_point(self, tol=1e-14, max_iter=10_000):
+    def zero_input_fixed_point(self):
+        """(I - A)^(-1) zeta."""
         return np.linalg.solve(np.eye(self.n_state) - self.a, self.zeta)
+
+    def states(self, z, x0, return_all=False):
+        """Final states without a time loop: x_n = A^n x0 + sum_{t=1..n}
+        A^(n-t) (C z_t + zeta), so with the impulse response A^j [C | zeta],
+        j < n, the batch is one (b, n d) @ (n d, N) product.  All states
+        come from the echo state time loop."""
+        if return_all:
+            return super().states(z, x0, return_all)
+        b, n = z.shape[:2]
+        d = self.n_input
+        if n == 0:
+            return np.array(x0)
+        powers = _powers(self.a, np.column_stack([self.c, self.zeta]), n)
+        kernel = powers[::-1, :, :d].transpose(0, 2, 1).reshape(n * d, -1)
+        return (z.reshape(b, n * d) @ kernel
+                + x0 @ np.linalg.matrix_power(self.a, n).T
+                + powers[:, :, d].sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -309,11 +357,13 @@ class StateAffineReservoir:
         return (self.p.lipschitz_on_box(float(input_bound)) * float(m_f)
                 + self.q.lipschitz_on_box(float(input_bound)))
 
-    def zero_input_fixed_point(self, tol=1e-14, max_iter=10_000):
+    def zero_input_fixed_point(self):
         z0 = np.zeros(self.n_input)
         p0 = self.p.eval(z0)
         q0 = self.q.eval(z0)[:, 0]
         return np.linalg.solve(np.eye(self.n_state) - p0, q0)
+
+    states = _time_loop_states
 
 
 @dataclass(frozen=True)
@@ -385,10 +435,10 @@ def default_washout(system, input_bound=None):
     return int(np.ceil(np.log(_WASHOUT_TOL / m_f) / np.log(r)))
 
 
-def zero_input_fixed_point(system, tol=1e-14, max_iter=10_000):
+def zero_input_fixed_point(system):
     """The unique fixed point of x -> F(x, 0) for a contracting system,
     where a filter driven by a zero-padded past sits when the window opens."""
-    return system.zero_input_fixed_point(tol, max_iter)
+    return system.zero_input_fixed_point()
 
 
 def _as_inputs(system, inputs):
@@ -418,75 +468,36 @@ def iterate_states(system, inputs, x0=None):
         # superposition: the zero-start response plus the free response
         # A^t x0, so runs from different starts share bit-identical drive
         # terms and differ only through A^t x0
-        states = _loop_states(system, z, np.zeros(system.n_state))
-        free = np.empty_like(states)
-        for t in range(z.shape[0]):
-            x = system.a @ x
-            free[t] = x
-        return states + free
+        free = _powers(system.a, x[:, None], z.shape[0] + 1)[1:, :, 0]
+        return _loop_states(system, z, np.zeros(system.n_state)) + free
     return _loop_states(system, z, x)
 
 
-# paths per block of the batched recursion: one block's transposed inputs
-# and states stay small next to the caller's (batch, n, d) input array
-_PATH_BLOCK = 4096
-
-
-def _linear_final_states(system, z, x0):
-    """Final states of a linear reservoir without a time loop.
-
-    x_n = A^n x0 + sum_{t=1..n} A^(n-t) (C z_t + zeta), so with the
-    kernel K[t] = A^(n-t) C the whole batch is one (b, n d) @ (n d, N)
-    product.  The kernel is built once per call.
-    """
-    b, n, d = z.shape
-    kernel = np.empty((n, d, system.n_state))
-    power = np.eye(system.n_state)  # A^(n-1-t) for the 0-based step t
-    power_sum = np.zeros_like(power)
-    for t in range(n - 1, -1, -1):
-        kernel[t] = (power @ system.c).T
-        power_sum += power
-        power = system.a @ power
-    # power is now A^n and power_sum is sum_{s<n} A^s
-    drift = power_sum @ system.zeta
-    return z.reshape(b, n * d) @ kernel.reshape(n * d, -1) + x0 @ power.T + drift
+def _powers(a, v, k):
+    """A^j v for j < k, shape (k,) + v.shape, for an (N, m) matrix or
+    (N, 1) column v.  Built by doubling: A^m V[:m] fills V[m:2m], so k
+    powers cost about log2 k matmuls.  k must be >= 1."""
+    out = np.empty((k,) + v.shape)
+    out[0] = v
+    a_m, m = a, 1
+    while m < k:
+        take = min(m, k - m)
+        out[m:m + take] = a_m @ out[:take]
+        a_m = a_m @ a_m
+        m *= 2
+    return out
 
 
 def iterate_states_batch(system, inputs, x0=None, return_all=False):
-    """Batched recursion over inputs of shape (batch, n, n_input).
-
-    x0 is None (zero start), one (N,) start shared by every path, or a
-    (batch, N) array.  Returns the final states (batch, N), or all states
-    (batch, n, N).
-
-    Paths are processed in blocks of _PATH_BLOCK.  Each block's inputs are
-    transposed to (n, n_input, block) and its states kept as (N, block),
-    so every step works on contiguous rows; no transposed copy
-    of the whole input is made.  Final states of a linear reservoir skip
-    the time loop and come from one matmul with the kernel A^(n-t) C.
-    """
+    """system.states over inputs (batch, n, n_input) from x0: None (zero
+    start), one (N,) start shared by every path, or a (batch, N) array.
+    Returns the final states (batch, N), or all states (batch, n, N)."""
     z = np.asarray(inputs, dtype=float)
     if z.ndim != 3:
         raise ValueError("batched inputs must be (batch, n, n_input)")
-    b, n, _ = z.shape
-    n_state = system.n_state
-    x0 = np.zeros(n_state) if x0 is None else np.asarray(x0, dtype=float)
-    x0 = np.broadcast_to(x0, (b, n_state))
-    if isinstance(system, LinearReservoir) and not return_all:
-        return _linear_final_states(system, z, x0)
-    step = system.step
-    out = np.empty((b, n, n_state) if return_all else (b, n_state))
-    for lo in range(0, b, _PATH_BLOCK):
-        hi = min(b, lo + _PATH_BLOCK)
-        zt = np.ascontiguousarray(z[lo:hi].transpose(1, 2, 0))
-        x = np.ascontiguousarray(x0[lo:hi].T)
-        for t in range(n):
-            x = step(x, zt[t])
-            if return_all:
-                out[lo:hi, t] = x.T
-        if not return_all:
-            out[lo:hi] = x.T
-    return out
+    x0 = np.zeros(system.n_state) if x0 is None else np.asarray(x0, dtype=float)
+    return system.states(z, np.broadcast_to(x0, (z.shape[0], system.n_state)),
+                         return_all)
 
 
 def run_filter(system, inputs, washout=None, readout=None, input_bound=None):

@@ -92,13 +92,11 @@ def _push_to_caps(klass, hyp):
     return Hypothesis(klass.saturate(hyp.reservoir), Readout(w, a))
 
 
-def candidate_set(klass, n_random=12, seed=0, include_boundary=True,
-                  include_zero=True):
+def candidate_set(klass, n_random=12, seed=0, include_zero=True):
     """Finite probe set inside the class: random draws, a cap-saturating
     member, and the zero readout (the constant-zero hypothesis)."""
     cands = sample_from_class(klass, n_random, seed)
-    if include_boundary:
-        cands.append(_push_to_caps(klass, cands[0]))
+    cands.append(_push_to_caps(klass, cands[0]))
     if include_zero:
         base = cands[-1].reservoir
         cands.append(Hypothesis(base, Readout(
@@ -191,7 +189,7 @@ def target_l2_moment(joint, n_mc=20000, history=200, seed=0):
                   else 0.0, "mc")
 
 
-def teacher_target_profile(z_profile, teacher_klass_or_caps, exact_zero_ok=True):
+def teacher_target_profile(z_profile, teacher_klass_or_caps):
     """Dependence envelope of targets generated by a contracting teacher.
 
     Coupling two input paths that agree on the last tau steps moves the

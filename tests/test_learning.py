@@ -15,7 +15,11 @@ from rcbounds.learning import (
     loss_value,
     statistical_risk_mc,
 )
-from rcbounds.learning import _gaussian_risks, _stationary_covariance
+from rcbounds.learning import (
+    _gaussian_risks,
+    _lrc_kappa_chain,
+    _stationary_covariance,
+)
 from rcbounds.processes import (
     ARFIMAProcess,
     GARCHProcess,
@@ -213,6 +217,27 @@ def test_stationary_covariance_matches_the_lag_sum():
         for m in range(400)))
     got = _stationary_covariance(a, c, kernel, 0.49)
     assert np.max(np.abs(got - 0.49 * want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_kappa_chain_matches_its_definition():
+    # rows w A^j C written out with one product per lag, and the constant
+    # w x* + a at the fixed point x* = A x* + zeta
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((3, 3))
+    a *= 0.8 / np.linalg.norm(a, 2)
+    res = LinearReservoir(a, rng.standard_normal((3, 2)), rng.standard_normal(3))
+    ro = Readout(rng.standard_normal((1, 3)), [0.4])
+    rows, const = _lrc_kappa_chain(res, ro)
+    want, v = [], ro.w
+    for _ in range(rows.shape[0]):
+        want.append((v @ res.c)[0])
+        v = v @ res.a
+    assert rows.shape == (len(want), 2) and len(want) > 100
+    assert np.abs(rows - np.array(want)).max() <= 1e-14 * np.abs(want).max()
+    x_star = np.linalg.solve(np.eye(3) - a, res.zeta)
+    assert np.abs(a @ x_star + res.zeta - x_star).max() <= 1e-14
+    want_const = float(ro.w[0] @ x_star + 0.4)
+    assert abs(const - want_const) <= 1e-14 * max(1.0, abs(want_const))
 
 
 def test_gaussian_risks_of_many_readouts_match_exact_risk():

@@ -362,25 +362,50 @@ def _parity_systems():
                               "esn_clipped", "esn_identity", "esn_random",
                               "sas_mixed"])
 def test_batch_recursion_matches_per_path_loop(system):
-    # one path block plus 3 paths, so a block boundary is crossed
+    # one path block plus 3 paths, so a block boundary is crossed; windows
+    # of n = 0 (final states are the starts), 1, 20 and 33 steps (a kernel
+    # length that is not a power of two)
     block = reservoir._PATH_BLOCK
-    b, n, n_state = block + 3, 20, system.n_state
+    b, n_state = block + 3, system.n_state
     rng = np.random.default_rng(22)
-    z = rng.uniform(-1, 1, (b, n, system.n_input))
+    inputs = {20: rng.uniform(-1, 1, (b, 20, system.n_input))}
     # the per-path reference runs on a sample that straddles the boundary
     paths = sorted(set(range(0, b, 97)) | set(range(block - 3, b)))
     shared = rng.standard_normal(n_state)
     per_path = rng.standard_normal((b, n_state))
-    for x0 in (None, shared, per_path):
-        starts = [None] * b if x0 is None else np.broadcast_to(x0, (b, n_state))
-        want = np.stack([iterate_states(system, z[i], x0=starts[i])
-                         for i in paths])
-        finals = iterate_states_batch(system, z, x0=x0)
-        states = iterate_states_batch(system, z, x0=x0, return_all=True)
-        assert finals.shape == (b, n_state)
-        assert states.shape == (b, n, n_state)
-        assert np.abs(finals[paths] - want[:, -1]).max() <= 1e-12
-        assert np.abs(states[paths] - want).max() <= 1e-12
+    for n in (0, 1, 33):
+        inputs[n] = rng.uniform(-1, 1, (b, n, system.n_input))
+    for n, z in inputs.items():
+        for x0 in (None, shared, per_path):
+            rows = np.broadcast_to(0.0 if x0 is None else x0, (b, n_state))
+            starts = [None] * b if x0 is None else rows
+            want = np.stack([iterate_states(system, z[i], x0=starts[i])
+                             for i in paths])
+            want_final = want[:, -1] if n else rows[paths]
+            finals = iterate_states_batch(system, z, x0=x0)
+            states = iterate_states_batch(system, z, x0=x0, return_all=True)
+            assert finals.shape == (b, n_state)
+            assert states.shape == (b, n, n_state)
+            assert np.abs(finals[paths] - want_final).max() <= 1e-12
+            if n:
+                assert np.abs(states[paths] - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 9, 33])
+def test_powers_match_repeated_products(k):
+    # the doubling build of A^j v against A @ (the previous power), on an
+    # (N, d) matrix and on an (N, 1) column, for a non-normal A
+    rng = np.random.default_rng(25)
+    a = rng.standard_normal((4, 4)) + np.diag([1.0, 1.0, 1.0], k=1)
+    a *= 0.95 / np.linalg.norm(a, 2)
+    for v in (rng.standard_normal((4, 3)), rng.standard_normal((4, 1))):
+        want = [v]
+        for _ in range(k - 1):
+            want.append(a @ want[-1])
+        got = reservoir._powers(a, v, k)
+        assert got.shape == (k,) + v.shape
+        for j in range(k):
+            assert np.abs(got[j] - want[j]).max() <= 1e-14 * np.abs(want[j]).max()
 
 
 def test_sas_step_matches_explicit_polynomial():
