@@ -9,7 +9,7 @@ g is not Lipschitz), and the certificate routines reject it.
 Empirical risks follow the truncated-sample convention: the input window
 (z_1, ..., z_n) is preceded by an all-zero past, so the recursion opens at
 the zero-input fixed point of the state map and the whole risk costs one
-forward pass.
+forward pass (for a linear reservoir, one FFT convolution).
 """
 
 import math
@@ -23,8 +23,8 @@ from .reservoir import (
     Hypothesis,
     LinearReservoir,
     Readout,
+    _as_inputs,
     _powers,
-    iterate_states,
     iterate_states_batch,
     zero_input_fixed_point,
 )
@@ -133,17 +133,17 @@ def _as_columns(y):
 
 def _window(hyp, inputs):
     """Readout outputs along the window, recursion opened at the
-    zero-input fixed point (all-zero past)."""
-    x0 = zero_input_fixed_point(hyp.reservoir)
-    states = iterate_states(hyp.reservoir, inputs, x0=x0)
-    return hyp.readout(states)
+    zero-input fixed point (all-zero past): window_outputs on a batch of
+    one, the path the experiments take."""
+    z = _as_inputs(hyp.reservoir, inputs)
+    return hyp.reservoir.window_outputs(z[None], [hyp.readout])[0, 0]
 
 
 def empirical_risk(hyp, inputs, targets, loss):
     """Average loss over the window under the zero-padded past convention.
 
     inputs: (n, d) window (oldest first); targets: (n, m).  The prediction
-    at step t uses inputs[0..t] only, so the whole risk is one O(n) pass.
+    at step t uses inputs[0..t] only, so the whole risk is one forward pass.
     """
     targets = _as_columns(targets)
     preds = _window(hyp, inputs)
@@ -229,11 +229,11 @@ def _targets(joint, z, rng, every_step):
     noise = None if joint.noise is None else joint.noise.sample(rng, *shape)
     if joint.teacher is None:
         return noise
-    res = joint.teacher.reservoir
-    states = iterate_states_batch(res, z, x0=zero_input_fixed_point(res),
-                                  return_all=every_step)
-    y = joint.teacher.readout(states.reshape(-1, res.n_state))
-    y = y.reshape(shape + (-1,))
+    res, ro = joint.teacher.reservoir, joint.teacher.readout
+    if every_step:
+        y = res.window_outputs(z, [ro])[0]
+    else:
+        y = ro(iterate_states_batch(res, z, x0=zero_input_fixed_point(res)))
     return y if noise is None else y + noise
 
 
@@ -276,13 +276,25 @@ def statistical_risk_mc(hyp, joint, loss, n_mc=2000, history=200, seed=0):
     "mc".
     """
     z, y = sample_joint(joint, n_mc, history, seed)
-    x0 = zero_input_fixed_point(hyp.reservoir)
-    finals = iterate_states_batch(hyp.reservoir, z, x0=x0)
-    preds = hyp.readout(finals)
-    vals = loss.per_sample(preds, _as_columns(y))
+    vals = _pool_losses(hyp.reservoir, [hyp.readout], z, y, loss)[0]
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return Moment(mean, se, "mc")
+
+
+def _pool_losses(res, readouts, z, y, loss):
+    """Per-sample losses (k, n_pool) of k readouts on one reservoir over
+    the pool of (history, target) pairs z (n_pool, history, d) and y
+    (n_pool, m): the final states from one pass of the histories, opened
+    at the zero-input fixed point, and every readout's predictions from
+    one (n_pool, N) @ (N, k m) product."""
+    states = iterate_states_batch(res, z, x0=zero_input_fixed_point(res))
+    w = np.stack([ro.w for ro in readouts])  # (k, m, N)
+    a = np.stack([ro.a for ro in readouts])[:, None, :]
+    pred = (states @ w.reshape(-1, w.shape[2]).T).reshape(
+        len(states), len(readouts), -1).swapaxes(0, 1) + a
+    # per-sample losses: the risk over a length-1 sample axis
+    return loss.risk(pred[..., None, :], _as_columns(y)[:, None, :])
 
 
 def _folded_normal_mean(mu, var):
@@ -535,7 +547,7 @@ def fit_readout_erm(states, targets, caps, loss, n_iter=300, n_restarts=5,
     """Empirical risk minimizer over affine readouts h(x) = W x + a with
     |||W|||_2 <= caps[0] and ||a||_2 <= caps[1].
 
-    Projected subgradient descent from several starts (a clipped
+    Projected subgradient descent from n_restarts >= 1 starts (a clipped
     least-squares solution, zero, and random draws), keeping the best
     projected iterate; for the scalar absolute loss the offset is polished
     to the clamped median of the residuals, which is exactly optimal at
@@ -548,7 +560,13 @@ def fit_readout_erm(states, targets, caps, loss, n_iter=300, n_restarts=5,
     draws its random starts from default_rng(seed + t) and stops on its own
     once its subgradient norm falls to tol, so it equals the single fit of
     its slice with seed + t.
+
+    All starts of all trials iterate as one stack, each start stopping on
+    its own; the best iterate is the earliest one, starts taken in order,
+    that attains the least risk, as if the starts ran one after another.
     """
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be >= 1")
     x = np.asarray(states, dtype=float)
     single = x.ndim <= 2
     if single:
@@ -566,72 +584,88 @@ def fit_readout_erm(states, targets, caps, loss, n_iter=300, n_restarts=5,
     n_trials, n, n_state = x.shape
     m = y.shape[2]
 
-    def predict(w, a):
-        return x @ w.swapaxes(1, 2) + a[:, None, :]
+    # feature-major states whose last row is ones, so that a readout
+    # [W | a] of shape (m, N + 1) predicts in one product and the offset
+    # gradient is the last column of the W gradient
+    xt = np.ones((n_trials, n_state + 1, n))
+    xt[:, :n_state] = x.swapaxes(1, 2)
+    yt = y.swapaxes(1, 2)[:, None]  # (T, 1, m, n)
+    rows = n_restarts * m
+    c_loss = loss.l_l / np.sqrt(m)
 
-    def polish_offset(w):
+    def residuals(wa):
+        """Predictions minus targets of the stack wa (T, S, m, N + 1)."""
+        pred = (wa.reshape(n_trials, rows, n_state + 1) @ xt).reshape(
+            n_trials, n_restarts, m, n)
+        pred -= yt
+        return pred
+
+    def risk(resid):
+        return loss.g(resid).sum(axis=(2, 3)) * (c_loss / n)
+
+    def polish_offset(wa):
+        wa[..., n_state] = 0.0
         if l_h0 == 0.0:
-            return np.zeros((n_trials, m))
-        resid = y - x @ w.swapaxes(1, 2)
+            return
+        resid = -residuals(wa)
         if loss.kind == "absolute":
-            centre = np.median(resid, axis=1)
+            centre = np.median(resid, axis=-1)
         elif loss.kind in ("squared", "huber"):
-            centre = resid.mean(axis=1)
+            centre = resid.mean(axis=-1)
         else:
-            centre = np.quantile(resid, loss.quantile, axis=1)
-        return _project_ball(centre, l_h0)
+            centre = np.quantile(resid, loss.quantile, axis=-1)
+        wa[..., n_state] = _project_ball(centre, l_h0)
 
     # each start's offset is polished before use, so a start is its W alone
-    wls = np.stack([
-        np.linalg.lstsq(np.hstack([x[t], np.ones((n, 1))]), y[t], rcond=None)[0]
-        for t in range(n_trials)])
-    starts = [_project_spectral(wls[:, :n_state].swapaxes(1, 2), l_h),
-              np.zeros((n_trials, m, n_state))]
+    wa = np.zeros((n_trials, n_restarts, m, n_state + 1))
+    wls = np.stack([np.linalg.lstsq(xt[t].T, y[t], rcond=None)[0]
+                    for t in range(n_trials)])
+    wa[:, 0, :, :n_state] = _project_spectral(
+        wls[:, :n_state].swapaxes(1, 2), l_h)
     rngs = [np.random.default_rng(seed + t) for t in range(n_trials)]
-    for _ in range(n_restarts - 2):
+    for s in range(2, n_restarts):
         draws = []
         for rng in rngs:
             draws.append(rng.standard_normal((m, n_state)))
             rng.standard_normal(m)  # the offset draw, kept for the stream
-        starts.append(_project_spectral(np.stack(draws) * l_h, l_h))
+        wa[:, s, :, :n_state] = _project_spectral(np.stack(draws) * l_h, l_h)
 
-    best_val = np.full(n_trials, np.inf)
-    best_w = np.zeros((n_trials, m, n_state))
-    best_a = np.zeros((n_trials, m))
+    best_val = np.full((n_trials, n_restarts), np.inf)
+    best_wa = np.zeros_like(wa)
 
-    def keep(better, cur, w, a):
+    def keep(better, cur, wa):
         best_val[better] = cur[better]
-        best_w[better] = w[better]
-        best_a[better] = a[better]
+        best_wa[better] = wa[better]
 
     scale = max(l_h, l_h0, 1.0)
-    for w in starts:
-        a = polish_offset(w)
-        pred = predict(w, a)  # carried through the loop: one product per iterate
-        cur = loss.risk(pred, y)
-        keep(cur < best_val, cur, w, a)
-        live = np.ones(n_trials, dtype=bool)
-        for k in range(n_iter):
-            gmat = loss.g_prime(pred - y) * (loss.l_l / np.sqrt(m))
-            grad_w = gmat.swapaxes(1, 2) @ x / n
-            grad_a = gmat.mean(axis=1)
-            gn = np.sqrt(np.sum(grad_w ** 2, axis=(1, 2))
-                         + np.sum(grad_a ** 2, axis=1))
-            live &= gn > tol  # a trial stops for good at its first small step
-            if not live.any():
-                break
-            step = scale / (np.sqrt(k + 1.0) * np.where(live, gn, 1.0))
-            w = np.where(live[:, None, None],
-                         _project_spectral(w - step[:, None, None] * grad_w, l_h),
-                         w)
-            a = np.where(live[:, None],
-                         _project_ball(a - step[:, None] * grad_a, l_h0), a)
-            pred = predict(w, a)
-            cur = loss.risk(pred, y)
-            keep(live & (cur < best_val), cur, w, a)
-        a = polish_offset(w)
-        cur = loss.risk(predict(w, a), y)
-        keep(cur < best_val, cur, w, a)
+    polish_offset(wa)
+    # one residual per iterate serves its risk and the next subgradient
+    resid = residuals(wa)
+    cur = risk(resid)
+    keep(cur < best_val, cur, wa)
+    live = np.ones((n_trials, n_restarts), dtype=bool)
+    for k in range(n_iter):
+        gmat = loss.g_prime(resid).reshape(n_trials, rows, n)
+        grad = (gmat @ xt.swapaxes(1, 2)).reshape(wa.shape) * (c_loss / n)
+        gn = np.sqrt(np.sum(grad ** 2, axis=(2, 3)))
+        live &= gn > tol  # a start stops for good at its first small step
+        if not live.any():
+            break
+        step = scale / (np.sqrt(k + 1.0) * np.where(live, gn, 1.0))
+        nxt = wa - step[..., None, None] * grad
+        nxt[..., :n_state] = _project_spectral(nxt[..., :n_state], l_h)
+        nxt[..., n_state] = _project_ball(nxt[..., n_state], l_h0)
+        wa = np.where(live[..., None, None], nxt, wa)
+        resid = residuals(wa)
+        cur = risk(resid)
+        keep(live & (cur < best_val), cur, wa)
+    polish_offset(wa)
+    cur = risk(residuals(wa))
+    keep(cur < best_val, cur, wa)
 
-    fits = [Readout(best_w[t], best_a[t]) for t in range(n_trials)]
+    # the first start attaining the least risk, as a later start kept only
+    # a strictly smaller one when they ran in turn
+    best = best_wa[np.arange(n_trials), best_val.argmin(axis=1)]
+    fits = [Readout(best[t, :, :n_state], best[t, :, n_state])
+            for t in range(n_trials)]
     return fits[0] if single else fits

@@ -14,10 +14,13 @@ Three families are implemented:
                matrix (resp. vector) coefficients, inputs in a sup-norm box
 
 Each system states its rules once, as methods: step (the map F),
-contraction_modulus, bound_M_F, input_lipschitz, zero_input_fixed_point
-and states (the batched recursion).  The module functions call them; the
-linear system inherits every echo state rule but the fixed point, which it
-solves for, and the final states, which it forms from A^j [C | zeta].
+contraction_modulus, bound_M_F, input_lipschitz, zero_input_fixed_point,
+states (the batched recursion) and window_outputs (the readout outputs of
+a batch of windows opened at the fixed point).  The module functions call
+them; the linear system inherits every echo state rule but the fixed
+point, which it solves for, the final states, which it forms from
+A^j [C | zeta], and the window outputs, which it convolves with the
+kernel w A^j C.
 
 Hypothesis classes are norm-capped boxes around each family; they carry the
 derived constants (contraction modulus, state-ball radius, input-Lipschitz
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processes import Moment
+from .processes import Moment, _next_fast_len
 
 __all__ = [
     "Activation",
@@ -85,6 +88,16 @@ def _time_loop_states(system, z, x0, return_all=False):
         if not return_all:
             out[lo:hi] = x.T
     return out
+
+
+def _time_loop_outputs(system, z, readouts):
+    """system.window_outputs of the echo state and state affine systems:
+    all states of the windows z (b, n, d) from the zero-input fixed point
+    by the time loop, then one product per readout; (k, b, n, m)."""
+    x0 = np.broadcast_to(system.zero_input_fixed_point(),
+                         (z.shape[0], system.n_state))
+    states = system.states(z, x0, return_all=True)
+    return np.stack([states @ ro.w.T + ro.a for ro in readouts])
 
 
 @dataclass(frozen=True)
@@ -260,6 +273,7 @@ class EchoStateReservoir:
         return x
 
     states = _time_loop_states
+    window_outputs = _time_loop_outputs
 
 
 @dataclass(frozen=True)
@@ -268,7 +282,7 @@ class LinearReservoir(EchoStateReservoir):
 
     Every rule of the echo state family holds with Lip(sigma) = 1; the
     class is kept for the closed forms only linear maps have (fixed point,
-    final-state kernel, exact risk).
+    final-state kernel, output kernel, exact risk).
     """
 
     activation: Activation = Activation("identity")
@@ -298,6 +312,31 @@ class LinearReservoir(EchoStateReservoir):
         return (z.reshape(b, n * d) @ kernel
                 + x0 @ np.linalg.matrix_power(self.a, n).T
                 + powers[:, :, d].sum(axis=0))
+
+    def window_outputs(self, z, readouts):
+        """Outputs without the states: opened at the fixed point x*, the
+        window has x_t - x* = sum_{j<t} A^j C z_{t-j}, so readout (w, a)
+        gives w x* + a plus the causal convolution of the inputs with its
+        kernel w A^j C, j < n.  One rfft of the inputs serves every
+        readout; each readout then costs one product and one irfft, taken
+        one readout at a time, so that beside the inputs' spectrum only one
+        readout's (b, m, size/2 + 1) spectrum is live."""
+        b, n, d = z.shape
+        x_star = self.zero_input_fixed_point()
+        out = np.empty((len(readouts), b, n, readouts[0].w.shape[0]))
+        if n == 0:
+            return out
+        powers = _powers(self.a, self.c, n)  # A^j C, (n, N, d)
+        size = _next_fast_len(2 * n - 1)
+        spec = np.fft.rfft(z.transpose(0, 2, 1), size)  # (b, d, F)
+        for i, ro in enumerate(readouts):
+            kernel = np.fft.rfft((ro.w @ powers).transpose(1, 2, 0), size)
+            prod = spec[:, None, 0] * kernel[:, 0]  # (b, m, F)
+            for j in range(1, d):
+                prod += spec[:, None, j] * kernel[:, j]
+            out[i] = np.fft.irfft(prod, size)[..., :n].transpose(0, 2, 1)
+            out[i] += ro.w @ x_star + ro.a
+        return out
 
 
 @dataclass(frozen=True)
@@ -364,6 +403,7 @@ class StateAffineReservoir:
         return np.linalg.solve(np.eye(self.n_state) - p0, q0)
 
     states = _time_loop_states
+    window_outputs = _time_loop_outputs
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .bounds import (
 )
 from .learning import (
     _gaussian_risks,
+    _pool_losses,
     exact_risk,
     fit_readout_erm,
     sample_joint,
@@ -249,16 +250,16 @@ def _pool_risks(res, readouts, loss, pool):
     """Mean losses of readouts on one reservoir over the stationary pool,
     which pool() draws on first use, from one pass of the pool through the
     reservoir; with the largest standard error of those means."""
-    z, y = pool()
-    states = iterate_states_batch(res, z, x0=zero_input_fixed_point(res))
-    w = np.stack([ro.w for ro in readouts])  # (k, m, N)
-    a = np.stack([ro.a for ro in readouts])[:, None, :]
-    # every readout's pool predictions from one (n_pool, N) @ (N, k m)
-    pred = (states @ w.reshape(-1, w.shape[2]).T).reshape(
-        len(states), len(readouts), -1).swapaxes(0, 1) + a
-    # per-sample pool losses: the risk over a length-1 sample axis
-    per = loss.risk(pred[..., None, :], y[:, None, :])
+    per = _pool_losses(res, readouts, *pool(), loss)
     return per.mean(axis=-1), _max_std_error(per)
+
+
+def _by_reservoir(candidates, indices):
+    """The given candidate indices grouped by shared reservoir, in order."""
+    groups = {}
+    for i in indices:
+        groups.setdefault(id(candidates[i].reservoir), []).append(i)
+    return list(groups.values())
 
 
 def _true_risks(candidates, joint, loss, pool):
@@ -268,14 +269,14 @@ def _true_risks(candidates, joint, loss, pool):
     and the largest standard error of the pool means (None when every
     closed form applied)."""
     out = np.empty(len(candidates))
-    on_pool = {}  # reservoir id -> indices of its candidates without one
+    on_pool = []  # candidates without a closed form
     for i, hyp in enumerate(candidates):
         try:
             out[i] = exact_risk(hyp, joint, loss).value
         except ValueError:
-            on_pool.setdefault(id(hyp.reservoir), []).append(i)
+            on_pool.append(i)
     std_error = None
-    for idx in on_pool.values():
+    for idx in _by_reservoir(candidates, on_pool):
         out[idx], se = _pool_risks(candidates[idx[0]].reservoir,
                                    [candidates[i].readout for i in idx],
                                    loss, pool)
@@ -284,13 +285,13 @@ def _true_risks(candidates, joint, loss, pool):
 
 
 def _empirical_risks(candidates, z_train, y_train, loss):
-    """Zero-padded empirical risks, batched over trials: (n_cand, n_trials)."""
+    """Zero-padded empirical risks, batched over trials: (n_cand, n_trials),
+    from one window_outputs call per reservoir."""
     out = np.empty((len(candidates), len(z_train)))
-    for i, hyp in enumerate(candidates):
-        x0 = zero_input_fixed_point(hyp.reservoir)
-        states = iterate_states_batch(hyp.reservoir, z_train, x0=x0,
-                                      return_all=True)
-        out[i] = loss.risk(hyp.readout(states), y_train)
+    for idx in _by_reservoir(candidates, range(len(candidates))):
+        preds = candidates[idx[0]].reservoir.window_outputs(
+            z_train, [candidates[i].readout for i in idx])
+        out[idx] = loss.risk(preds, y_train)
     return out
 
 

@@ -372,6 +372,108 @@ def test_erm_batch_matches_single_fits(kind, m):
         assert np.all(fits[1].w == 0.0) and np.all(fits[1].a == 0.0)
 
 
+
+def _erm_problem(m):
+    rng = np.random.default_rng(9)
+    n_trials, n, n_state = 4, 80, 3
+    states = rng.normal(size=(n_trials, n, n_state))
+    targets = (states @ rng.normal(size=(n_state, m)) * 0.5
+               + rng.standard_t(3, size=(n_trials, n, m)))
+    return states, targets
+
+
+# per-trial objectives of _erm_problem's fits with the starts run one
+# after another: {(kind, m): (at n_restarts=2, at n_restarts=5)}
+ERM_OBJECTIVES = {
+    ("absolute", 1): (
+        (1.0113195760293006, 0.9984520860773106,
+         0.8764234021746808, 1.3093440290273342),
+        (1.0113195760293006, 0.998433049408964,
+         0.8764234021746808, 1.3091038508230413),
+    ),
+    ("absolute", 2): (
+        (1.7253929903091947, 1.6979939525199967,
+         1.722896842709926, 1.9921402760686049),
+        (1.7253929903091947, 1.6979344776116805,
+         1.722896842709926, 1.992137255957229),
+    ),
+    ("squared", 1): (
+        (2.0177673669750034, 2.0179414636061694,
+         1.4039897869749551, 4.260108471795248),
+        (2.0177673669750034, 2.0179414636061694,
+         1.4039897869749551, 4.260108471795248),
+    ),
+    ("squared", 2): (
+        (4.2922941444039155, 4.526307839227028,
+         3.9490824124414075, 5.712688782933019),
+        (4.2922941444039155, 4.526307839227028,
+         3.9490824124414075, 5.712688782933018),
+    ),
+    ("huber", 1): (
+        (0.6447424156565719, 0.6237818680307147,
+         0.49815823777797974, 0.9024782247176304),
+        (0.6447424156565719, 0.6237607626553453,
+         0.498100913894692, 0.9024782247176304),
+    ),
+    ("huber", 2): (
+        (1.1687953216266318, 1.1400587947850043,
+         1.1566632910698862, 1.4164843049279117),
+        (1.1687953216265439, 1.1400587947850043,
+         1.1566632910698862, 1.4164843049279117),
+    ),
+    ("pinball", 1): (
+        (0.46970759201891693, 0.4448548388896391,
+         0.38268661387044317, 0.6148989055376713),
+        (0.46943418929883585, 0.4448548388896391,
+         0.38268661387044317, 0.6147879511533504),
+    ),
+    ("pinball", 2): (
+        (0.8356528411970194, 0.8039416463155857,
+         0.7844842883341091, 0.9156630492182594),
+        (0.8356528411970194, 0.803936871079118,
+         0.7844842883341091, 0.9156630492182594),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["absolute", "squared", "huber", "pinball"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_erm_restarts_only_improve_and_keep_their_objectives(kind, m):
+    # the first two starts (least squares, zero) are shared by both counts,
+    # so more starts can only lower each trial's objective
+    loss = LossFunction(kind, quantile=0.3)
+    states, targets = _erm_problem(m)
+    objs = []
+    for n_restarts in (2, 5):
+        fits = fit_readout_erm(states, targets, (0.7, 0.4), loss, n_iter=60,
+                               n_restarts=n_restarts, seed=5)
+        objs.append(np.array([loss.risk(x @ ro.w.T + ro.a, y)
+                              for x, y, ro in zip(states, targets, fits)]))
+    assert np.all(objs[1] <= objs[0])
+    for got, want in zip(objs, ERM_OBJECTIVES[kind, m]):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_erm_honours_the_restart_count():
+    # targets zero but for one outlier that drags the least-squares slope
+    # onto the cap; the zero start fits the rest exactly and wins, so one
+    # restart must keep the clipped least-squares slope
+    rng = np.random.default_rng(10)
+    states = rng.normal(size=(50, 1))
+    y = np.zeros((50, 1))
+    y[0] = 1000.0 * np.sign(states[0, 0])
+    xa = np.hstack([states, np.ones((50, 1))])
+    w_ls = np.linalg.lstsq(xa, y, rcond=None)[0][0, 0]
+    assert abs(w_ls) > 1.0
+    one = fit_readout_erm(states, y, (1.0, 0.0), ABS, n_iter=0, n_restarts=1)
+    two = fit_readout_erm(states, y, (1.0, 0.0), ABS, n_iter=0, n_restarts=2)
+    assert abs(one.w[0, 0] - np.sign(w_ls)) <= 1e-15
+    assert np.all(two.w == 0.0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            fit_readout_erm(states, y, (1.0, 0.0), ABS, n_restarts=bad)
+
+
 def test_exact_risk_refuses_a_kappa_chain_beyond_its_cap():
     from rcbounds.validation import _lazy_pool, _true_risks
 

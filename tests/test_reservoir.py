@@ -389,6 +389,28 @@ def test_batch_recursion_matches_per_path_loop(system):
             assert np.abs(finals[paths] - want_final).max() <= 1e-12
             if n:
                 assert np.abs(states[paths] - want).max() <= 1e-12
+    # window outputs of k = 3 readouts from the zero-input fixed point: the
+    # time loop's states times each readout, bit for bit, or, for linear
+    # systems (their kernel), within 1e-12 of the largest output, also on a
+    # long window
+    linear = isinstance(system, LinearReservoir)
+    if linear:
+        inputs[512] = rng.uniform(-1, 1, (b, 512, system.n_input))
+    x_star = zero_input_fixed_point(system)
+    for n, z in inputs.items():
+        states = iterate_states_batch(system, z, x0=x_star, return_all=True)
+        for m in (1, 2):
+            readouts = [Readout(rng.standard_normal((m, n_state)),
+                                rng.standard_normal(m)) for _ in range(3)]
+            got = system.window_outputs(z, readouts)
+            assert got.shape == (3, b, n, m)
+            for out, ro in zip(got, readouts):
+                want = states @ ro.w.T + ro.a
+                if not linear:
+                    assert np.array_equal(out, want)
+                elif n:
+                    assert (np.abs(out - want).max()
+                            <= 1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 9, 33])
