@@ -52,6 +52,16 @@ from .reservoir import (
     random_esn,
     sample_from_class,
 )
+from .specs import (
+    ConfigError,
+    _cfg,
+    _check_keys,
+    _from_spec,
+    _pos_int,
+    _read,
+    _require,
+    to_spec,
+)
 from .validation import (
     consistency_curve,
     history_lipschitz_check,
@@ -71,27 +81,9 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
-    """Invalid or incomplete experiment configuration."""
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
-
-
-def _check_keys(spec, allowed, where):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(spec) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {unknown}")
-
-
-def _require(spec, key, where):
-    if key not in spec:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return spec[key]
 
 
 def _case(config, where):
@@ -99,26 +91,6 @@ def _case(config, where):
     if case not in _CASES:
         raise ConfigError(f"case must be one of {list(_CASES)}")
     return case
-
-
-def _cfg(build, *args, **kwargs):
-    """Run a constructor on config data; its ValueErrors are config errors."""
-    try:
-        return build(*args, **kwargs)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _pos_int(value, where, minimum=1):
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be an integer") from None
-    if n < minimum:
-        raise ConfigError(f"{where} must be >= {minimum}")
-    return n
 
 
 def _seed(config):
@@ -138,54 +110,6 @@ def _prob(value, where):
     if not 0 < x < 1:
         raise ConfigError(f"{where} must lie in (0, 1)")
     return x
-
-
-def _moment(value, where):
-    # a config value with a std error is treated like an MC estimate
-    try:
-        if isinstance(value, dict):
-            _check_keys(value, {"value", "std_error"}, where)
-            v = float(_require(value, "value", where))
-            se = float(value.get("std_error", 0.0))
-        else:
-            v, se = float(value), 0.0
-        return Moment(v, se, "mc" if se > 0 else "analytic")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _read(typ, value, where):
-    """One config value read as the annotated type of its field."""
-    if typ is int:
-        return _pos_int(value, where)
-    if typ is Moment:
-        return _moment(value, where)
-    if dataclasses.is_dataclass(typ) and typ is not Activation:
-        return _from_spec(typ, value, f"{where} spec")
-    try:
-        return typ(value)  # float, str, bool, tuple, Activation
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _from_spec(cls, spec, where):
-    """A frozen dataclass built from a config block.
-
-    The keys are the fields of cls; a field without a default is
-    required, a null leaves a field that defaults to None unset, and each
-    value is read by the field's annotated type.
-    """
-    fields = dataclasses.fields(cls)
-    _check_keys(spec, [f.name for f in fields], where)
-    kwargs = {}
-    for f in fields:
-        if f.name in spec and not (spec[f.name] is None and f.default is None):
-            kwargs[f.name] = _read(f.type, spec[f.name], f.name)
-        elif f.default is dataclasses.MISSING:
-            raise ConfigError(f"missing key {f.name!r} in {where}")
-    return _cfg(cls, **kwargs)
 
 
 _FAMILIES = {"linear": LinearClass, "esn": EchoStateClass,
@@ -225,15 +149,6 @@ def class_from_spec(spec):
     if family not in _FAMILIES:
         raise ConfigError(f"unknown class family {family!r}")
     return _from_spec(_FAMILIES[family], fields, where)
-
-
-def loss_from_spec(spec):
-    return _from_spec(LossFunction, spec, "loss spec")
-
-
-def profile_from_spec(spec):
-    """Explicit numeric dependence profile; moments may carry std errors."""
-    return _from_spec(DependenceProfile, spec, "profile spec")
 
 
 def bound_inputs_from_spec(spec):
@@ -307,16 +222,9 @@ def _write_csv(path, header, rows):
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _moment_json(m):
-    if m is None:
-        return None
-    return {"value": m.value, "std_error": m.std_error,
-            "provenance": m.provenance}
-
-
 def _profile_json(prof):
-    out = {"regime": prof.regime, "c_z": _moment_json(prof.c_z),
-           "rate_z": prof.rate_z, "c_y": _moment_json(prof.c_y),
+    out = {"regime": prof.regime, "c_z": to_spec(prof.c_z),
+           "rate_z": prof.rate_z, "c_y": to_spec(prof.c_y),
            "rate_y": prof.rate_y, "exact_zero_z": prof.exact_zero_z,
            "exact_zero_y": prof.exact_zero_y}
     if prof.regime == "algebraic":
@@ -325,8 +233,8 @@ def _profile_json(prof):
     if prof.l_z is not None:
         out["l_z"] = prof.l_z
         out["l_y"] = prof.l_y
-        out["xi_mean_abs_z"] = _moment_json(prof.xi_mean_abs_z)
-        out["xi_second_z"] = _moment_json(prof.xi_second_z)
+        out["xi_mean_abs_z"] = to_spec(prof.xi_mean_abs_z)
+        out["xi_second_z"] = to_spec(prof.xi_second_z)
         out["xi_bound_z"] = prof.xi_bound_z
     return out
 
@@ -511,7 +419,7 @@ def _joint_from_spec(target, klass, model):
 
 def _coverage_profile(config, klass, model, seed):
     if config.get("profile") is not None:
-        return profile_from_spec(config["profile"])
+        return _from_spec(DependenceProfile, config["profile"], "profile spec")
     n_mc = _pos_int(config.get("profile_mc", 20000), "profile_mc", minimum=2)
     z_prof = dependence_params(model, n_mc=n_mc, seed=seed + 5)
     target = _require(config, "target", "validate config")
@@ -531,7 +439,7 @@ def _coverage_profile(config, klass, model, seed):
 
 def _loss_and_phi(config):
     phi = config.get("phi")
-    return (loss_from_spec(config.get("loss", {})),
+    return (_from_spec(LossFunction, config.get("loss", {}), "loss spec"),
             None if phi is None else _from_spec(PhiFunction, phi, "phi spec"))
 
 
@@ -642,8 +550,8 @@ def _validate_truncation(config, jobs):
                                                "validate config"), "y_law")
     ns = tuple(_pos_int(n, "ns entry") for n in _require(config, "ns",
                                                          "validate config"))
-    loss = (loss_from_spec(config["loss"]) if config.get("loss") is not None
-            else None)
+    loss = (None if config.get("loss") is None
+            else _from_spec(LossFunction, config["loss"], "loss spec"))
     res = truncation_gap_experiment(
         klass, model, y_law, ns=ns,
         n_trials=_pos_int(config.get("n_trials", 100), "n_trials"),
@@ -694,8 +602,7 @@ def _validate_theta(config, jobs):
     rows = _pmap(_theta_cell, payloads, jobs)
     fit = fit_theta_decay([(row["tau"], row["value"]) for row in rows], decay)
     out = {"kind": "theta", "decay": decay, "theta": rows,
-           "fit": {"c": fit.c, "rate": fit.rate, "exact_zero": fit.exact_zero,
-                   "n_used": fit.n_used}}
+           "fit": to_spec(fit)}
     expect = config.get("expect")
     passed = True
     if expect is not None:

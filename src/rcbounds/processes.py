@@ -25,13 +25,13 @@ DependenceProfile (mean_abs() gives E||Z_0||_2 where C needs it);
 analytic_moment(order), E||Z_0||_2^order or None; gaussian_ma(), its
 Gaussian moving-average form (kernel phi_0..phi_K, scale s) with
 Z_t = sum_k phi_k xi_{t-k} and xi i.i.d. N(0, s^2 I), or None; and kind,
-spec() and from_spec(spec), its JSON spec.  dependence_params,
-analytic_moment, model_to_spec and model_from_spec are generic over these
-members.
+the name of its JSON spec, whose other keys are its fields (rcbounds.specs).
+dependence_params, analytic_moment, model_to_spec and model_from_spec are
+generic over these members.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,7 +148,7 @@ class InnovationLaw:
     kind "laplace":  i.i.d. Laplace with scale parameter `scale`.
     """
 
-    kind: str
+    kind: str = "gaussian"
     dim: int = 1
     scale: float = 1.0
 
@@ -219,7 +219,8 @@ class InnovationLaw:
 class IIDProcess:
     """Z_t = xi_t with i.i.d. innovations."""
 
-    law: InnovationLaw
+    law: InnovationLaw = field(default=InnovationLaw(),
+                               metadata={"key": "innovation"})
     burn_in = 0
     kind = "iid"
 
@@ -258,21 +259,14 @@ class IIDProcess:
     def gaussian_ma(self):
         return (np.ones(1), self.law.scale) if self.law.kind == "gaussian" else None
 
-    def spec(self):
-        return {"innovation": _law_to_spec(self.law)}
-
-    @classmethod
-    def from_spec(cls, spec):
-        _fields(spec, (), ("innovation",))
-        return cls(_law_from_spec(spec.get("innovation", {})))
-
 
 @dataclass(frozen=True)
 class MAProcess:
     """Finite moving average Z_t = xi_t + sum_j coeffs[j] xi_{t-1-j}, scalar."""
 
     coeffs: tuple
-    law: InnovationLaw
+    law: InnovationLaw = field(default=InnovationLaw(),
+                               metadata={"key": "innovation"})
     burn_in = 0
     dim = 1
     kind = "ma"
@@ -320,14 +314,6 @@ class MAProcess:
     def gaussian_ma(self):
         return (self._kernel, self.law.scale) if self.law.kind == "gaussian" else None
 
-    def spec(self):
-        return {"coeffs": list(self.coeffs), "innovation": _law_to_spec(self.law)}
-
-    @classmethod
-    def from_spec(cls, spec):
-        coeffs, = _fields(spec, ("coeffs",), ("innovation",))
-        return cls(tuple(coeffs), _law_from_spec(spec.get("innovation", {})))
-
 
 @dataclass(frozen=True)
 class VAR1Process:
@@ -335,12 +321,14 @@ class VAR1Process:
 
     The i.i.d. scalar multipliers s_t (scale_law, or identically 1 when None)
     make the coefficient matrix time varying; stationarity requires
-    E|s_0| * |||A|||_2 < 1.  The recursion starts at Z = 0.
+    E|s_0| * |||A|||_2 < 1.  noise defaults to standard Gaussian eta_t of
+    the matrix's dimension.  The recursion starts at Z = 0.
     """
 
-    a_base: np.ndarray
-    noise: InnovationLaw
-    scale_law: InnovationLaw = None
+    a_base: np.ndarray = field(metadata={"key": "a"})
+    noise: InnovationLaw = field(default=None, metadata={"key": "innovation"})
+    scale_law: InnovationLaw = field(default=None,
+                                     metadata={"key": "scale_innovation"})
     burn_in = 500
     kind = "var1"
 
@@ -349,6 +337,8 @@ class VAR1Process:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("a_base must be a square matrix")
         object.__setattr__(self, "a_base", a)
+        if self.noise is None:
+            object.__setattr__(self, "noise", InnovationLaw(dim=a.shape[0]))
         if self.noise.dim != a.shape[0]:
             raise ValueError("noise dimension must match a_base")
         if self.scale_law is not None and self.scale_law.dim != 1:
@@ -409,20 +399,6 @@ class VAR1Process:
 
     def gaussian_ma(self):
         return None
-
-    def spec(self):
-        out = {"a": self.a_base.tolist(), "innovation": _law_to_spec(self.noise)}
-        if self.scale_law is not None:
-            out["scale_innovation"] = _law_to_spec(self.scale_law)
-        return out
-
-    @classmethod
-    def from_spec(cls, spec):
-        a, = _fields(spec, ("a",), ("innovation", "scale_innovation"))
-        scale_law = (_law_from_spec(spec["scale_innovation"])
-                     if "scale_innovation" in spec else None)
-        return cls(np.asarray(a, dtype=float),
-                   _law_from_spec(spec.get("innovation", {"dim": len(a)})), scale_law)
 
 
 @dataclass(frozen=True)
@@ -493,17 +469,6 @@ class GARCHProcess:
     def gaussian_ma(self):
         return None
 
-    def spec(self):
-        return {"omega": self.omega, "alpha": self.alpha, "beta": self.beta,
-                "representation": self.representation}
-
-    @classmethod
-    def from_spec(cls, spec):
-        omega, alpha, beta = _fields(spec, ("omega", "alpha", "beta"),
-                                     ("representation",))
-        return cls(float(omega), float(alpha), float(beta),
-                   spec.get("representation", "returns"))
-
 
 @dataclass(frozen=True)
 class ARFIMAProcess:
@@ -514,7 +479,7 @@ class ARFIMAProcess:
     tail carries an O(trunc^(d - 1/2)) error.
     """
 
-    d_frac: float
+    d_frac: float = field(metadata={"key": "d"})
     trunc: int = 10_000
     dim = 1
     kind = "arfima"
@@ -556,14 +521,6 @@ class ARFIMAProcess:
 
     def gaussian_ma(self):
         return self._phi, 1.0
-
-    def spec(self):
-        return {"d": self.d_frac, "trunc": self.trunc}
-
-    @classmethod
-    def from_spec(cls, spec):
-        d, = _fields(spec, ("d",), ("trunc",))
-        return cls(float(d), int(spec.get("trunc", 10_000)))
 
 
 def _symmetric(regime, c, rate, exact_zero=False):
@@ -939,52 +896,27 @@ def fit_theta_decay(theta_values, regime):
 
 
 # ---------------------------------------------------------------------------
-# JSON specs (CLI plumbing)
+# JSON specs
 # ---------------------------------------------------------------------------
-
-_LAW_KEYS = {"kind", "dim", "scale"}
-
-
-def _law_from_spec(spec):
-    if not isinstance(spec, dict):
-        raise ValueError("innovation spec must be an object")
-    unknown = set(spec) - _LAW_KEYS
-    if unknown:
-        raise ValueError(f"unknown innovation keys: {sorted(unknown)}")
-    return InnovationLaw(kind=spec.get("kind", "gaussian"),
-                         dim=int(spec.get("dim", 1)),
-                         scale=float(spec.get("scale", 1.0)))
 
 
 def model_from_spec(spec):
-    """Build a process model from a JSON-style dict; unknown keys rejected."""
+    """Build a process model from a JSON-style dict: "kind" picks the model
+    and the other keys are its fields; unknown keys are rejected."""
+    from .specs import _from_spec  # specs reads Moment from this module
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("process spec must be an object with a 'kind'")
     for model in _MODELS:
         if model.kind == spec["kind"]:
-            return model.from_spec(spec)
+            fields = {k: v for k, v in spec.items() if k != "kind"}
+            return _from_spec(model, fields, f"{model.kind} process spec")
     raise ValueError(f"unknown process kind {spec['kind']!r}")
 
 
 def model_to_spec(model):
     """Inverse of model_from_spec (matrices as nested lists)."""
-    return {"kind": model.kind, **model.spec()}
-
-
-def _law_to_spec(law):
-    return {"kind": law.kind, "dim": law.dim, "scale": law.scale}
-
-
-def _fields(spec, required, optional):
-    """Values of a process spec's required keys, in order; an unknown or a
-    missing key raises ValueError naming it."""
-    unknown = set(spec) - {"kind", *required, *optional}
-    if unknown:
-        raise ValueError(f"unknown keys in process spec: {sorted(unknown)}")
-    for key in required:
-        if key not in spec:
-            raise ValueError(f"missing key {key!r} in {spec['kind']} process spec")
-    return [spec[key] for key in required]
+    from .specs import to_spec
+    return {"kind": model.kind, **to_spec(model)}
 
 
 _MODELS = (IIDProcess, MAProcess, VAR1Process, GARCHProcess, ARFIMAProcess)

@@ -1,0 +1,120 @@
+"""One reader and one writer for the JSON spec of every config type.
+
+The keys of a spec are the fields of its type, or the key a field names in
+field(metadata={"key": ...}).  _from_spec reads one: a field without a
+default is required, a null leaves a field that defaults to None unset,
+and a value its field's annotated type cannot take is a ConfigError.
+to_spec writes one back.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from .processes import Moment
+from .reservoir import Activation
+
+__all__ = ["ConfigError", "to_spec"]
+
+
+class ConfigError(ValueError):
+    """Invalid or incomplete experiment configuration."""
+
+
+def _check_keys(spec, allowed, where):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+
+
+def _require(spec, key, where):
+    if key not in spec:
+        raise ConfigError(f"missing key {key!r} in {where}")
+    return spec[key]
+
+
+def _cfg(build, *args, **kwargs):
+    """Run a constructor on config data; its ValueErrors are config errors."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _pos_int(value, where, minimum=1):
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be an integer") from None
+    if n < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}")
+    return n
+
+
+def _moment(value, where):
+    # a config value with a std error is treated like an MC estimate
+    try:
+        if isinstance(value, dict):
+            _check_keys(value, {"value", "std_error"}, where)
+            v = float(_require(value, "value", where))
+            se = float(value.get("std_error", 0.0))
+        else:
+            v, se = float(value), 0.0
+        return Moment(v, se, "mc" if se > 0 else "analytic")
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _read(typ, value, where):
+    """One config value read as the annotated type of its field."""
+    if typ is int:
+        return _pos_int(value, where)
+    if typ is Moment:
+        return _moment(value, where)
+    if dataclasses.is_dataclass(typ) and typ is not Activation:
+        return _from_spec(typ, value, f"{where} spec")
+    try:
+        if typ is np.ndarray:
+            return np.asarray(value, dtype=float)
+        return typ(value)  # float, str, bool, tuple, Activation
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _key(f):
+    return f.metadata.get("key", f.name)
+
+
+def _from_spec(cls, spec, where):
+    fields = dataclasses.fields(cls)
+    _check_keys(spec, [_key(f) for f in fields], where)
+    kwargs = {}
+    for f in fields:
+        key = _key(f)
+        if key in spec and not (spec[key] is None and f.default is None):
+            kwargs[f.name] = _read(f.type, spec[key], key)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing key {key!r} in {where}")
+    return _cfg(cls, **kwargs)
+
+
+def to_spec(value):
+    """The spec of a config value, the inverse of _read: a dataclass as its
+    set fields under their keys, an activation as its kind, arrays and
+    tuples as lists."""
+    if isinstance(value, Activation):
+        return value.kind
+    if dataclasses.is_dataclass(value):
+        return {_key(f): to_spec(v) for f in dataclasses.fields(value)
+                if (v := getattr(value, f.name)) is not None}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [to_spec(v) for v in value]
+    return value

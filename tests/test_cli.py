@@ -516,6 +516,14 @@ def test_coverage_independent_target_profile_from_target_law(tmp_path,
     assert code == 0 and report["case"] == "bounded" and report["pass"]
 
 
+def test_empty_target_law_reads_as_standard_gaussian():
+    # an innovation law defaults its kind like its other fields
+    config = dict(COVERAGE, target={"kind": "independent", "law": {}})
+    prof = _coverage_profile(config, None, model_from_spec(IID_UNIF), 0)
+    assert prof.xi_law_y == InnovationLaw("gaussian", 1, 1.0)
+    assert prof.xi_law_z == UNIF_Z
+
+
 def test_coverage_independent_target_y_role_is_exact_zero(tmp_path, capsys):
     target = {"kind": "independent",
               "law": {"kind": "gaussian", "dim": 1, "scale": 0.5}}

@@ -299,6 +299,29 @@ SHIFT_MODELS = {
 }
 
 
+def test_process_spec_defaults_and_round_trip():
+    # a spec omits what its model defaults: a standard Gaussian law, VAR(1)
+    # noise of the matrix's dimension, GARCH returns and ARFIMA's trunc
+    assert model_from_spec({"kind": "iid"}).law == GAUSS
+    assert model_from_spec({"kind": "ma", "coeffs": [0.5, -0.2]}).law == GAUSS
+    var1 = model_from_spec({"kind": "var1", "a": [[0.3, 0.0], [0.1, 0.2]]})
+    assert var1.noise == InnovationLaw("gaussian", 2, 1.0)
+    assert var1.scale_law is None
+    garch = model_from_spec({"kind": "garch11", "omega": 0.05, "alpha": 0.1,
+                             "beta": 0.85})
+    assert garch.representation == "returns"
+    assert model_from_spec({"kind": "arfima", "d": 0.3}).trunc == 10_000
+    for model in SHIFT_MODELS.values():
+        spec = model_to_spec(model)
+        assert model_to_spec(model_from_spec(spec)) == spec
+
+
+def test_null_scale_innovation_leaves_var1_unscaled():
+    var1 = model_from_spec({"kind": "var1", "a": [[0.5]],
+                            "scale_innovation": None})
+    assert var1.scale_law is None and var1.noise == GAUSS
+
+
 @pytest.mark.parametrize("name", sorted(SHIFT_MODELS))
 def test_generate_path_is_first_batch_path(name):
     model = SHIFT_MODELS[name]

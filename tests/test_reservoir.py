@@ -432,19 +432,24 @@ def test_powers_match_repeated_products(k):
 
 def test_sas_step_matches_explicit_polynomial():
     # state_update against p(z) x + q(z) written out term by term, for one
-    # path (N,) and for a column batch (N, b)
-    sas = _parity_systems()[-1]
+    # path (N,) and for a column batch (N, b); the second system has cubic
+    # and quartic powers, leading a term and after its first factor
     rng = np.random.default_rng(23)
     z = rng.uniform(-1, 1, (2, 5))
     x = rng.standard_normal((3, 5))
+    high = StateAffineReservoir(
+        MatrixPolynomial([[0, 0], [3, 0], [1, 4]],
+                         0.1 * rng.standard_normal((3, 3, 3))),
+        MatrixPolynomial([[4, 3], [0, 3], [2, 1]], rng.standard_normal((3, 3, 1))))
 
     def explicit(poly, zi):
         return sum(np.prod(zi ** a) * c for a, c in zip(poly.alphas, poly.coeffs))
 
-    want = np.stack([explicit(sas.p, z[:, i]) @ x[:, i]
-                     + explicit(sas.q, z[:, i])[:, 0] for i in range(5)], axis=1)
-    assert np.abs(state_update(sas, x, z) - want).max() <= 1e-14
-    assert np.abs(state_update(sas, x[:, 0], z[:, 0]) - want[:, 0]).max() <= 1e-14
+    for sas in (_parity_systems()[-1], high):
+        want = np.stack([explicit(sas.p, z[:, i]) @ x[:, i]
+                         + explicit(sas.q, z[:, i])[:, 0] for i in range(5)], axis=1)
+        assert np.abs(state_update(sas, x, z) - want).max() <= 1e-14
+        assert np.abs(state_update(sas, x[:, 0], z[:, 0]) - want[:, 0]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["tanh", "clipped_linear", "identity"])
