@@ -20,16 +20,15 @@ in four flavours keyed by the dependence assumption on the data:
   "algebraic"   polynomially decaying coupling coefficients; Markov
                 deviation, valid for every sample size
 
-Every constant is plain float arithmetic so reports are bit-reproducible.
+Every constant is plain float arithmetic so reports are bit-reproducible,
+and the chain imports no numpy: only block_bias sums a series with it, and
+only the Gaussian exp-moment quadrature loads scipy.
 """
 
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .processes import DependenceProfile, Moment
-from .reservoir import StateAffineClass
+from .dependence import DependenceProfile, Moment
 
 __all__ = [
     "PhiFunction",
@@ -71,18 +70,26 @@ class PhiFunction:
             raise ValueError("power moment function needs p > 1")
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
         if self.kind == "power":
-            return x ** self.p
-        return np.expm1(x)
+            return _power(x, self.p)
+        return math.expm1(x)
 
     def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        if (y < 0).any():
+        if y < 0:
             raise ValueError("moment function inverse needs y >= 0")
         if self.kind == "power":
-            return y ** (1.0 / self.p)
-        return np.log1p(y)
+            return _power(y, 1.0 / self.p)
+        return math.log1p(y)
+
+
+def _power(x, p):
+    """x ** p, with p = 2 and p = 1/2 taken as the correctly rounded square
+    and square root (pow itself may land one ulp off)."""
+    if p == 2.0:
+        return x * x
+    if p == 0.5:
+        return math.sqrt(x)
+    return x ** p
 
 
 # ---------------------------------------------------------------------------
@@ -90,33 +97,16 @@ class PhiFunction:
 # ---------------------------------------------------------------------------
 
 
-def _as_value(x):
-    return x.value if isinstance(x, Moment) else float(x)
-
-
 def rademacher_constant(klass, input_second_moment=None):
-    """Constant c with block Rademacher complexity <= c / sqrt(k).
+    """Constant c with block Rademacher complexity <= c / sqrt(k), as each
+    class states it (klass.rademacher_constant).
 
-    Uses the class caps; unbounded-input families additionally need the
-    second moment E||Z_0||_2^2 (a Moment or float), either passed here or
-    stored on the class.  State affine classes, being uniformly bounded on
-    their input box, need no moment.
+    Unbounded-input families additionally need the second moment
+    E||Z_0||_2^2 (a Moment or float), either passed here or stored on the
+    class.  State affine classes, being uniformly bounded on their input
+    box, need no moment.
     """
-    if isinstance(klass, StateAffineClass):
-        return klass.l_h * klass.m_f + klass.l_h0
-
-    if input_second_moment is None:
-        input_second_moment = klass.input_second_moment
-    if input_second_moment is None:
-        raise ValueError("need E||Z_0||^2 for this family")
-    z2 = math.sqrt(_as_value(input_second_moment))
-
-    # (A, C, zeta) classes: the linear class is the echo state one with
-    # Lip(sigma) = 1, and a random template's lam_a is its cap a
-    if klass.lam_a >= 1.0:
-        raise ValueError("summed row caps must stay below 1")
-    return (klass.l_h * (klass.lam_c * z2 + klass.lam_zeta)
-            / (1.0 - klass.lam_a) + klass.l_h0)
+    return klass.rademacher_constant(input_second_moment)
 
 
 def expected_scale_caps(n_state, n_input, entry_law="gaussian"):
@@ -307,6 +297,8 @@ def block_bias(tau, r, l_l, l_h, l_r, m_f, profile):
         raise ValueError("tau must be >= 1")
     prof = geometric_envelope(profile)
     if prof.regime == "algebraic":
+        import numpy as np
+
         ls = np.arange(tau)
         conv = float(np.sum(r ** ls * prof.theta_envelope("z", tau - ls)))
     elif prof.exact_zero_z:
@@ -681,10 +673,10 @@ def bound_from_constants(consts, n, delta):
 
     if case == "phi_moment":
         phi = consts.phi
-        lead = consts.c0 + 2.0 * float(phi.inverse(float(n))) \
+        lead = consts.c0 + 2.0 * phi.inverse(float(n)) \
             * (consts.c_mom_z + consts.c_mom_y)
         b1 = lead * math.sqrt(math.log(8.0 / delta) / (2.0 * n))
-        b2 = float(phi.inverse(2.0 * consts.c_phi / (delta * math.sqrt(n))))
+        b2 = phi.inverse(2.0 * consts.c_phi / (delta * math.sqrt(n)))
         dev = 5.0 * max(b1, b2)
         terms["deviation"] = dev
         total = terms["truncation"] + exp_part + dev

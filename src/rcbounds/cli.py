@@ -9,6 +9,10 @@ through grid-shaped Monte Carlo work, never the numbers.
 
 Exit codes: 0 success, 2 config error, 3 runtime error, 4 a validation
 experiment ran to completion but its pass condition failed.
+
+bound and samplesize run on the standard library and the certificate chain
+alone; simulate and validate import the simulation layers (and numpy) when
+they run, and so does each grid cell a --jobs worker runs.
 """
 
 import argparse
@@ -19,8 +23,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import (
     _CASES,
     BoundInputs,
@@ -29,29 +31,8 @@ from .bounds import (
     expected_gap_constants,
     min_sample_size,
     rademacher_constant,
-    risk_bound,
 )
-from .learning import IndependentJoint, LossFunction, TeacherJoint
-from .processes import (
-    DependenceProfile,
-    IIDProcess,
-    InnovationLaw,
-    Moment,
-    batch_paths,
-    combine_profiles,
-    dependence_params,
-    estimate_theta,
-    fit_theta_decay,
-    model_from_spec,
-)
-from .reservoir import (
-    Activation,
-    EchoStateClass,
-    LinearClass,
-    StateAffineClass,
-    random_esn,
-    sample_from_class,
-)
+from .dependence import DependenceProfile, InnovationLaw, Moment
 from .specs import (
     ConfigError,
     _cfg,
@@ -61,14 +42,6 @@ from .specs import (
     _read,
     _require,
     to_spec,
-)
-from .validation import (
-    consistency_curve,
-    history_lipschitz_check,
-    mc_rademacher,
-    risk_gap_experiment,
-    teacher_target_profile,
-    truncation_gap_experiment,
 )
 
 __all__ = [
@@ -112,24 +85,24 @@ def _prob(value, where):
     return x
 
 
-_FAMILIES = {"linear": LinearClass, "esn": EchoStateClass,
-             "sas": StateAffineClass}
 # random_esn's spec describes a draw (entry_law, base_seed), not the fields
 # of RandomEchoStateClass
 _RANDOM_ESN_REQUIRED = {"n_state": int, "n_input": int, "n_out": int,
                         "a": float, "c_scale": float, "zeta_scale": float,
                         "l_h": float, "l_h0": float}
-_RANDOM_ESN_OPTIONAL = {"activation": Activation, "input_bound": float,
-                        "input_second_moment": Moment}
 
 
 def _random_esn_from_spec(spec, where):
-    _check_keys(spec, {*_RANDOM_ESN_REQUIRED, *_RANDOM_ESN_OPTIONAL,
+    from .reservoir import Activation, random_esn
+
+    optional = {"activation": Activation, "input_bound": float,
+                "input_second_moment": Moment}
+    _check_keys(spec, {*_RANDOM_ESN_REQUIRED, *optional,
                        "entry_law", "base_seed"}, where)
     kw = {key: _read(typ, _require(spec, key, where), key)
           for key, typ in _RANDOM_ESN_REQUIRED.items()}
     kw.update({key: _read(typ, spec[key], key)
-               for key, typ in _RANDOM_ESN_OPTIONAL.items()
+               for key, typ in optional.items()
                if spec.get(key) is not None})
     return _cfg(random_esn, entry_law=str(spec.get("entry_law", "gaussian")),
                 seed=_pos_int(spec.get("base_seed", 0), "base_seed", minimum=0),
@@ -139,6 +112,10 @@ def _random_esn_from_spec(spec, where):
 def class_from_spec(spec):
     """Build a hypothesis class from a JSON-style dict: "family" picks the
     class and the other keys are its fields."""
+    from .reservoir import EchoStateClass, LinearClass, StateAffineClass
+
+    families = {"linear": LinearClass, "esn": EchoStateClass,
+                "sas": StateAffineClass}
     if not isinstance(spec, dict):
         raise ConfigError("class spec must be a JSON object")
     family = str(_require(spec, "family", "class spec"))
@@ -146,9 +123,9 @@ def class_from_spec(spec):
     where = f"{family} class spec"
     if family == "random_esn":
         return _random_esn_from_spec(fields, where)
-    if family not in _FAMILIES:
+    if family not in families:
         raise ConfigError(f"unknown class family {family!r}")
-    return _from_spec(_FAMILIES[family], fields, where)
+    return _from_spec(families[family], fields, where)
 
 
 def bound_inputs_from_spec(spec):
@@ -191,21 +168,21 @@ def _load_config(path, overrides, seed_flag):
 # ---------------------------------------------------------------------------
 
 
+def _python(v):
+    """A numpy array or scalar as the python lists and numbers its tolist
+    gives; anything else unchanged."""
+    return v.tolist() if hasattr(v, "tolist") else v
+
+
 def _scrub(obj):
-    """JSON-safe copy: numpy scalars to python, non-finite floats to None."""
+    """JSON-safe copy: numpy values to python, non-finite floats to None."""
+    obj = _python(obj)
     if isinstance(obj, dict):
         return {str(k): _scrub(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_scrub(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_scrub(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return x if math.isfinite(x) else None
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     return obj
 
 
@@ -217,8 +194,8 @@ def _write_json(path, obj):
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row))
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in map(_python, row)))
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -252,6 +229,8 @@ def _prefix(config, default):
 
 
 def run_simulate(config, out_dir):
+    from .processes import batch_paths, dependence_params, model_from_spec
+
     allowed = {"process", "n", "n_paths", "burn_in", "seed", "prefix",
                "profile_mc", "nominal_rate"}
     _check_keys(config, allowed, "simulate config")
@@ -320,7 +299,11 @@ def _parse_curve(text):
         raise ConfigError("curve needs N2 >= N1")
     if steps == 1:
         return [n1]
-    grid = np.geomspace(n1, n2, steps)
+    # numpy's geomspace(n1, n2, steps): 10 ** (i step + log10 n1) with both
+    # endpoints pinned
+    lo = math.log10(n1)
+    step = (math.log10(n2) - lo) / (steps - 1)
+    grid = [n1] + [10.0 ** (i * step + lo) for i in range(1, steps - 1)] + [n2]
     out = []
     for v in grid:
         ni = int(round(v))
@@ -338,7 +321,8 @@ def run_bound(config, out_dir, curve_flag):
     inputs = bound_inputs_from_spec(_require(config, "inputs", "bound config"))
     prefix = _prefix(config, "bound")
 
-    report = risk_bound(inputs, n, delta, case)
+    consts = expected_gap_constants(inputs, case)
+    report = bound_from_constants(consts, n, delta)
     out = _bound_report_json(report)
     json_path = out_dir / f"{prefix}.json"
     _write_json(json_path, out)
@@ -350,7 +334,7 @@ def run_bound(config, out_dir, curve_flag):
         grid = _parse_curve(str(curve))
         rows = []
         for ni in grid:
-            rep = risk_bound(inputs, ni, delta, case)
+            rep = bound_from_constants(consts, ni, delta)
             rows.append([ni, rep.total, rep.valid])
         csv_path = out_dir / f"{prefix}_curve.csv"
         _write_csv(csv_path, ["n", "bound", "valid"], rows)
@@ -402,6 +386,9 @@ def _pmap(fn, payloads, jobs):
 
 
 def _joint_from_spec(target, klass, model):
+    from .learning import IndependentJoint, TeacherJoint
+    from .reservoir import sample_from_class
+
     _check_keys(target, {"kind", "law", "noise", "teacher_seed"}, "target spec")
     kind = str(_require(target, "kind", "target spec"))
     if kind == "independent":
@@ -418,6 +405,9 @@ def _joint_from_spec(target, klass, model):
 
 
 def _coverage_profile(config, klass, model, seed):
+    from .processes import IIDProcess, combine_profiles, dependence_params
+    from .validation import teacher_target_profile
+
     if config.get("profile") is not None:
         return _from_spec(DependenceProfile, config["profile"], "profile spec")
     n_mc = _pos_int(config.get("profile_mc", 20000), "profile_mc", minimum=2)
@@ -438,22 +428,32 @@ def _coverage_profile(config, klass, model, seed):
 
 
 def _loss_and_phi(config):
+    from .learning import LossFunction
+
     phi = config.get("phi")
     return (_from_spec(LossFunction, config.get("loss", {}), "loss spec"),
             None if phi is None else _from_spec(PhiFunction, phi, "phi spec"))
 
 
-def _experiment(config, seed):
-    """(klass, joint, profile, loss, phi) of a coverage or consistency config."""
+def _experiment(config, seed, prof=None):
+    """(klass, joint, profile, loss, phi) of a coverage or consistency
+    config; the profile is derived unless one is passed."""
+    from .processes import model_from_spec
+
     klass = class_from_spec(_require(config, "class", "validate config"))
     model = _cfg(model_from_spec, _require(config, "process", "validate config"))
     joint = _joint_from_spec(_require(config, "target", "validate config"),
                              klass, model)
     loss, phi = _loss_and_phi(config)
-    return klass, joint, _coverage_profile(config, klass, model, seed), loss, phi
+    if prof is None:
+        prof = _coverage_profile(config, klass, model, seed)
+    return klass, joint, prof, loss, phi
 
 
 def _rademacher_cell(payload):
+    from .processes import model_from_spec
+    from .validation import mc_rademacher
+
     klass = class_from_spec(payload["class"])
     model = model_from_spec(payload["process"])
     est = mc_rademacher(klass, model, payload["k"], n_rep=payload["n_rep"],
@@ -464,6 +464,8 @@ def _rademacher_cell(payload):
 
 
 def _theta_cell(payload):
+    from .processes import estimate_theta, model_from_spec
+
     model = model_from_spec(payload["process"])
     est = estimate_theta(model, payload["tau"], n_mc=payload["n_mc"],
                          history=payload["history"],
@@ -473,8 +475,11 @@ def _theta_cell(payload):
 
 
 def _consistency_cell(payload):
+    from .validation import consistency_curve
+
     seed = payload["seed"]
-    klass, joint, prof, loss, phi = _experiment(payload["config"], seed)
+    klass, joint, prof, loss, phi = _experiment(payload["config"], seed,
+                                                payload["profile"])
     return consistency_curve(
         klass, joint, loss, prof, payload["config"]["case"], [payload["n"]],
         n_trials=payload["n_trials"], delta=payload["delta"],
@@ -483,6 +488,8 @@ def _consistency_cell(payload):
 
 
 def _validate_rademacher(config, jobs):
+    from .processes import model_from_spec
+
     allowed = {"kind", "class", "process", "ks", "n_rep", "n_random",
                "history", "seed", "prefix"}
     _check_keys(config, allowed, "validate config")
@@ -511,6 +518,8 @@ def _validate_rademacher(config, jobs):
 
 
 def _validate_coverage(config, jobs):
+    from .validation import risk_gap_experiment
+
     allowed = {"kind", "class", "process", "target", "loss", "case", "n",
                "delta", "n_trials", "n_random", "history", "n_pool",
                "erm_iters", "fit_erm", "seed", "profile", "profile_mc",
@@ -541,6 +550,10 @@ def _validate_coverage(config, jobs):
 
 
 def _validate_truncation(config, jobs):
+    from .learning import LossFunction
+    from .processes import model_from_spec
+    from .validation import truncation_gap_experiment
+
     allowed = {"kind", "class", "process", "y_law", "ns", "n_trials",
                "n_random", "loss", "seed", "prefix"}
     _check_keys(config, allowed, "validate config")
@@ -566,6 +579,8 @@ def _validate_truncation(config, jobs):
 
 
 def _validate_lipschitz(config, jobs):
+    from .validation import history_lipschitz_check
+
     allowed = {"kind", "class", "input_bound", "n_pairs", "history", "seed",
                "prefix"}
     _check_keys(config, allowed, "validate config")
@@ -583,6 +598,8 @@ def _validate_lipschitz(config, jobs):
 
 
 def _validate_theta(config, jobs):
+    from .processes import fit_theta_decay, model_from_spec
+
     allowed = {"kind", "process", "taus", "n_mc", "history", "seed", "decay",
                "expect", "prefix"}
     _check_keys(config, allowed, "validate config")
@@ -623,20 +640,19 @@ def _validate_consistency(config, jobs):
                "profile", "profile_mc", "phi", "prefix"}
     _check_keys(config, allowed, "validate config")
     case = _case(config, "validate config")
-    class_from_spec(_require(config, "class", "validate config"))
-    _cfg(model_from_spec, _require(config, "process", "validate config"))
-    _require(config, "target", "validate config")
-    _loss_and_phi(config)
     ns = [_pos_int(n, "ns entry") for n in _require(config, "ns",
                                                     "validate config")]
     seed = _seed(config)
+    # one profile for every cell: its Monte Carlo does not depend on n
+    prof = _experiment(config, seed)[2]
     shared = {"n_trials": _pos_int(config.get("n_trials", 30), "n_trials"),
               "delta": _prob(config.get("delta", 0.1), "delta"),
               "n_random": _pos_int(config.get("n_random", 8), "n_random"),
               "history": _pos_int(config.get("history", 200), "history"),
               "n_pool": _pos_int(config.get("n_pool", 20000), "n_pool",
                                  minimum=2)}
-    payloads = [dict(shared, config=config, seed=seed, n=n) for n in ns]
+    payloads = [dict(shared, config=config, seed=seed, profile=prof, n=n)
+                for n in ns]
     rows = _pmap(_consistency_cell, payloads, jobs)
     bounds = [row["bound"] for row in rows]
     medians = [row["median_gap"] for row in rows]

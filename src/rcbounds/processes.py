@@ -27,13 +27,17 @@ Gaussian moving-average form (kernel phi_0..phi_K, scale s) with
 Z_t = sum_k phi_k xi_{t-k} and xi i.i.d. N(0, s^2 I), or None; and kind,
 the name of its JSON spec, whose other keys are its fields (rcbounds.specs).
 dependence_params, analytic_moment, model_to_spec and model_from_spec are
-generic over these members.
+generic over these members.  The value types the models report (Moment,
+WeightingSequence, InnovationLaw, DependenceProfile) live in the numpy-free
+rcbounds.dependence and are re-exported here.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .dependence import DependenceProfile, InnovationLaw, Moment, WeightingSequence
+from .specs import _from_spec, to_spec
 
 __all__ = [
     "Moment",
@@ -61,153 +65,6 @@ __all__ = [
 
 # Innovation floats per driver block; an FFT transform holds about three.
 _CHUNK_FLOATS = 2_000_000
-
-
-@dataclass(frozen=True)
-class Moment:
-    """A scalar moment together with how it was obtained.
-
-    provenance is one of "analytic", "quadrature", "mc", "exact-zero";
-    std_error is nonzero only for "mc".
-    """
-
-    value: float
-    std_error: float = 0.0
-    provenance: str = "analytic"
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("moment value must be finite")
-        if self.std_error < 0:
-            raise ValueError("std_error must be >= 0")
-        if self.provenance not in ("analytic", "quadrature", "mc", "exact-zero"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
-
-@dataclass(frozen=True)
-class WeightingSequence:
-    """Strictly decreasing weights w_0 = 1 > w_1 > ... > 0 in closed form.
-
-    kind "geometric": w_j = param**j with param in (0, 1).
-    kind "polynomial": w_j = (1 + j)**(-param) with param > 1.
-
-    Exposes the inverse decay ratio l_w = sup w_j / w_{j+1}, the decay ratio
-    d_w = sup w_{j+1} / w_j and the l1 norm sum_j w_j.  Only geometric
-    sequences have d_w < 1; the polynomial family has d_w = 1 (its ratio
-    (1+j)/(2+j) -> 1), which disqualifies it from the bound chains that
-    divide by 1 - d_w.
-    """
-
-    kind: str
-    param: float
-
-    def __post_init__(self):
-        if self.kind == "geometric":
-            if not 0.0 < self.param < 1.0:
-                raise ValueError("geometric weighting needs param in (0, 1)")
-        elif self.kind == "polynomial":
-            if self.param <= 1.0:
-                raise ValueError("polynomial weighting needs param > 1")
-        else:
-            raise ValueError(f"unknown weighting kind {self.kind!r}")
-
-    def value(self, j):
-        j = np.asarray(j, dtype=float)
-        if self.kind == "geometric":
-            return self.param ** j
-        return (1.0 + j) ** (-self.param)
-
-    @property
-    def l_w(self):
-        # sup_j w_j / w_{j+1}; attained at j -> inf (geometric) resp. j = 0.
-        if self.kind == "geometric":
-            return 1.0 / self.param
-        return 2.0 ** self.param
-
-    @property
-    def d_w(self):
-        if self.kind == "geometric":
-            return self.param
-        return 1.0
-
-    @property
-    def l1_norm(self):
-        if self.kind == "geometric":
-            return 1.0 / (1.0 - self.param)
-        from scipy.special import zeta
-
-        return float(zeta(self.param, 1))
-
-
-@dataclass(frozen=True)
-class InnovationLaw:
-    """Named innovation distribution on R^dim with moment descriptors.
-
-    kind "gaussian": i.i.d. N(0, scale^2) coordinates.
-    kind "uniform":  i.i.d. uniform on [-scale, scale]  (bounded support).
-    kind "laplace":  i.i.d. Laplace with scale parameter `scale`.
-    """
-
-    kind: str = "gaussian"
-    dim: int = 1
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "uniform", "laplace"):
-            raise ValueError(f"unknown innovation kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not 0 < self.scale < np.inf:
-            raise ValueError("scale must be finite and > 0")
-
-    def sample(self, rng, *shape):
-        full = tuple(shape) + (self.dim,)
-        if self.kind == "gaussian":
-            return self.scale * rng.standard_normal(full)
-        if self.kind == "uniform":
-            return rng.uniform(-self.scale, self.scale, full)
-        return rng.laplace(0.0, self.scale, full)
-
-    def norm_power_moment(self, power):
-        """E[||xi||_2^power] in closed form, or None when not available."""
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        if power == 0:
-            return 1.0
-        d, s, q = self.dim, self.scale, float(power)
-        if self.kind == "gaussian":
-            # ||xi||/s is chi_d distributed; at even q its moment is the
-            # integer d (d + 2) ... (d + q - 2), exact in floating point
-            if q % 2 == 0:
-                return s ** q * math.prod(range(d, d + int(q), 2))
-            return (s ** q * 2.0 ** (q / 2)
-                    * np.exp(math.lgamma((d + q) / 2) - math.lgamma(d / 2)))
-        if d == 1:
-            if self.kind == "uniform":
-                return s ** q / (q + 1.0)
-            return s ** q * np.exp(math.lgamma(q + 1.0))  # |Laplace| is exponential
-        if self.kind == "uniform" and q == 2.0:
-            return d * s ** 2 / 3.0
-        if self.kind == "laplace" and q == 2.0:
-            return d * 2.0 * s ** 2
-        return None
-
-    def mean_abs_norm(self):
-        """E[||xi||_2] as a Moment (analytic when closed-form exists)."""
-        v = self.norm_power_moment(1)
-        if v is None:
-            return None
-        return Moment(float(v), 0.0, "analytic")
-
-    def second_moment(self):
-        """E[||xi||_2^2]; closed form for the whole catalog."""
-        return Moment(float(self.norm_power_moment(2)), 0.0, "analytic")
-
-    def bound(self):
-        """sup ||xi||_2, or None for unbounded support."""
-        if self.kind == "uniform":
-            return self.scale * np.sqrt(self.dim)
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +179,11 @@ class VAR1Process:
     The i.i.d. scalar multipliers s_t (scale_law, or identically 1 when None)
     make the coefficient matrix time varying; stationarity requires
     E|s_0| * |||A|||_2 < 1.  noise defaults to standard Gaussian eta_t of
-    the matrix's dimension.  The recursion starts at Z = 0.
+    the matrix's dimension.  The recursion starts at Z = 0.  a_base is kept
+    as a tuple of rows, so models of equal matrices compare and hash equal.
     """
 
-    a_base: np.ndarray = field(metadata={"key": "a"})
+    a_base: tuple = field(metadata={"key": "a"})
     noise: InnovationLaw = field(default=None, metadata={"key": "innovation"})
     scale_law: InnovationLaw = field(default=None,
                                      metadata={"key": "scale_innovation"})
@@ -333,10 +191,11 @@ class VAR1Process:
     kind = "var1"
 
     def __post_init__(self):
-        a = np.asarray(self.a_base, dtype=float)
+        a = np.array(self.a_base, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("a_base must be a square matrix")
-        object.__setattr__(self, "a_base", a)
+        object.__setattr__(self, "a_base", tuple(map(tuple, a.tolist())))
+        object.__setattr__(self, "_a", a)
         if self.noise is None:
             object.__setattr__(self, "noise", InnovationLaw(dim=a.shape[0]))
         if self.noise.dim != a.shape[0]:
@@ -347,7 +206,7 @@ class VAR1Process:
             raise ValueError("expected coefficient norm E|s| * |||A|||_2 must be < 1")
 
     def mean_coeff_norm(self):
-        spec = float(np.linalg.norm(self.a_base, 2))
+        spec = float(np.linalg.norm(self._a, 2))
         if self.scale_law is None:
             return spec
         m1 = self.scale_law.norm_power_moment(1)
@@ -377,7 +236,7 @@ class VAR1Process:
         z = np.zeros(xi.shape[:-2] + (d,))
         for t in range(steps):
             # z A^T by columns: a matmul's rounding depends on the row count
-            za = sum(z[..., k, None] * self.a_base[:, k] for k in range(d))
+            za = sum(z[..., k, None] * self._a[:, k] for k in range(d))
             z = xi[..., t, d:] * za + xi[..., t, :d]
             if t >= steps - n:
                 out[..., t - steps + n, :] = z
@@ -393,7 +252,7 @@ class VAR1Process:
         # vec stationary covariance: S = A S A^T + Cov(eta)
         d = self.noise.dim
         cov_eta = np.eye(d) * (self.noise.norm_power_moment(2) / d)
-        m = np.eye(d * d) - np.kron(self.a_base, self.a_base)
+        m = np.eye(d * d) - np.kron(self._a, self._a)
         s = np.linalg.solve(m, cov_eta.reshape(-1)).reshape(d, d)
         return Moment(float(np.trace(s)), 0.0, "analytic")
 
@@ -702,82 +561,6 @@ def estimate_theta(model, tau, n_mc=10_000, history=None, seed=0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DependenceProfile:
-    """Decay envelopes theta^I(tau) for the input (z) and target (y) roles.
-
-    regime "geometric": theta^I(tau) <= c_I * rate_I^tau, rate in (0, 1).
-    regime "algebraic": theta^I(tau) <= c_I * tau^(-rate_I), rate > 0.
-    regime "lipschitz": additionally carries the functional-Lipschitz data
-    (l_I, w_I, innovation moments) from which a geometric envelope with
-    c_I = 2 l_I E||xi^I|| / (1 - d_w) and rate d_w is derived.
-
-    A profile built from a single process fills both roles identically; use
-    combine_profiles to pair an input process with a target process.
-    """
-
-    regime: str
-    c_z: Moment
-    rate_z: float
-    c_y: Moment
-    rate_y: float
-    exact_zero_z: bool = False
-    exact_zero_y: bool = False
-    l_z: float = None
-    l_y: float = None
-    w_z: WeightingSequence = None
-    w_y: WeightingSequence = None
-    xi_mean_abs_z: Moment = None
-    xi_mean_abs_y: Moment = None
-    xi_second_z: Moment = None
-    xi_second_y: Moment = None
-    xi_bound_z: float = None
-    xi_bound_y: float = None
-    xi_law_z: InnovationLaw = None
-    xi_law_y: InnovationLaw = None
-
-    def __post_init__(self):
-        if self.regime not in ("lipschitz", "geometric", "algebraic"):
-            raise ValueError(f"unknown regime {self.regime!r}")
-        for c, rate in ((self.c_z, self.rate_z), (self.c_y, self.rate_y)):
-            if c.value < 0:
-                raise ValueError("envelope constants must be >= 0")
-            if self.regime == "algebraic":
-                if rate <= 0:
-                    raise ValueError("algebraic regime needs rate > 0")
-            elif not 0.0 < rate < 1.0:
-                raise ValueError("geometric-type regime needs rate in (0, 1)")
-        if self.regime == "lipschitz":
-            for name, v in (("l_z", self.l_z), ("l_y", self.l_y),
-                            ("w_z", self.w_z), ("w_y", self.w_y),
-                            ("xi_mean_abs_z", self.xi_mean_abs_z),
-                            ("xi_mean_abs_y", self.xi_mean_abs_y)):
-                if v is None:
-                    raise ValueError(f"lipschitz regime requires {name}")
-        for name, v in (("l_z", self.l_z), ("l_y", self.l_y)):
-            if v is not None and not 0 <= v < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-        for name, m in (("xi_mean_abs_z", self.xi_mean_abs_z),
-                        ("xi_mean_abs_y", self.xi_mean_abs_y)):
-            if m is not None and m.value < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    def theta_envelope(self, which, tau):
-        """Envelope value for theta^which(tau), which in {'z', 'y'}."""
-        tau = np.asarray(tau, dtype=float)
-        if which == "z":
-            c, rate, zero = self.c_z.value, self.rate_z, self.exact_zero_z
-        elif which == "y":
-            c, rate, zero = self.c_y.value, self.rate_y, self.exact_zero_y
-        else:
-            raise ValueError("which must be 'z' or 'y'")
-        if zero:
-            return np.zeros_like(tau)
-        if self.regime == "algebraic":
-            return c * tau ** (-rate)
-        return c * rate ** tau
-
-
 def _mean_abs_z0(model, n_mc, seed):
     analytic = analytic_moment(model, 1)
     if analytic is not None:
@@ -903,7 +686,6 @@ def fit_theta_decay(theta_values, regime):
 def model_from_spec(spec):
     """Build a process model from a JSON-style dict: "kind" picks the model
     and the other keys are its fields; unknown keys are rejected."""
-    from .specs import _from_spec  # specs reads Moment from this module
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("process spec must be an object with a 'kind'")
     for model in _MODELS:
@@ -915,7 +697,6 @@ def model_from_spec(spec):
 
 def model_to_spec(model):
     """Inverse of model_from_spec (matrices as nested lists)."""
-    from .specs import to_spec
     return {"kind": model.kind, **to_spec(model)}
 
 

@@ -25,13 +25,14 @@ kernel w A^j C.
 
 Hypothesis classes are norm-capped boxes around each family; they carry the
 derived constants (contraction modulus, state-ball radius, input-Lipschitz
-modulus) used by the risk certificates.  Each class states its cap geometry
-once: draw_reservoir(rng) draws a member reservoir inside the caps,
-saturate(reservoir) gives a member whose binding caps are active, and
-contains_reservoir checks the reservoir caps; the readout caps are one
-shared rule, contains_readout.
+modulus, Rademacher constant) used by the risk certificates.  Each class
+states its cap geometry once: draw_reservoir(rng) draws a member reservoir
+inside the caps, saturate(reservoir) gives a member whose binding caps are
+active, and contains_reservoir checks the reservoir caps; the readout caps
+are one shared rule, contains_readout.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,10 +106,12 @@ class Activation:
     """Odd 1-Lipschitz scalar nonlinearity applied entrywise.
 
     kind "tanh" and "clipped_linear" are bounded into [-1, 1]; "identity"
-    is unbounded.  All satisfy sigma(0) = 0.
+    is unbounded.  All satisfy sigma(0) = 0.  A spec names an activation by
+    its kind alone.
     """
 
     kind: str = "tanh"
+    spec_field = "kind"
 
     def __post_init__(self):
         if self.kind not in ("tanh", "clipped_linear", "identity"):
@@ -701,7 +704,27 @@ def _check_common(l_h, l_h0, n_out):
 
 class _ReadoutCaps:
     """The readout caps |||W||| <= l_h, ||a|| <= l_h0 that every class
-    shares; each class states its reservoir caps in contains_reservoir."""
+    shares; each class states its reservoir caps in contains_reservoir.
+    The Rademacher constant here is the (A, C, zeta) classes' one; the
+    state affine class states its own."""
+
+    def rademacher_constant(self, input_second_moment=None):
+        """Constant c with block Rademacher complexity <= c / sqrt(k).
+
+        An (A, C, zeta) class needs the second moment E||Z_0||_2^2 of its
+        unbounded inputs (a Moment or float), passed here or stored on the
+        class.  The linear class is the echo state one with Lip(sigma) = 1,
+        and a random template's lam_a is its cap a.
+        """
+        m = (self.input_second_moment if input_second_moment is None
+             else input_second_moment)
+        if m is None:
+            raise ValueError("need E||Z_0||^2 for this family")
+        z2 = math.sqrt(m.value if isinstance(m, Moment) else float(m))
+        if self.lam_a >= 1.0:
+            raise ValueError("summed row caps must stay below 1")
+        return (self.l_h * (self.lam_c * z2 + self.lam_zeta)
+                / (1.0 - self.lam_a) + self.l_h0)
 
     def contains_readout(self, readout, tol=1e-9):
         return (readout.lipschitz <= self.l_h + tol
@@ -928,6 +951,11 @@ class StateAffineClass(_ReadoutCaps):
     @property
     def m_f(self):
         return self.c_sas * self.input_bound / (1.0 - self.r)
+
+    def rademacher_constant(self, input_second_moment=None):
+        """l_h m_f + l_h0: uniformly bounded on its input box, the class
+        needs no input moment."""
+        return self.l_h * self.m_f + self.l_h0
 
     @property
     def l_r(self):

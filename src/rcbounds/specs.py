@@ -4,15 +4,13 @@ The keys of a spec are the fields of its type, or the key a field names in
 field(metadata={"key": ...}).  _from_spec reads one: a field without a
 default is required, a null leaves a field that defaults to None unset,
 and a value its field's annotated type cannot take is a ConfigError.
-to_spec writes one back.
+to_spec writes one back.  A type spelled by one of its fields alone (an
+activation by its kind) names that field in its class attribute spec_field.
 """
 
 import dataclasses
 
-import numpy as np
-
-from .processes import Moment
-from .reservoir import Activation
+from .dependence import Moment
 
 __all__ = ["ConfigError", "to_spec"]
 
@@ -77,12 +75,13 @@ def _read(typ, value, where):
         return _pos_int(value, where)
     if typ is Moment:
         return _moment(value, where)
-    if dataclasses.is_dataclass(typ) and typ is not Activation:
+    spelled_by = getattr(typ, "spec_field", None)
+    if dataclasses.is_dataclass(typ) and spelled_by is None:
         return _from_spec(typ, value, f"{where} spec")
     try:
-        if typ is np.ndarray:
-            return np.asarray(value, dtype=float)
-        return typ(value)  # float, str, bool, tuple, Activation
+        if spelled_by is not None:
+            return typ(**{spelled_by: value})
+        return typ(value)  # float, str, bool, tuple
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -106,14 +105,14 @@ def _from_spec(cls, spec, where):
 
 def to_spec(value):
     """The spec of a config value, the inverse of _read: a dataclass as its
-    set fields under their keys, an activation as its kind, arrays and
-    tuples as lists."""
-    if isinstance(value, Activation):
-        return value.kind
+    set fields under their keys (or as its spec_field), numpy arrays and
+    scalars as what their tolist gives, tuples as lists."""
+    if (spelled_by := getattr(value, "spec_field", None)) is not None:
+        return getattr(value, spelled_by)
     if dataclasses.is_dataclass(value):
         return {_key(f): to_spec(v) for f in dataclasses.fields(value)
                 if (v := getattr(value, f.name)) is not None}
-    if isinstance(value, np.ndarray):
+    if hasattr(value, "tolist"):
         return value.tolist()
     if isinstance(value, tuple):
         return [to_spec(v) for v in value]

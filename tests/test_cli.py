@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import rcbounds
+from rcbounds import processes
 from rcbounds.bounds import PhiFunction, risk_bound
 from rcbounds.cli import (
     _coverage_profile,
@@ -343,6 +344,25 @@ def test_validate_jobs_do_not_change_artifacts(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_consistency_derives_its_profile_once(tmp_path, capsys, monkeypatch):
+    # GARCH(1,1) has no closed-form E|Z_0|: each profile is a Monte Carlo run
+    calls = []
+    derive = processes.dependence_params
+    monkeypatch.setattr(processes, "dependence_params",
+                        lambda *a, **kw: calls.append(kw) or derive(*a, **kw))
+    cfg = write_config(tmp_path, "cons.json", {
+        "kind": "consistency", "case": "geometric", "ns": [64, 128, 256],
+        "class": dict(LIN_CLASS, input_bound=5.0, input_second_moment=1.0),
+        "process": GARCH, "profile_mc": 2000, "n_trials": 4, "n_random": 2,
+        "history": 20, "n_pool": 200, "prefix": "cons",
+        "target": {"kind": "independent",
+                   "law": {"kind": "gaussian", "dim": 1, "scale": 0.7}}})
+    code, report, _ = run_cli(capsys, ["validate", "--config", cfg,
+                                       "--out", str(tmp_path)])
+    assert code in (0, 4) and len(report["rows"]) == 3
+    assert len(calls) == 1
+
+
 def test_module_entry_point(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"process": IID_UNIF, "n": 8, "seed": 0,
@@ -368,6 +388,31 @@ def test_import_loads_neither_scipy_signal_nor_stats():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy():
+    # bound and samplesize are float arithmetic: numpy loads only with the
+    # simulation layers that simulate and validate import when they run
+    code = ("import sys\n"
+            "import rcbounds\n"
+            "print('numpy' in sys.modules)\n"
+            "rcbounds.bounds.risk_bound  # a layer loads on first access\n"
+            "import rcbounds.cli\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_every_exported_name_resolves():
+    for name in rcbounds.__all__:
+        value = getattr(rcbounds, name)
+        home = sys.modules[value.__module__]
+        assert getattr(home, name) is value
+        assert name in dir(rcbounds)
+    with pytest.raises(AttributeError):
+        rcbounds.no_such_name
+
+
 def test_import_loads_no_scipy_module():
     # scipy loads only on the rare paths that need it (Gaussian norm-mgf
     # quadrature, exact_risk, polynomial weights), never on import
@@ -386,8 +431,8 @@ def test_import_loads_no_scipy_module():
 
 _CHILD = """
 import json, sys
-if sys.argv[1] == "blocked":
-    sys.modules["scipy"] = None
+if sys.argv[1] != "plain":
+    sys.modules[sys.argv[1]] = None  # any import of it raises ImportError
 from rcbounds.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
 """
@@ -406,7 +451,7 @@ def test_bound_and_samplesize_run_without_scipy(tmp_path):
                                         "epsilon": eps, "inputs": spec,
                                         "prefix": f"s_{case}"}, []))
     artifacts = {}
-    for mode in ("blocked", "plain"):
+    for mode in ("scipy", "numpy", "plain"):
         out = tmp_path / mode
         argvs = [[cmd, "--config",
                   write_config(tmp_path, f"{cfg['prefix']}.json", cfg),
@@ -417,8 +462,8 @@ def test_bound_and_samplesize_run_without_scipy(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * 8
         artifacts[mode] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert len(artifacts["blocked"]) == 12  # 8 reports and 4 curves
-    assert artifacts["blocked"] == artifacts["plain"]
+    assert len(artifacts["numpy"]) == 12  # 8 reports and 4 curves
+    assert artifacts["scipy"] == artifacts["numpy"] == artifacts["plain"]
 
 
 def test_bound_report_lists_input_provenance(tmp_path, capsys):

@@ -236,6 +236,9 @@ def test_model_spec_roundtrip():
         spec = model_to_spec(model)
         back = model_from_spec(spec)
         assert model_to_spec(back) == spec
+        # equal specs give equal models, VAR(1) matrices in 1-d and 2-d too
+        assert back == model and hash(back) == hash(model)
+    assert len({model_from_spec(model_to_spec(m)) for m in models}) == len(models)
     with pytest.raises(ValueError):
         model_from_spec({"kind": "iid", "bogus": 1})
 
