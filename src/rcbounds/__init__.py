@@ -26,6 +26,7 @@ _EXPORTS = {
         "expected_gap_constants",
         "geometric_envelope",
         "min_sample_size",
+        "min_sample_size_from_constants",
         "rademacher_constant",
         "risk_bound",
     ),

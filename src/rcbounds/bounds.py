@@ -49,6 +49,7 @@ __all__ = [
     "bound_from_constants",
     "risk_bound",
     "min_sample_size",
+    "min_sample_size_from_constants",
     "bound_inputs_from_class",
 ]
 
@@ -698,6 +699,17 @@ def risk_bound(inputs, n, delta, case):
 def min_sample_size(inputs, case, epsilon, delta, n_cap=10 ** 12):
     """Smallest n with risk_bound(n) <= epsilon, or None below n_cap.
 
+    Derives the case constants from the inputs and searches them with
+    min_sample_size_from_constants.
+    """
+    return min_sample_size_from_constants(
+        expected_gap_constants(inputs, case), epsilon, delta, n_cap)
+
+
+def min_sample_size_from_constants(consts, epsilon, delta, n_cap=10 ** 12):
+    """Smallest n with bound_from_constants(consts, n, delta) <= epsilon, or
+    None below n_cap.
+
     Every certified case decays monotonically beyond n >= 3 wherever it is
     valid, so a doubling search plus bisection plus a final downward walk
     returns the exact minimum.  (Power moment functions with p < 2 are the
@@ -706,7 +718,6 @@ def min_sample_size(inputs, case, epsilon, delta, n_cap=10 ** 12):
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    consts = expected_gap_constants(inputs, case)
 
     def ok(n):
         rep = bound_from_constants(consts, n, delta)

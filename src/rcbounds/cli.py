@@ -29,7 +29,7 @@ from .bounds import (
     PhiFunction,
     bound_from_constants,
     expected_gap_constants,
-    min_sample_size,
+    min_sample_size_from_constants,
     rademacher_constant,
 )
 from .dependence import DependenceProfile, InnovationLaw, Moment
@@ -356,7 +356,7 @@ def run_samplesize(config, out_dir):
     prefix = _prefix(config, "samplesize")
 
     consts = expected_gap_constants(inputs, case)
-    n_min = min_sample_size(inputs, case, epsilon, delta, n_cap=n_cap)
+    n_min = min_sample_size_from_constants(consts, epsilon, delta, n_cap)
     out = {"command": "samplesize", "case": case, "delta": delta,
            "epsilon": epsilon, "n_cap": n_cap,
            "n_min": None if n_min is None else int(n_min)}
@@ -383,6 +383,14 @@ def _pmap(fn, payloads, jobs):
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         return list(pool.map(fn, payloads))
+
+
+def _paired(klass, model):
+    """The class's inputs must be the process's values: a filter of
+    n_input inputs needs a process of that dimension."""
+    if klass.n_input != model.dim:
+        raise ConfigError(f"class n_input {klass.n_input} does not match the "
+                          f"process dimension {model.dim}")
 
 
 def _joint_from_spec(target, klass, model):
@@ -442,6 +450,7 @@ def _experiment(config, seed, prof=None):
 
     klass = class_from_spec(_require(config, "class", "validate config"))
     model = _cfg(model_from_spec, _require(config, "process", "validate config"))
+    _paired(klass, model)
     joint = _joint_from_spec(_require(config, "target", "validate config"),
                              klass, model)
     loss, phi = _loss_and_phi(config)
@@ -494,7 +503,8 @@ def _validate_rademacher(config, jobs):
                "history", "seed", "prefix"}
     _check_keys(config, allowed, "validate config")
     klass = class_from_spec(_require(config, "class", "validate config"))
-    _cfg(model_from_spec, _require(config, "process", "validate config"))
+    _paired(klass, _cfg(model_from_spec, _require(config, "process",
+                                                  "validate config")))
     ks = [_pos_int(k, "ks entry") for k in _require(config, "ks", "validate config")]
     seed = _seed(config)
     n_rep = _pos_int(config.get("n_rep", 64), "n_rep")
@@ -559,6 +569,7 @@ def _validate_truncation(config, jobs):
     _check_keys(config, allowed, "validate config")
     klass = class_from_spec(_require(config, "class", "validate config"))
     model = _cfg(model_from_spec, _require(config, "process", "validate config"))
+    _paired(klass, model)
     y_law = _from_spec(InnovationLaw, _require(config, "y_law",
                                                "validate config"), "y_law")
     ns = tuple(_pos_int(n, "ns entry") for n in _require(config, "ns",

@@ -17,11 +17,14 @@ Each system states its rules once, as methods: step (the map F, one
 product of the system's matrix M with a feature column),
 contraction_modulus, bound_M_F, input_lipschitz, zero_input_fixed_point,
 states (the batched recursion) and window_outputs (the readout outputs of
-a batch of windows opened at the fixed point).  The module functions call
-them; the linear system inherits every echo state rule but the fixed
-point, which it solves for, the final states, which it forms from
-A^j [C | zeta], and the window outputs, which it convolves with the
-kernel w A^j C.
+a batch of windows opened at the fixed point).  Callers call the methods;
+iterate_states_batch runs states on a batch and iterate_states on a batch
+of one, so every filter, single path or batched, goes through the one
+recursion.  The linear system inherits every echo state rule but the fixed
+point, which it solves for, the states, which it forms from A^j [C | zeta]
+(final states) or as the zero-start run plus the free response A^t x0 (all
+states), and the window outputs, which it convolves with the kernel
+w A^j C.
 
 Hypothesis classes are norm-capped boxes around each family; they carry the
 derived constants (contraction modulus, state-ball radius, input-Lipschitz
@@ -51,11 +54,7 @@ __all__ = [
     "EchoStateClass",
     "StateAffineClass",
     "RandomEchoStateClass",
-    "state_update",
     "zero_input_fixed_point",
-    "contraction_modulus",
-    "input_lipschitz",
-    "bound_M_F",
     "default_washout",
     "run_filter",
     "functional",
@@ -70,6 +69,16 @@ _FIXED_POINT_ITERS = 10_000
 # paths per block of the batched recursion: one block's feature buffers
 # and states stay small next to the caller's (batch, n, d) input array
 _PATH_BLOCK = 4096
+
+
+def _as_batch(system, inputs):
+    """inputs as a float (batch, n, n_input) array.  The one check of the
+    batched entries, iterate_states_batch and window_outputs: an input of
+    the wrong width is refused, never broadcast or cut to fit C."""
+    z = np.asarray(inputs, dtype=float)
+    if z.ndim != 3 or z.shape[2] != system.n_input:
+        raise ValueError("batched inputs must be (batch, n, n_input)")
+    return z
 
 
 def _time_loop_states(system, z, x0, return_all=False):
@@ -95,6 +104,7 @@ def _time_loop_outputs(system, z, readouts):
     """system.window_outputs of the echo state and state affine systems:
     all states of the windows z (b, n, d) from the zero-input fixed point
     by the time loop, then one product per readout; (k, b, n, m)."""
+    z = _as_batch(system, z)
     x0 = np.broadcast_to(system.zero_input_fixed_point(),
                          (z.shape[0], system.n_state))
     states = system.states(z, x0, return_all=True)
@@ -343,10 +353,16 @@ class LinearReservoir(EchoStateReservoir):
     def states(self, z, x0, return_all=False):
         """Final states without a time loop: x_n = A^n x0 + sum_{t=1..n}
         A^(n-t) (C z_t + zeta), so with the impulse response A^j [C | zeta],
-        j < n, the batch is one (b, n d) @ (n d, N) product.  All states
-        come from the echo state time loop."""
+        j < n, the batch is one (b, n d) @ (n d, N) product.  All states by
+        superposition: the echo state time loop from the zero start plus
+        the free response A^t x0, so runs from different starts share
+        bit-identical drive terms and differ only through A^t x0."""
         if return_all:
-            return super().states(z, x0, return_all)
+            out = super().states(z, np.zeros(x0.shape), True)
+            if x0.any():  # the free response A^t x0, (n, N, b)
+                free = _powers(self.a, x0.T, z.shape[1] + 1)[1:]
+                out += free.transpose(2, 0, 1)
+            return out
         b, n = z.shape[:2]
         d = self.n_input
         if n == 0:
@@ -365,6 +381,7 @@ class LinearReservoir(EchoStateReservoir):
         readout; each readout then costs one product and one irfft, taken
         one readout at a time, so that beside the inputs' spectrum only one
         readout's (b, m, size/2 + 1) spectrum is live."""
+        z = _as_batch(self, z)
         b, n, d = z.shape
         x_star = self.zero_input_fixed_point()
         out = np.empty((len(readouts), b, n, readouts[0].w.shape[0]))
@@ -513,37 +530,12 @@ class Hypothesis:
     readout: Readout
 
 
-def state_update(system, x, z):
-    """One step x -> F(x, z), system.step on float arrays.
-
-    Single path: x is (N,) and z is (d,).  Batch of b paths, stored
-    column-wise so every step works on contiguous rows: x is (N, b) and
-    z is (d, b); the result has the shape of x.
-    """
-    return system.step(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
-
-
-def contraction_modulus(system, input_bound=None):
-    """State-contraction coefficient r = sup_z Lip_x F(., z)."""
-    return system.contraction_modulus(input_bound)
-
-
-def bound_M_F(system, input_bound=None):
-    """Radius of a ball around 0 that the state dynamics cannot leave."""
-    return system.bound_M_F(input_bound)
-
-
-def input_lipschitz(system, input_bound=None, m_f=None):
-    """Modulus L_R with ||F(x, z) - F(x, z')|| <= L_R ||z - z'||_2."""
-    return system.input_lipschitz(input_bound, m_f)
-
-
 def default_washout(system, input_bound=None):
     """Smallest T with r^T M_F <= 1e-10 (zero-input padding length)."""
-    r = contraction_modulus(system, input_bound)
+    r = system.contraction_modulus(input_bound)
     if r >= 1.0:
         raise ValueError("washout undefined for non-contracting systems")
-    m_f = bound_M_F(system, input_bound)
+    m_f = system.bound_M_F(input_bound)
     if m_f <= _WASHOUT_TOL or r == 0.0:
         return 1
     return int(np.ceil(np.log(_WASHOUT_TOL / m_f) / np.log(r)))
@@ -564,27 +556,11 @@ def _as_inputs(system, inputs):
     return z
 
 
-def _loop_states(system, z, x):
-    """States x_1..x_n of one path by repeated system.step."""
-    step = system.step
-    states = np.empty((z.shape[0], system.n_state))
-    for t in range(z.shape[0]):
-        x = step(x, z[t])
-        states[t] = x
-    return states
-
-
 def iterate_states(system, inputs, x0=None):
-    """States x_1..x_n from x0 (default 0) driven by the given inputs."""
-    z = _as_inputs(system, inputs)
-    x = np.zeros(system.n_state) if x0 is None else np.asarray(x0, dtype=float)
-    if isinstance(system, LinearReservoir) and x.any():
-        # superposition: the zero-start response plus the free response
-        # A^t x0, so runs from different starts share bit-identical drive
-        # terms and differ only through A^t x0
-        free = _powers(system.a, x[:, None], z.shape[0] + 1)[1:, :, 0]
-        return _loop_states(system, z, np.zeros(system.n_state)) + free
-    return _loop_states(system, z, x)
+    """States x_1..x_n (n, N) from x0 (default 0) driven by the given
+    inputs (n, n_input): system.states on a batch of one."""
+    return iterate_states_batch(system, _as_inputs(system, inputs)[None], x0,
+                                return_all=True)[0]
 
 
 def _powers(a, v, k):
@@ -606,9 +582,7 @@ def iterate_states_batch(system, inputs, x0=None, return_all=False):
     """system.states over inputs (batch, n, n_input) from x0: None (zero
     start), one (N,) start shared by every path, or a (batch, N) array.
     Returns the final states (batch, N), or all states (batch, n, N)."""
-    z = np.asarray(inputs, dtype=float)
-    if z.ndim != 3:
-        raise ValueError("batched inputs must be (batch, n, n_input)")
+    z = _as_batch(system, inputs)
     x0 = np.zeros(system.n_state) if x0 is None else np.asarray(x0, dtype=float)
     return system.states(z, np.broadcast_to(x0, (z.shape[0], system.n_state)),
                          return_all)
@@ -664,8 +638,8 @@ def esp_convergence_check(system, inputs, x0_a=None, x0_b=None, seed=0,
     z = _as_inputs(system, inputs)
     if input_bound is None:
         input_bound = float(np.abs(z).max()) if z.size else 0.0
-    r = contraction_modulus(system, input_bound)
-    m_f = bound_M_F(system, input_bound)
+    r = system.contraction_modulus(input_bound)
+    m_f = system.bound_M_F(input_bound)
     rng = np.random.default_rng(seed)
     if x0_a is None:
         x0_a = _ball_point(rng, system.n_state, m_f)

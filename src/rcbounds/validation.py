@@ -37,9 +37,6 @@ from .reservoir import (
     Hypothesis,
     Readout,
     _scaled,
-    bound_M_F,
-    contraction_modulus,
-    input_lipschitz,
     iterate_states_batch,
     sample_from_class,
     zero_input_fixed_point,
@@ -451,9 +448,9 @@ def history_lipschitz_check(systems, input_bound, n_pairs=200, history=64,
     worst = 0.0
     rng = np.random.default_rng(seed)
     for sys_i, system in enumerate(systems):
-        r = contraction_modulus(system, input_bound)
-        m_f = bound_M_F(system, input_bound)
-        l_r = input_lipschitz(system, input_bound, m_f)
+        r = system.contraction_modulus(input_bound)
+        m_f = system.bound_M_F(input_bound)
+        l_r = system.input_lipschitz(input_bound, m_f)
         d = system.n_input
         t = history
         z = rng.uniform(-input_bound, input_bound, (n_pairs, t, d))

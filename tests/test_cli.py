@@ -184,6 +184,29 @@ def test_samplesize_inverts_bound(tmp_path, capsys):
     assert report["bound_at_n_min"] <= 5.0
 
 
+def test_samplesize_derives_its_constants_once(tmp_path, capsys, monkeypatch):
+    # the search and the bound at n_min share the request's one derivation
+    from rcbounds import bounds, cli
+
+    calls = []
+    derive = bounds.expected_gap_constants
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "expected_gap_constants", counting)
+    monkeypatch.setattr(cli, "expected_gap_constants", counting)
+    cfg = write_config(tmp_path, "ss.json",
+                       {"case": "geometric", "delta": 0.1, "epsilon": 5.0,
+                        "n_cap": 10 ** 6, "inputs": GEO_INPUTS,
+                        "prefix": "ss"})
+    code, report, _ = run_cli(capsys, ["samplesize", "--config", cfg,
+                                       "--out", str(tmp_path)])
+    assert code == 0 and report["n_min"] is not None
+    assert len(calls) == 1
+
+
 def test_set_override_dotted(tmp_path, capsys):
     cfg = write_config(tmp_path, "bound.json",
                        {"case": "geometric", "n": 64, "delta": 0.1,
@@ -647,6 +670,30 @@ def test_bad_seed_cap_or_profile_exits_two(tmp_path, capsys, command, config,
     code, report, err = run_cli(capsys, [command, "--config", cfg, "--out",
                                          str(tmp_path), "--set", override])
     assert code == 2 and report is None and "config error" in err
+
+
+WIDE_ESN = dict(ESN_CLASS, n_input=2, input_second_moment=2.0 / 3.0)
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "rademacher", "class": WIDE_ESN, "process": IID_UNIF, "ks": [4],
+     "n_rep": 4, "n_random": 2, "history": 10},
+    dict(COVERAGE, target={"kind": "teacher"},
+         **{"class": dict(LIN_CLASS, n_input=2)}),
+    {"kind": "truncation", "class": WIDE_ESN, "process": IID_UNIF,
+     "y_law": {"kind": "uniform"}, "ns": [8], "n_trials": 4, "n_random": 2},
+    {"kind": "consistency", "case": "bounded", "ns": [64, 128],
+     "class": dict(LIN_CLASS, n_input=2), "process": IID_UNIF,
+     "target": {"kind": "teacher"}, "n_trials": 4, "n_random": 2,
+     "history": 20, "n_pool": 200},
+], ids=["rademacher", "coverage", "truncation", "consistency"])
+def test_class_input_width_must_match_the_process(tmp_path, capsys, config):
+    # a 2-input class on a scalar process is a config error, not a run
+    # whose filters broadcast one input column into both input rows
+    cfg = write_config(tmp_path, "cfg.json", config)
+    code, report, err = run_cli(capsys, ["validate", "--config", cfg,
+                                         "--out", str(tmp_path)])
+    assert code == 2 and report is None and "n_input" in err
 
 
 def test_negative_seed_flag_exits_two(tmp_path, capsys):

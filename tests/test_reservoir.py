@@ -14,17 +14,13 @@ from rcbounds.reservoir import (
     Readout,
     StateAffineClass,
     StateAffineReservoir,
-    bound_M_F,
-    contraction_modulus,
     esp_convergence_check,
     functional,
-    input_lipschitz,
     iterate_states,
     iterate_states_batch,
     random_esn,
     run_filter,
     sample_from_class,
-    state_update,
     zero_input_fixed_point,
 )
 
@@ -144,7 +140,7 @@ def test_esp_gaps_esn_bounded_by_rate():
 
 def test_bound_m_f_linear():
     sys = LinearReservoir(np.array([[0.5]]), np.array([[1.0]]), np.zeros(1))
-    assert abs(bound_M_F(sys, input_bound=1.0) - 2.0) < 1e-14
+    assert abs(sys.bound_M_F(input_bound=1.0) - 2.0) < 1e-14
 
 
 def test_bound_m_f_esn_bounded_activation():
@@ -154,14 +150,14 @@ def test_bound_m_f_esn_bounded_activation():
     sys = EchoStateReservoir(a, rng.standard_normal((4, 1)) * 10,
                              rng.standard_normal(4) * 10, Activation("tanh"))
     # range bound sqrt(4) * 1 beats the linear-style bound here
-    assert abs(bound_M_F(sys, input_bound=1.0) - 2.0) < 1e-14
+    assert abs(sys.bound_M_F(input_bound=1.0) - 2.0) < 1e-14
 
 
 def test_bound_m_f_sas_ratio():
     p = MatrixPolynomial(np.zeros((1, 1)), np.array([[[0.4]]]))
     q = MatrixPolynomial(np.zeros((1, 1)), np.array([[[1.2]]]))
     sys = StateAffineReservoir(p, q)
-    assert abs(bound_M_F(sys, input_bound=1.0) - 2.0) < 1e-14
+    assert abs(sys.bound_M_F(input_bound=1.0) - 2.0) < 1e-14
 
 
 def test_state_stays_in_m_f_ball():
@@ -357,6 +353,16 @@ def _parity_systems():
     return systems
 
 
+def _step_loop(system, z, x):
+    """States x_1..x_n of one path by repeated system.step: the map F
+    itself, independent of the batched recursion."""
+    states = np.empty((z.shape[0], system.n_state))
+    for t in range(z.shape[0]):
+        x = system.step(x, z[t])
+        states[t] = x
+    return states
+
+
 @pytest.mark.parametrize("system", _parity_systems(),
                          ids=["linear_jordan", "linear", "esn_tanh",
                               "esn_clipped", "esn_identity", "esn_random",
@@ -378,8 +384,7 @@ def test_batch_recursion_matches_per_path_loop(system):
     for n, z in inputs.items():
         for x0 in (None, shared, per_path):
             rows = np.broadcast_to(0.0 if x0 is None else x0, (b, n_state))
-            starts = [None] * b if x0 is None else rows
-            want = np.stack([iterate_states(system, z[i], x0=starts[i])
+            want = np.stack([_step_loop(system, z[i], rows[i])
                              for i in paths])
             want_final = want[:, -1] if n else rows[paths]
             finals = iterate_states_batch(system, z, x0=x0)
@@ -431,7 +436,7 @@ def test_powers_match_repeated_products(k):
 
 
 def test_sas_step_matches_explicit_polynomial():
-    # state_update against p(z) x + q(z) written out term by term, for one
+    # step against p(z) x + q(z) written out term by term, for one
     # path (N,) and for a column batch (N, b); the second system has cubic
     # and quartic powers, leading a term and after its first factor
     rng = np.random.default_rng(23)
@@ -448,13 +453,13 @@ def test_sas_step_matches_explicit_polynomial():
     for sas in (_parity_systems()[-1], high):
         want = np.stack([explicit(sas.p, z[:, i]) @ x[:, i]
                          + explicit(sas.q, z[:, i])[:, 0] for i in range(5)], axis=1)
-        assert np.abs(state_update(sas, x, z) - want).max() <= 1e-14
-        assert np.abs(state_update(sas, x[:, 0], z[:, 0]) - want[:, 0]).max() <= 1e-14
+        assert np.abs(sas.step(x, z) - want).max() <= 1e-14
+        assert np.abs(sas.step(x[:, 0], z[:, 0]) - want[:, 0]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["tanh", "clipped_linear", "identity"])
 def test_esn_step_matches_explicit_formula(kind):
-    # state_update against sigma(A x + C z + zeta) written out, for one
+    # step against sigma(A x + C z + zeta) written out, for one
     # path (N,) and for a column batch (N, b), with d = 2 inputs
     rng = np.random.default_rng(26)
     a = rng.standard_normal((3, 3))
@@ -467,8 +472,8 @@ def test_esn_step_matches_explicit_formula(kind):
              "identity": lambda v: v}[kind]
     want = np.stack([sigma(a @ x[:, i] + c @ z[:, i] + zeta)
                      for i in range(5)], axis=1)
-    assert np.abs(state_update(esn, x, z) - want).max() <= 1e-14
-    assert np.abs(state_update(esn, x[:, 0], z[:, 0]) - want[:, 0]).max() <= 1e-14
+    assert np.abs(esn.step(x, z) - want).max() <= 1e-14
+    assert np.abs(esn.step(x[:, 0], z[:, 0]) - want[:, 0]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("family", ["esn", "sas"])
@@ -499,11 +504,11 @@ def test_linear_reservoir_is_identity_echo_state():
     lin = LinearReservoir(a, c, zeta)
     esn = EchoStateReservoir(a, c, zeta, Activation("identity"))
     x, z = rng.standard_normal((3, 5)), rng.uniform(-1, 1, (2, 5))
-    assert np.array_equal(state_update(lin, x, z), state_update(esn, x, z))
-    assert np.array_equal(state_update(lin, x[:, 0], z[:, 0]),
-                          state_update(esn, x[:, 0], z[:, 0]))
-    for fn in (contraction_modulus, bound_M_F, input_lipschitz):
-        assert fn(lin, 1.0) == fn(esn, 1.0)
+    assert np.array_equal(lin.step(x, z), esn.step(x, z))
+    assert np.array_equal(lin.step(x[:, 0], z[:, 0]),
+                          esn.step(x[:, 0], z[:, 0]))
+    for rule in ("contraction_modulus", "bound_M_F", "input_lipschitz"):
+        assert getattr(lin, rule)(1.0) == getattr(esn, rule)(1.0)
     with pytest.raises(ValueError):
         LinearReservoir(a, c, zeta, Activation("tanh"))
 
@@ -521,3 +526,31 @@ def test_linear_two_starts_contract_without_roundoff_excess():
                                     input_bound=1.0)
         t = np.arange(1, res["gaps"].size + 1)
         assert np.all(res["gaps"] <= res["r"] ** t * res["gap0"] * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("system", _parity_systems(),
+                         ids=["linear_jordan", "linear", "esn_tanh",
+                              "esn_clipped", "esn_identity", "esn_random",
+                              "sas_mixed"])
+def test_batched_inputs_must_match_the_input_width(system):
+    # every parity system reads d = 2 inputs; a single input column is
+    # refused, not broadcast into both input rows or cut to C's first column
+    assert system.n_input == 2
+    z = np.random.default_rng(28).uniform(-1, 1, (3, 5, 1))
+    readouts = [Readout(np.ones((1, system.n_state)), np.zeros(1))]
+    for return_all in (False, True):
+        with pytest.raises(ValueError, match="n_input"):
+            iterate_states_batch(system, z, return_all=return_all)
+    with pytest.raises(ValueError, match="n_input"):
+        system.window_outputs(z, readouts)
+
+
+def test_linear_single_path_is_a_batch_of_one():
+    # from a nonzero start, the single path and the batched all-states path
+    # share one superposition (zero-start run plus A^t x0), bit for bit
+    rng = np.random.default_rng(29)
+    for system in _parity_systems()[:2]:
+        z = rng.uniform(-1, 1, (100, system.n_input))
+        x0 = rng.standard_normal(system.n_state)
+        want = iterate_states_batch(system, z[None], x0=x0, return_all=True)[0]
+        assert np.array_equal(iterate_states(system, z, x0=x0), want)
