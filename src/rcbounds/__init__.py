@@ -71,6 +71,7 @@ _EXPORTS = {
         "StateAffineClass",
         "StateAffineReservoir",
         "esp_convergence_check",
+        "final_outputs",
         "random_esn",
         "run_filter",
         "sample_from_class",

@@ -26,7 +26,7 @@ only the Gaussian exp-moment quadrature loads scipy.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .dependence import DependenceProfile, Moment
 
@@ -157,20 +157,14 @@ def geometric_envelope(profile):
             raise ValueError(f"{name} has decay ratio 1; no geometric envelope")
     c_z = 2.0 * profile.l_z * profile.xi_mean_abs_z.value / (1.0 - profile.w_z.d_w)
     c_y = 2.0 * profile.l_y * profile.xi_mean_abs_y.value / (1.0 - profile.w_y.d_w)
-    return DependenceProfile(
-        regime="geometric",
+    return replace(
+        profile, regime="geometric",
         c_z=Moment(c_z, 2.0 * profile.l_z * profile.xi_mean_abs_z.std_error
                    / (1.0 - profile.w_z.d_w), profile.xi_mean_abs_z.provenance),
         rate_z=profile.w_z.d_w,
         c_y=Moment(c_y, 2.0 * profile.l_y * profile.xi_mean_abs_y.std_error
                    / (1.0 - profile.w_y.d_w), profile.xi_mean_abs_y.provenance),
-        rate_y=profile.w_y.d_w,
-        exact_zero_z=profile.exact_zero_z, exact_zero_y=profile.exact_zero_y,
-        l_z=profile.l_z, l_y=profile.l_y, w_z=profile.w_z, w_y=profile.w_y,
-        xi_mean_abs_z=profile.xi_mean_abs_z, xi_mean_abs_y=profile.xi_mean_abs_y,
-        xi_second_z=profile.xi_second_z, xi_second_y=profile.xi_second_y,
-        xi_bound_z=profile.xi_bound_z, xi_bound_y=profile.xi_bound_y,
-        xi_law_z=profile.xi_law_z, xi_law_y=profile.xi_law_y)
+        rate_y=profile.w_y.d_w)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from .reservoir import (
     Readout,
     _as_inputs,
     _powers,
-    iterate_states_batch,
-    zero_input_fixed_point,
+    final_outputs,
 )
 
 __all__ = [
@@ -230,10 +229,8 @@ def _targets(joint, z, rng, every_step):
     if joint.teacher is None:
         return noise
     res, ro = joint.teacher.reservoir, joint.teacher.readout
-    if every_step:
-        y = res.window_outputs(z, [ro])[0]
-    else:
-        y = ro(iterate_states_batch(res, z, x0=zero_input_fixed_point(res)))
+    y = (res.window_outputs(z, [ro]) if every_step
+         else final_outputs(res, z, [ro]))[0]
     return y if noise is None else y + noise
 
 
@@ -285,14 +282,8 @@ def statistical_risk_mc(hyp, joint, loss, n_mc=2000, history=200, seed=0):
 def _pool_losses(res, readouts, z, y, loss):
     """Per-sample losses (k, n_pool) of k readouts on one reservoir over
     the pool of (history, target) pairs z (n_pool, history, d) and y
-    (n_pool, m): the final states from one pass of the histories, opened
-    at the zero-input fixed point, and every readout's predictions from
-    one (n_pool, N) @ (N, k m) product."""
-    states = iterate_states_batch(res, z, x0=zero_input_fixed_point(res))
-    w = np.stack([ro.w for ro in readouts])  # (k, m, N)
-    a = np.stack([ro.a for ro in readouts])[:, None, :]
-    pred = (states @ w.reshape(-1, w.shape[2]).T).reshape(
-        len(states), len(readouts), -1).swapaxes(0, 1) + a
+    (n_pool, m), from one final_outputs pass of the histories."""
+    pred = final_outputs(res, z, readouts)
     # per-sample losses: the risk over a length-1 sample axis
     return loss.risk(pred[..., None, :], _as_columns(y)[:, None, :])
 

@@ -32,7 +32,7 @@ WeightingSequence, InnovationLaw, DependenceProfile) live in the numpy-free
 rcbounds.dependence and are re-exported here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -578,22 +578,17 @@ def dependence_params(model, n_mc=20_000, seed=0, nominal_rate=0.5):
 
 
 def combine_profiles(z_profile, y_profile):
-    """Joint profile: z-role from z_profile, y-role from y_profile.
+    """Joint profile: the regime and z-role from z_profile, the y-role (the
+    fields named *_y) from y_profile.
 
     The two profiles must share a regime (the bound chains require both
     processes under the same assumption).
     """
     if z_profile.regime != y_profile.regime:
         raise ValueError("profiles must share a regime to be combined")
-    p, q = z_profile, y_profile
-    return DependenceProfile(
-        regime=p.regime, c_z=p.c_z, rate_z=p.rate_z, c_y=q.c_y, rate_y=q.rate_y,
-        exact_zero_z=p.exact_zero_z, exact_zero_y=q.exact_zero_y,
-        l_z=p.l_z, l_y=q.l_y, w_z=p.w_z, w_y=q.w_y,
-        xi_mean_abs_z=p.xi_mean_abs_z, xi_mean_abs_y=q.xi_mean_abs_y,
-        xi_second_z=p.xi_second_z, xi_second_y=q.xi_second_y,
-        xi_bound_z=p.xi_bound_z, xi_bound_y=q.xi_bound_y,
-        xi_law_z=p.xi_law_z, xi_law_y=q.xi_law_y)
+    return replace(z_profile, **{f.name: getattr(y_profile, f.name)
+                                 for f in fields(y_profile)
+                                 if f.name.endswith("_y")})
 
 
 # ---------------------------------------------------------------------------

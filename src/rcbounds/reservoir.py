@@ -17,7 +17,8 @@ Each system states its rules once, as methods: step (the map F, one
 product of the system's matrix M with a feature column),
 contraction_modulus, bound_M_F, input_lipschitz, zero_input_fixed_point,
 states (the batched recursion) and window_outputs (the readout outputs of
-a batch of windows opened at the fixed point).  Callers call the methods;
+a batch of windows opened at the fixed point, whose last step the module
+function final_outputs reads off the final states).  Callers call them;
 iterate_states_batch runs states on a batch and iterate_states on a batch
 of one, so every filter, single path or batched, goes through the one
 recursion.  The linear system inherits every echo state rule but the fixed
@@ -55,6 +56,7 @@ __all__ = [
     "StateAffineClass",
     "RandomEchoStateClass",
     "zero_input_fixed_point",
+    "final_outputs",
     "default_washout",
     "run_filter",
     "functional",
@@ -359,8 +361,9 @@ class LinearReservoir(EchoStateReservoir):
         bit-identical drive terms and differ only through A^t x0."""
         if return_all:
             out = super().states(z, np.zeros(x0.shape), True)
-            if x0.any():  # the free response A^t x0, (n, N, b)
-                free = _powers(self.a, x0.T, z.shape[1] + 1)[1:]
+            if x0.any():  # A^t x0, one column when every path starts at x0
+                start = x0[:1] if (x0 == x0[0]).all() else x0
+                free = _powers(self.a, start.T, z.shape[1] + 1)[1:]
                 out += free.transpose(2, 0, 1)
             return out
         b, n = z.shape[:2]
@@ -586,6 +589,19 @@ def iterate_states_batch(system, inputs, x0=None, return_all=False):
     x0 = np.zeros(system.n_state) if x0 is None else np.asarray(x0, dtype=float)
     return system.states(z, np.broadcast_to(x0, (z.shape[0], system.n_state)),
                          return_all)
+
+
+def final_outputs(system, inputs, readouts):
+    """The time-0 counterpart of window_outputs: the outputs (k, b, m) of k
+    readouts at the last step of the windows inputs (b, n, d) opened at the
+    fixed point, from the final states and one (b, N) @ (N, k m) product."""
+    finals = iterate_states_batch(system, inputs,
+                                  x0=zero_input_fixed_point(system))
+    w = np.stack([ro.w for ro in readouts])  # (k, m, N)
+    out = (finals @ w.reshape(-1, w.shape[2]).T).reshape(
+        len(finals), len(readouts), -1).swapaxes(0, 1)
+    out += np.stack([ro.a for ro in readouts])[:, None, :]
+    return out
 
 
 def run_filter(system, inputs, washout=None, readout=None, input_bound=None):

@@ -54,15 +54,15 @@ def _pos_int(value, where, minimum=1):
 
 
 def _moment(value, where):
-    # a config value with a std error is treated like an MC estimate
+    # a std error without a provenance reads as a Monte Carlo estimate
     try:
-        if isinstance(value, dict):
-            _check_keys(value, {"value", "std_error"}, where)
-            v = float(_require(value, "value", where))
-            se = float(value.get("std_error", 0.0))
-        else:
-            v, se = float(value), 0.0
-        return Moment(v, se, "mc" if se > 0 else "analytic")
+        if not isinstance(value, dict):
+            value = {"value": value}
+        _check_keys(value, {"value", "std_error", "provenance"}, where)
+        v = float(_require(value, "value", where))
+        se = float(value.get("std_error", 0.0))
+        return Moment(v, se, value.get("provenance",
+                                       "mc" if se > 0 else "analytic"))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

@@ -37,6 +37,7 @@ from .reservoir import (
     Hypothesis,
     Readout,
     _scaled,
+    final_outputs,
     iterate_states_batch,
     sample_from_class,
     zero_input_fixed_point,
@@ -105,6 +106,18 @@ def candidate_set(klass, n_random=12, seed=0, include_zero=True):
     return cands
 
 
+def _by_reservoir(candidates, indices=None):
+    """The candidates at the given indices (default: all) grouped by shared
+    reservoir, in order, as (reservoir, readouts, indices) triples, so that
+    each reservoir runs once."""
+    groups = {}
+    for i in range(len(candidates)) if indices is None else indices:
+        groups.setdefault(id(candidates[i].reservoir), []).append(i)
+    return [(candidates[idx[0]].reservoir,
+             [candidates[i].readout for i in idx], idx)
+            for idx in groups.values()]
+
+
 # ---------------------------------------------------------------------------
 # block Rademacher complexity
 # ---------------------------------------------------------------------------
@@ -116,8 +129,8 @@ def mc_rademacher(candidates, model, k, n_rep=64, history=None, seed=0,
 
     (1/k) E sup_H || sum_j eps_j H(Z_j) ||_2 with the sup over a finite
     candidate set (a class is expanded via candidate_set) and Z_j fresh
-    stationary histories per repetition.  Returns a Moment with the
-    repetition standard error.
+    stationary histories per repetition, read by one final_outputs pass per
+    reservoir.  Returns a Moment with the repetition standard error.
     """
     if k < 1 or n_rep < 1:
         raise ValueError("k and n_rep must be >= 1")
@@ -126,10 +139,13 @@ def mc_rademacher(candidates, model, k, n_rep=64, history=None, seed=0,
                                    seed=seed + 7919)
     if history is None:
         history = 200
-    d = model.dim
+    # a zero readout's sums have norm 0, where the sup starts
+    groups = _by_reservoir(candidates, [
+        i for i, h in enumerate(candidates)
+        if h.readout.w.any() or h.readout.a.any()])
 
     # chunk repetitions so the path block stays below ~2e7 floats
-    per_rep = k * history * d
+    per_rep = k * history * model.dim
     chunk = max(1, min(n_rep, int(2e7 // max(per_rep, 1)) or 1))
     sups = np.empty(n_rep)
     sign_rng = np.random.default_rng(seed + 1)
@@ -137,16 +153,13 @@ def mc_rademacher(candidates, model, k, n_rep=64, history=None, seed=0,
     while done < n_rep:
         b = min(chunk, n_rep - done)
         z = batch_paths(model, b * k, history, seed=seed + 100_000 + done)
-        outs = []
-        for hyp in candidates:
-            x0 = zero_input_fixed_point(hyp.reservoir)
-            finals = iterate_states_batch(hyp.reservoir, z, x0=x0)
-            outs.append(hyp.readout(finals).reshape(b, k, -1))
         eps = sign_rng.integers(0, 2, size=(b, k)) * 2.0 - 1.0
         best = np.zeros(b)
-        for o in outs:
-            sums = np.einsum("bk,bkm->bm", eps, o)
-            np.maximum(best, np.linalg.norm(sums, axis=1), out=best)
+        for res, readouts, _ in groups:
+            outs = final_outputs(res, z, readouts)
+            for o in outs.reshape(len(readouts), b, k, -1):
+                sums = np.einsum("bk,bkm->bm", eps, o)
+                np.maximum(best, np.linalg.norm(sums, axis=1), out=best)
         sups[done : done + b] = best / k
         done += b
     se = float(sups.std(ddof=1) / math.sqrt(n_rep)) if n_rep > 1 else 0.0
@@ -251,14 +264,6 @@ def _pool_risks(res, readouts, loss, pool):
     return per.mean(axis=-1), _max_std_error(per)
 
 
-def _by_reservoir(candidates, indices):
-    """The given candidate indices grouped by shared reservoir, in order."""
-    groups = {}
-    for i in indices:
-        groups.setdefault(id(candidates[i].reservoir), []).append(i)
-    return list(groups.values())
-
-
 def _true_risks(candidates, joint, loss, pool):
     """Per-candidate statistical risks: exact where the closed form
     applies, otherwise the mean loss on the stationary pool, which pool()
@@ -273,10 +278,8 @@ def _true_risks(candidates, joint, loss, pool):
         except ValueError:
             on_pool.append(i)
     std_error = None
-    for idx in _by_reservoir(candidates, on_pool):
-        out[idx], se = _pool_risks(candidates[idx[0]].reservoir,
-                                   [candidates[i].readout for i in idx],
-                                   loss, pool)
+    for res, readouts, idx in _by_reservoir(candidates, on_pool):
+        out[idx], se = _pool_risks(res, readouts, loss, pool)
         std_error = max(std_error or 0.0, se)
     return out, std_error
 
@@ -285,10 +288,8 @@ def _empirical_risks(candidates, z_train, y_train, loss):
     """Zero-padded empirical risks, batched over trials: (n_cand, n_trials),
     from one window_outputs call per reservoir."""
     out = np.empty((len(candidates), len(z_train)))
-    for idx in _by_reservoir(candidates, range(len(candidates))):
-        preds = candidates[idx[0]].reservoir.window_outputs(
-            z_train, [candidates[i].readout for i in idx])
-        out[idx] = loss.risk(preds, y_train)
+    for res, readouts, idx in _by_reservoir(candidates):
+        out[idx] = loss.risk(res.window_outputs(z_train, readouts), y_train)
     return out
 
 
@@ -397,22 +398,18 @@ def truncation_gap_experiment(klass, model, y_law, ns=(10, 100, 1000),
     rng = np.random.default_rng(seed + 4)
     y = y_law.sample(rng, n_trials, pre + n_max)
 
+    # a cold window's first n outputs are the length-n window's, so one
+    # warm and one cold pass per reservoir serve every n
     sup_gaps = {n: np.zeros(n_trials) for n in ns}
-    for hyp in candidates:
-        x0 = zero_input_fixed_point(hyp.reservoir)
-        warm = iterate_states_batch(hyp.reservoir, z, x0=x0, return_all=True)
+    tgt = y[:, pre:]
+    for res, readouts, _ in _by_reservoir(candidates):
+        warm = res.window_outputs(z, readouts)[:, :, pre:]
+        cold = res.window_outputs(z[:, pre:], readouts)
         for n in ns:
-            w_states = warm[:, pre : pre + n]
-            w_pred = w_states.reshape(n_trials * n, -1) @ hyp.readout.w.T \
-                + hyp.readout.a
-            cold = iterate_states_batch(hyp.reservoir, z[:, pre : pre + n],
-                                        x0=x0, return_all=True)
-            c_pred = cold.reshape(n_trials * n, -1) @ hyp.readout.w.T \
-                + hyp.readout.a
-            tgt = y[:, pre : pre + n].reshape(n_trials * n, -1)
-            rw = loss.per_sample(w_pred, tgt).reshape(n_trials, n).mean(axis=1)
-            rc = loss.per_sample(c_pred, tgt).reshape(n_trials, n).mean(axis=1)
-            np.maximum(sup_gaps[n], np.abs(rw - rc), out=sup_gaps[n])
+            rw = loss.risk(warm[:, :, :n], tgt[:, :n])
+            rc = loss.risk(cold[:, :, :n], tgt[:, :n])
+            np.maximum(sup_gaps[n], np.abs(rw - rc).max(axis=0),
+                       out=sup_gaps[n])
 
     bounds = {n: truncation_risk_gap(c0, r, n) for n in ns}
     violations = int(sum((sup_gaps[n] > bounds[n] + tol).sum() for n in ns))

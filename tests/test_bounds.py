@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,15 @@ from rcbounds.processes import (
     InnovationLaw,
     Moment,
     WeightingSequence,
+    combine_profiles,
 )
-from rcbounds.reservoir import EchoStateClass, LinearClass, StateAffineClass
+from rcbounds.reservoir import (
+    EchoStateClass,
+    LinearClass,
+    StateAffineClass,
+    random_esn,
+    sample_from_class,
+)
 
 GEO_HALF = WeightingSequence("geometric", 0.5)
 GAUSS = InnovationLaw("gaussian", 1, 1.0)
@@ -203,6 +211,22 @@ def test_geometric_envelope_closed_form():
     assert env.rate_y == 0.4
 
 
+def test_envelope_and_combination_pass_every_other_field_through():
+    # both rebuild a profile from an existing one, so a field they do not
+    # set keeps its value, whatever DependenceProfile gains
+    z_prof, y_prof = lipschitz_profile(), lipschitz_profile(UNIF, 0.3, True)
+    names = [f.name for f in dataclasses.fields(DependenceProfile)]
+    env = B.geometric_envelope(y_prof)
+    assert env.regime == "geometric"
+    for name in names:
+        if name not in ("regime", "c_z", "rate_z", "c_y", "rate_y"):
+            assert getattr(env, name) == getattr(y_prof, name), name
+    joint = combine_profiles(z_prof, y_prof)
+    for name in names:
+        role = y_prof if name.endswith("_y") else z_prof
+        assert getattr(joint, name) == getattr(role, name), name
+
+
 def test_lipschitz_profile_evaluates_like_its_envelope():
     prof = lipschitz_profile()
     env = B.geometric_envelope(prof)
@@ -379,3 +403,44 @@ def test_risk_bound_report_fields():
                 + rep.terms["deviation_factor"] * rep.terms["expectation"])
     assert abs(composed - rep.total) < 1e-12
     assert abs(rep.terms["deviation_factor"] - 2 / 0.1) < 1e-15
+
+
+M2_UNIF = Moment(1.0 / 3.0)
+FOUR_CLASSES = {
+    "linear": LinearClass(n_state=3, n_input=2, n_out=1, lam_a=0.6,
+                          lam_c=0.8, lam_zeta=0.4, l_h=1.0, l_h0=0.5,
+                          input_bound=1.0, input_second_moment=M2_UNIF),
+    "esn": EchoStateClass(n_state=3, n_input=2, n_out=1, row_a=(0.2,) * 3,
+                          row_c=(0.5,) * 3, row_zeta=(0.1,) * 3, l_h=1.0,
+                          l_h0=0.5, spec_a=0.6, spec_c=0.9, input_bound=1.0,
+                          input_second_moment=M2_UNIF),
+    "sas": StateAffineClass(n_state=2, n_input=1, n_out=1,
+                            alphas_p=((0,), (1,)), alphas_q=((0,), (2,)),
+                            lam_sas=0.45, c_sas=0.8, input_bound=1.0,
+                            l_h=1.0, l_h0=0.5),
+    "random_esn": random_esn(4, 2, 1, a=0.6, c_scale=1.0, zeta_scale=0.5,
+                             l_h=1.0, l_h0=0.5, seed=3, input_bound=1.0,
+                             input_second_moment=M2_UNIF),
+}
+
+
+@pytest.mark.parametrize("klass", FOUR_CLASSES.values(), ids=FOUR_CLASSES)
+def test_class_constants_cover_every_member(klass):
+    # the class's r, m_f and l_r bound each member's contraction modulus,
+    # state-ball radius and input-Lipschitz modulus on the input box K, for
+    # sampled members and the cap-saturating one alike
+    k = klass.input_bound
+    members = [h.reservoir for h in sample_from_class(klass, n=16, seed=4)]
+    members.append(klass.saturate(members[0]))
+    for res in members:
+        assert klass.contains_reservoir(res)
+        assert res.contraction_modulus(k) <= klass.r * (1 + 1e-12)
+        assert res.bound_M_F(k) <= klass.m_f * (1 + 1e-12)
+        assert res.input_lipschitz(k, klass.m_f) <= klass.l_r * (1 + 1e-12)
+    inputs = B.bound_inputs_from_class(klass, LossFunction(),
+                                       geometric_profile(), Moment(0.5),
+                                       Moment(1.0))
+    assert (inputs.r, inputs.l_r, inputs.m_f) == (klass.r, klass.l_r,
+                                                  klass.m_f)
+    assert inputs.c_rc == B.rademacher_constant(klass) > 0
+    assert B.risk_bound(inputs, 4096, 0.1, "geometric").total > 0

@@ -21,6 +21,7 @@ from rcbounds.processes import (
     dependence_params,
     model_from_spec,
 )
+from rcbounds.specs import ConfigError, _from_spec, to_spec
 
 GARCH = {"kind": "garch11", "omega": 0.05, "alpha": 0.10, "beta": 0.85}
 IID_UNIF = {"kind": "iid", "innovation": {"kind": "uniform", "dim": 1,
@@ -129,6 +130,28 @@ def test_simulate_garch_profile_sidecar(tmp_path, capsys):
     assert code == 0 and report["regime"] == "geometric"
     prof = json.loads((tmp_path / "g_profile.json").read_text())
     assert abs(prof["rate_z"] - 0.95) < 1e-12
+
+
+def test_simulate_sidecar_reads_back_as_profile(tmp_path, capsys):
+    cfg = write_config(tmp_path, "sim.json",
+                       {"process": GARCH, "n": 16, "seed": 0, "prefix": "g",
+                        "profile_mc": 200})
+    assert run_cli(capsys, ["simulate", "--config", cfg,
+                            "--out", str(tmp_path)])[0] == 0
+    sidecar = json.loads((tmp_path / "g_profile.json").read_text())
+    assert sidecar["c_z"]["provenance"] == "mc"
+    prof = _from_spec(processes.DependenceProfile, sidecar, "profile spec")
+    assert prof.c_z.provenance == "mc" and prof.c_y.provenance == "mc"
+    assert to_spec(prof) == sidecar
+    # a moment without provenance keeps the default; an unknown one fails
+    for c_z, provenance in (({"value": 1.0, "std_error": 0.1}, "mc"),
+                            ({"value": 1.0}, "analytic"), (1.0, "analytic")):
+        prof = _from_spec(processes.DependenceProfile,
+                          dict(sidecar, c_z=c_z), "profile spec")
+        assert prof.c_z.provenance == provenance
+    bad = dict(sidecar, c_z=dict(sidecar["c_z"], provenance="guess"))
+    with pytest.raises(ConfigError, match="provenance"):
+        _from_spec(processes.DependenceProfile, bad, "profile spec")
 
 
 def test_simulate_arfima_sidecar_has_alpha(tmp_path, capsys):
@@ -365,6 +388,51 @@ def test_validate_jobs_do_not_change_artifacts(tmp_path, capsys):
         assert code == 0
         blobs.append((out / "th.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_validate_rademacher_end_to_end(tmp_path, capsys):
+    cfg = write_config(tmp_path, "rad.json",
+                       {"kind": "rademacher", "class": LIN_CLASS,
+                        "process": IID_UNIF, "ks": [4, 16], "n_rep": 6,
+                        "n_random": 3, "history": 24, "seed": 2,
+                        "prefix": "rad"})
+    blobs = []
+    for jobs, sub in (("1", "a"), ("2", "b")):
+        out = tmp_path / sub
+        code, report, _ = run_cli(capsys, ["validate", "--config", cfg,
+                                           "--out", str(out), "--jobs", jobs])
+        assert code == 0 and report["pass"] is True
+        blobs.append((out / "rad.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    data = json.loads(blobs[0])
+    assert data["kind"] == "rademacher" and data["c_rc"] > 0
+    assert [row["k"] for row in data["rows"]] == [4, 16]
+    for row in data["rows"]:
+        assert 0 < row["estimate"] <= row["cap"] + 3 * row["std_error"]
+        assert row["std_error"] > 0 and row["pass"] is True
+        assert row["cap"] == pytest.approx(data["c_rc"] / row["k"] ** 0.5)
+        assert row["scaled"] == pytest.approx(row["estimate"] * row["k"] ** 0.5)
+
+
+@pytest.mark.parametrize("klass", [LIN_CLASS, ESN_CLASS], ids=["linear", "esn"])
+def test_validate_truncation_end_to_end(tmp_path, capsys, klass):
+    cfg = write_config(tmp_path, "trunc.json",
+                       {"kind": "truncation", "class": klass,
+                        "process": IID_UNIF,
+                        "y_law": {"kind": "uniform", "dim": 1, "scale": 1.0},
+                        "ns": [4, 32], "n_trials": 8, "n_random": 3,
+                        "seed": 1, "prefix": "tr"})
+    code, report, _ = run_cli(capsys, ["validate", "--config", cfg,
+                                       "--out", str(tmp_path)])
+    assert code == 0 and report["pass"] is True
+    data = json.loads((tmp_path / "tr.json").read_text())
+    assert data["kind"] == "truncation" and data["ns"] == [4, 32]
+    # three sampled members and the cap-saturating one
+    assert data["n_trials"] == 8 and data["n_candidates"] == 4
+    assert data["violations"] == 0 and data["tolerance"] > 0
+    for n in ("4", "32"):
+        assert 0 < data["max_gap"][n] <= data["bounds"][n] + data["tolerance"]
+    assert data["bounds"]["32"] < data["bounds"]["4"]
 
 
 def test_consistency_derives_its_profile_once(tmp_path, capsys, monkeypatch):

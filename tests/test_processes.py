@@ -573,3 +573,37 @@ def test_special_function_swaps_match_scipy():
         want = (np.sqrt(2.0 * var / np.pi) * np.exp(-mu ** 2 / (2.0 * var))
                 + mu * erf(mu / np.sqrt(2.0 * var)))
         assert close(_folded_normal_mean(mu, var), want)
+
+
+@pytest.mark.parametrize("model, orders", [
+    (MAProcess((0.6, -0.3), InnovationLaw("gaussian", 1, 1.5)), (1, 2)),
+    (VAR1Process(((0.5, 0.2), (-0.1, 0.3))), (2,)),
+    (GARCHProcess(omega=0.05, alpha=0.1, beta=0.85), (2,)),
+    (ARFIMAProcess(d_frac=0.3, trunc=300), (1, 2)),
+], ids=["gaussian_ma", "var1", "garch", "arfima"])
+def test_analytic_moments_match_monte_carlo(model, orders):
+    for order in (1, 2):
+        exact = analytic_moment(model, order)
+        if order not in orders:
+            assert exact is None
+            continue
+        assert exact.provenance == "analytic" and exact.std_error == 0.0
+        mc = moment(model, order, n_mc=20_000, seed=order)
+        assert abs(exact.value - mc.value) <= 4.0 * mc.std_error
+
+
+@pytest.mark.parametrize("scale_law, mean_abs_s", [
+    (None, 1.0), (InnovationLaw("uniform", 1, 1.0), 0.5),
+], ids=["fixed", "uniform_scale"])
+def test_var1_dependence_is_geometric_at_the_coefficient_norm(scale_law,
+                                                              mean_abs_s):
+    # rate E|s| |||A|||_2 and constant 2 E||Z_0||, a Monte Carlo estimate
+    # since no closed form of E||Z_0|| exists
+    model = VAR1Process(((0.5, 0.2), (-0.1, 0.3)), scale_law=scale_law)
+    rate = mean_abs_s * np.linalg.norm(np.array(model.a_base), 2)
+    prof = dependence_params(model, n_mc=2000, seed=6)
+    m1 = moment(model, 1, n_mc=2000, seed=6)
+    assert prof.regime == "geometric"
+    assert prof.rate_z == prof.rate_y == pytest.approx(rate, rel=1e-14)
+    assert prof.c_z == prof.c_y == Moment(2 * m1.value, 2 * m1.std_error, "mc")
+    assert not (prof.exact_zero_z or prof.exact_zero_y)

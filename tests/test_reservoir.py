@@ -15,6 +15,7 @@ from rcbounds.reservoir import (
     StateAffineClass,
     StateAffineReservoir,
     esp_convergence_check,
+    final_outputs,
     functional,
     iterate_states,
     iterate_states_batch,
@@ -532,6 +533,28 @@ def test_linear_two_starts_contract_without_roundoff_excess():
                          ids=["linear_jordan", "linear", "esn_tanh",
                               "esn_clipped", "esn_identity", "esn_random",
                               "sas_mixed"])
+def test_final_outputs_are_the_last_window_step(system):
+    # the time-0 outputs of windows opened at the zero-input fixed point:
+    # one readout's are its readout of the final states, bit for bit, and
+    # every readout's are the last step of window_outputs
+    rng = np.random.default_rng(30)
+    z = rng.uniform(-1, 1, (50, 40, system.n_input))
+    finals = iterate_states_batch(system, z, x0=zero_input_fixed_point(system))
+    for m in (1, 2):
+        readouts = [Readout(rng.standard_normal((m, system.n_state)),
+                            rng.standard_normal(m)) for _ in range(3)]
+        got = final_outputs(system, z, readouts)
+        assert got.shape == (3, 50, m)
+        assert np.array_equal(final_outputs(system, z, readouts[:1])[0],
+                              readouts[0](finals))
+        want = system.window_outputs(z, readouts)[:, :, -1]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("system", _parity_systems(),
+                         ids=["linear_jordan", "linear", "esn_tanh",
+                              "esn_clipped", "esn_identity", "esn_random",
+                              "sas_mixed"])
 def test_batched_inputs_must_match_the_input_width(system):
     # every parity system reads d = 2 inputs; a single input column is
     # refused, not broadcast into both input rows or cut to C's first column
@@ -543,6 +566,8 @@ def test_batched_inputs_must_match_the_input_width(system):
             iterate_states_batch(system, z, return_all=return_all)
     with pytest.raises(ValueError, match="n_input"):
         system.window_outputs(z, readouts)
+    with pytest.raises(ValueError, match="n_input"):
+        final_outputs(system, z, readouts)
 
 
 def test_linear_single_path_is_a_batch_of_one():
