@@ -70,27 +70,13 @@ class PhiFunction:
         if self.kind == "power" and self.p <= 1.0:
             raise ValueError("power moment function needs p > 1")
 
-    def value(self, x):
-        if self.kind == "power":
-            return _power(x, self.p)
-        return math.expm1(x)
-
     def inverse(self, y):
         if y < 0:
             raise ValueError("moment function inverse needs y >= 0")
-        if self.kind == "power":
-            return _power(y, 1.0 / self.p)
-        return math.log1p(y)
-
-
-def _power(x, p):
-    """x ** p, with p = 2 and p = 1/2 taken as the correctly rounded square
-    and square root (pow itself may land one ulp off)."""
-    if p == 2.0:
-        return x * x
-    if p == 0.5:
-        return math.sqrt(x)
-    return x ** p
+        if self.kind == "exp":
+            return math.log1p(y)
+        # the correctly rounded square root, which pow may miss by one ulp
+        return math.sqrt(y) if self.p == 2.0 else y ** (1.0 / self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +138,17 @@ def geometric_envelope(profile):
     """
     if profile.regime != "lipschitz":
         return profile
-    for w, name in ((profile.w_z, "w_z"), (profile.w_y, "w_y")):
+    env = {}
+    for role in ("z", "y"):
+        w, lip, xi = (getattr(profile, f"{name}_{role}")
+                      for name in ("w", "l", "xi_mean_abs"))
         if w.d_w >= 1.0:
-            raise ValueError(f"{name} has decay ratio 1; no geometric envelope")
-    c_z = 2.0 * profile.l_z * profile.xi_mean_abs_z.value / (1.0 - profile.w_z.d_w)
-    c_y = 2.0 * profile.l_y * profile.xi_mean_abs_y.value / (1.0 - profile.w_y.d_w)
-    return replace(
-        profile, regime="geometric",
-        c_z=Moment(c_z, 2.0 * profile.l_z * profile.xi_mean_abs_z.std_error
-                   / (1.0 - profile.w_z.d_w), profile.xi_mean_abs_z.provenance),
-        rate_z=profile.w_z.d_w,
-        c_y=Moment(c_y, 2.0 * profile.l_y * profile.xi_mean_abs_y.std_error
-                   / (1.0 - profile.w_y.d_w), profile.xi_mean_abs_y.provenance),
-        rate_y=profile.w_y.d_w)
+            raise ValueError(f"w_{role} has decay ratio 1; no geometric envelope")
+        env[f"c_{role}"] = Moment(2.0 * lip * xi.value / (1.0 - w.d_w),
+                                  2.0 * lip * xi.std_error / (1.0 - w.d_w),
+                                  xi.provenance)
+        env[f"rate_{role}"] = w.d_w
+    return replace(profile, regime="geometric", **env)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ they run, and so does each grid cell a --jobs worker runs.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -69,13 +70,6 @@ def _case(config, where):
 def _seed(config):
     """The config's top-level seed (default 0), an integer >= 0."""
     return _pos_int(config.get("seed", 0), "seed", minimum=0)
-
-
-def _pos_float(value, where):
-    x = _read(float, value, where)
-    if not x > 0:
-        raise ConfigError(f"{where} must be > 0")
-    return x
 
 
 def _prob(value, where):
@@ -200,19 +194,13 @@ def _write_csv(path, header, rows):
 
 
 def _profile_json(prof):
-    out = {"regime": prof.regime, "c_z": to_spec(prof.c_z),
-           "rate_z": prof.rate_z, "c_y": to_spec(prof.c_y),
-           "rate_y": prof.rate_y, "exact_zero_z": prof.exact_zero_z,
-           "exact_zero_y": prof.exact_zero_y}
-    if prof.regime == "algebraic":
-        out["alpha_z"] = prof.rate_z
-        out["alpha_y"] = prof.rate_y
+    keys = ["regime", "c_z", "rate_z", "c_y", "rate_y", "exact_zero_z",
+            "exact_zero_y"]
     if prof.l_z is not None:
-        out["l_z"] = prof.l_z
-        out["l_y"] = prof.l_y
-        out["xi_mean_abs_z"] = to_spec(prof.xi_mean_abs_z)
-        out["xi_second_z"] = to_spec(prof.xi_second_z)
-        out["xi_bound_z"] = prof.xi_bound_z
+        keys += ["l_z", "l_y", "xi_mean_abs_z", "xi_second_z", "xi_bound_z"]
+    out = {key: to_spec(getattr(prof, key)) for key in keys}
+    if prof.regime == "algebraic":
+        out.update(alpha_z=prof.rate_z, alpha_y=prof.rate_y)
     return out
 
 
@@ -241,6 +229,8 @@ def run_simulate(config, out_dir):
     burn_in = (None if config.get("burn_in") is None
                else _pos_int(config["burn_in"], "burn_in", minimum=0))
     prefix = _prefix(config, "path")
+    n_mc = _pos_int(config.get("profile_mc", 20000), "profile_mc", minimum=2)
+    nominal_rate = _prob(config.get("nominal_rate", 0.5), "nominal_rate")
 
     paths = batch_paths(model, n_paths, n, burn_in=burn_in, seed=seed)
     d = paths.shape[2]
@@ -253,10 +243,8 @@ def run_simulate(config, out_dir):
     csv_path = out_dir / f"{prefix}.csv"
     _write_csv(csv_path, header, rows)
 
-    prof = dependence_params(model, n_mc=_pos_int(config.get("profile_mc", 20000),
-                                                  "profile_mc", minimum=2),
-                             seed=seed,
-                             nominal_rate=float(config.get("nominal_rate", 0.5)))
+    prof = dependence_params(model, n_mc=n_mc, seed=seed,
+                             nominal_rate=nominal_rate)
     sidecar = _profile_json(prof)
     sidecar_path = out_dir / f"{prefix}_profile.json"
     _write_json(sidecar_path, sidecar)
@@ -348,8 +336,10 @@ def run_samplesize(config, out_dir):
     _check_keys(config, allowed, "samplesize config")
     case = _case(config, "samplesize config")
     delta = _prob(_require(config, "delta", "samplesize config"), "delta")
-    epsilon = _pos_float(_require(config, "epsilon", "samplesize config"),
-                         "epsilon")
+    epsilon = _read(float, _require(config, "epsilon", "samplesize config"),
+                    "epsilon")
+    if not epsilon > 0:
+        raise ConfigError("epsilon must be > 0")
     n_cap = _pos_int(config.get("n_cap", 10 ** 12), "n_cap")
     inputs = bound_inputs_from_spec(_require(config, "inputs",
                                              "samplesize config"))
@@ -374,23 +364,28 @@ def run_samplesize(config, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def _pmap(fn, payloads, jobs):
-    """Order-stable map; each payload carries its own seeds, so the
-    results do not depend on the worker count."""
-    if jobs <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+def _pmap(fn, items, jobs):
+    """Order-stable map; each cell derives its own seeds from its item, so
+    the results do not depend on the worker count."""
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(fn, payloads))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
-def _paired(klass, model):
-    """The class's inputs must be the process's values: a filter of
-    n_input inputs needs a process of that dimension."""
+def _class_and_model(config):
+    """The class and process of a config; a filter of n_input inputs needs
+    a process of that dimension."""
+    from .processes import model_from_spec
+
+    klass = class_from_spec(_require(config, "class", "validate config"))
+    model = _cfg(model_from_spec, _require(config, "process", "validate config"))
     if klass.n_input != model.dim:
         raise ConfigError(f"class n_input {klass.n_input} does not match the "
                           f"process dimension {model.dim}")
+    return klass, model
 
 
 def _joint_from_spec(target, klass, model):
@@ -412,13 +407,13 @@ def _joint_from_spec(target, klass, model):
     raise ConfigError("target kind must be 'independent' or 'teacher'")
 
 
-def _coverage_profile(config, klass, model, seed):
+def _coverage_profile(config, klass, model, seed, n_mc):
+    """The config's dependence profile, or one derived from n_mc draws."""
     from .processes import IIDProcess, combine_profiles, dependence_params
     from .validation import teacher_target_profile
 
     if config.get("profile") is not None:
         return _from_spec(DependenceProfile, config["profile"], "profile spec")
-    n_mc = _pos_int(config.get("profile_mc", 20000), "profile_mc", minimum=2)
     z_prof = dependence_params(model, n_mc=n_mc, seed=seed + 5)
     target = _require(config, "target", "validate config")
     if target.get("kind") == "teacher":
@@ -435,259 +430,150 @@ def _coverage_profile(config, klass, model, seed):
     return combine_profiles(z_prof, y_prof)
 
 
-def _loss_and_phi(config):
+def _loss(config):
     from .learning import LossFunction
 
-    phi = config.get("phi")
-    return (_from_spec(LossFunction, config.get("loss", {}), "loss spec"),
-            None if phi is None else _from_spec(PhiFunction, phi, "phi spec"))
+    return _from_spec(LossFunction, config.get("loss", {}), "loss spec")
 
 
-def _experiment(config, seed, prof=None):
-    """(klass, joint, profile, loss, phi) of a coverage or consistency
-    config; the profile is derived unless one is passed."""
-    from .processes import model_from_spec
-
-    klass = class_from_spec(_require(config, "class", "validate config"))
-    model = _cfg(model_from_spec, _require(config, "process", "validate config"))
-    _paired(klass, model)
-    joint = _joint_from_spec(_require(config, "target", "validate config"),
-                             klass, model)
-    loss, phi = _loss_and_phi(config)
-    if prof is None:
-        prof = _coverage_profile(config, klass, model, seed)
-    return klass, joint, prof, loss, phi
+def _experiment(config, settings, seed):
+    """The klass, joint, loss, phi and profile keywords of a coverage or
+    consistency run."""
+    klass, model = _class_and_model(config)
+    target, phi = _require(config, "target", "validate config"), config.get("phi")
+    return dict(
+        klass=klass, joint=_joint_from_spec(target, klass, model),
+        loss=_loss(config),
+        phi=None if phi is None else _from_spec(PhiFunction, phi, "phi spec"),
+        profile=_coverage_profile(config, klass, model, seed,
+                                  settings.profile_mc))
 
 
-def _rademacher_cell(payload):
-    from .processes import model_from_spec
+def _rademacher_cell(klass, model, settings, seed, k):
     from .validation import mc_rademacher
 
-    klass = class_from_spec(payload["class"])
-    model = model_from_spec(payload["process"])
-    est = mc_rademacher(klass, model, payload["k"], n_rep=payload["n_rep"],
-                        history=payload["history"], seed=payload["cell_seed"],
-                        n_random=payload["n_random"])
-    return {"k": payload["k"], "estimate": est.value,
-            "std_error": est.std_error}
+    est = mc_rademacher(klass, model, k, seed=seed + 1009 * k + 17,
+                        n_rep=settings.n_rep, n_random=settings.n_random,
+                        history=settings.history)
+    return {"k": k, "estimate": est.value, "std_error": est.std_error}
 
 
-def _theta_cell(payload):
-    from .processes import estimate_theta, model_from_spec
+def _theta_cell(model, settings, seed, tau):
+    from .processes import estimate_theta
 
-    model = model_from_spec(payload["process"])
-    est = estimate_theta(model, payload["tau"], n_mc=payload["n_mc"],
-                         history=payload["history"],
-                         seed=payload["cell_seed"])
-    return {"tau": payload["tau"], "value": est.value,
-            "std_error": est.std_error, "provenance": est.provenance}
+    est = estimate_theta(model, tau, n_mc=settings.n_mc,
+                         history=settings.history, seed=seed + 7919 * tau)
+    return {"tau": tau, "value": est.value, "std_error": est.std_error,
+            "provenance": est.provenance}
 
 
-def _consistency_cell(payload):
+def _consistency_cell(experiment, settings, seed, n):
     from .validation import consistency_curve
 
-    seed = payload["seed"]
-    klass, joint, prof, loss, phi = _experiment(payload["config"], seed,
-                                                payload["profile"])
-    return consistency_curve(
-        klass, joint, loss, prof, payload["config"]["case"], [payload["n"]],
-        n_trials=payload["n_trials"], delta=payload["delta"],
-        n_random=payload["n_random"], seed=seed, history=payload["history"],
-        n_pool=payload["n_pool"], phi=phi)[0]
+    one = dataclasses.replace(settings, ns=(n,))
+    return consistency_curve(seed=seed, **experiment,
+                             **dataclasses.asdict(one))[0]
 
 
-def _validate_rademacher(config, jobs):
-    from .processes import model_from_spec
-
-    allowed = {"kind", "class", "process", "ks", "n_rep", "n_random",
-               "history", "seed", "prefix"}
-    _check_keys(config, allowed, "validate config")
-    klass = class_from_spec(_require(config, "class", "validate config"))
-    _paired(klass, _cfg(model_from_spec, _require(config, "process",
-                                                  "validate config")))
-    ks = [_pos_int(k, "ks entry") for k in _require(config, "ks", "validate config")]
-    seed = _seed(config)
-    n_rep = _pos_int(config.get("n_rep", 64), "n_rep")
-    n_random = _pos_int(config.get("n_random", 16), "n_random")
-    history = (None if config.get("history") is None
-               else _pos_int(config["history"], "history"))
+def _validate_rademacher(config, settings, seed, jobs):
+    klass, model = _class_and_model(config)
     c_rc = _cfg(rademacher_constant, klass)
-    payloads = [{"class": config["class"], "process": config["process"],
-                 "k": k, "n_rep": n_rep, "n_random": n_random,
-                 "history": history, "cell_seed": seed + 1009 * k + 17}
-                for k in ks]
-    rows = _pmap(_rademacher_cell, payloads, jobs)
+    rows = _pmap(functools.partial(_rademacher_cell, klass, model, settings,
+                                   seed), settings.ks, jobs)
     for row in rows:
         cap = c_rc / math.sqrt(row["k"])
         row["cap"] = cap
         row["scaled"] = row["estimate"] * math.sqrt(row["k"])
         row["pass"] = row["estimate"] <= cap + 3 * row["std_error"]
-    passed = all(row["pass"] for row in rows)
-    return {"kind": "rademacher", "c_rc": c_rc, "rows": rows,
-            "pass": passed}
+    return {"c_rc": c_rc, "rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
-def _validate_coverage(config, jobs):
+def _validate_coverage(config, settings, seed, jobs):
     from .validation import risk_gap_experiment
 
-    allowed = {"kind", "class", "process", "target", "loss", "case", "n",
-               "delta", "n_trials", "n_random", "history", "n_pool",
-               "erm_iters", "fit_erm", "seed", "profile", "profile_mc",
-               "phi", "prefix"}
-    _check_keys(config, allowed, "validate config")
-    case = _case(config, "validate config")
-    seed = _seed(config)
-    klass, joint, prof, loss, phi = _experiment(config, seed)
-    cov = risk_gap_experiment(
-        klass, joint, loss, prof, case,
-        n=_pos_int(_require(config, "n", "validate config"), "n"),
-        n_trials=_pos_int(config.get("n_trials", 200), "n_trials"),
-        delta=_prob(config.get("delta", 0.1), "delta"),
-        n_random=_pos_int(config.get("n_random", 10), "n_random"),
-        seed=seed,
-        history=_pos_int(config.get("history", 200), "history"),
-        n_pool=_pos_int(config.get("n_pool", 20000), "n_pool", minimum=2),
-        fit_erm=bool(config.get("fit_erm", True)),
-        erm_iters=_pos_int(config.get("erm_iters", 100), "erm_iters"),
-        phi=phi)
-    return {"kind": "coverage", "case": cov.case, "n": cov.n,
-            "delta": cov.delta, "n_trials": cov.n_trials,
-            "coverage": cov.coverage, "bound": cov.bound,
-            "median_gap": cov.median_gap, "max_gap": cov.max_gap,
-            "slack": cov.slack, "gaps": list(cov.gaps),
-            "pool_std_error": cov.pool_std_error,
-            "pass": cov.coverage == 1.0 and cov.slack > 1.0}
+    cov = risk_gap_experiment(seed=seed, **_experiment(config, settings, seed),
+                              **dataclasses.asdict(settings))
+    return {**dataclasses.asdict(cov), "pass": cov.coverage == 1.0 and cov.slack > 1.0}
 
 
-def _validate_truncation(config, jobs):
-    from .learning import LossFunction
-    from .processes import model_from_spec
+def _validate_truncation(config, settings, seed, jobs):
     from .validation import truncation_gap_experiment
 
-    allowed = {"kind", "class", "process", "y_law", "ns", "n_trials",
-               "n_random", "loss", "seed", "prefix"}
-    _check_keys(config, allowed, "validate config")
-    klass = class_from_spec(_require(config, "class", "validate config"))
-    model = _cfg(model_from_spec, _require(config, "process", "validate config"))
-    _paired(klass, model)
+    klass, model = _class_and_model(config)
     y_law = _from_spec(InnovationLaw, _require(config, "y_law",
                                                "validate config"), "y_law")
-    ns = tuple(_pos_int(n, "ns entry") for n in _require(config, "ns",
-                                                         "validate config"))
-    loss = (None if config.get("loss") is None
-            else _from_spec(LossFunction, config["loss"], "loss spec"))
-    res = truncation_gap_experiment(
-        klass, model, y_law, ns=ns,
-        n_trials=_pos_int(config.get("n_trials", 100), "n_trials"),
-        n_random=_pos_int(config.get("n_random", 50), "n_random"),
-        loss=loss, seed=_seed(config))
-    return {"kind": "truncation", "ns": list(res["ns"]),
-            "bounds": {str(n): res["bounds"][n] for n in res["ns"]},
-            "max_gap": {str(n): res["max_gap"][n] for n in res["ns"]},
-            "violations": res["violations"], "tolerance": res["tolerance"],
-            "n_trials": res["n_trials"], "n_candidates": res["n_candidates"],
-            "pass": res["violations"] == 0}
+    res = truncation_gap_experiment(klass, model, y_law, loss=_loss(config),
+                                    seed=seed, **dataclasses.asdict(settings))
+    return {**res, "pass": res["violations"] == 0}
 
 
-def _validate_lipschitz(config, jobs):
+def _validate_lipschitz(config, settings, seed, jobs):
     from .validation import history_lipschitz_check
 
-    allowed = {"kind", "class", "input_bound", "n_pairs", "history", "seed",
-               "prefix"}
-    _check_keys(config, allowed, "validate config")
-    klass = class_from_spec(_require(config, "class", "validate config"))
     res = history_lipschitz_check(
-        klass,
-        input_bound=_pos_float(_require(config, "input_bound",
-                                        "validate config"), "input_bound"),
-        n_pairs=_pos_int(config.get("n_pairs", 200), "n_pairs"),
-        history=_pos_int(config.get("history", 64), "history"),
-        seed=_seed(config))
-    return {"kind": "lipschitz", "worst_ratio": res["worst_ratio"],
-            "n_pairs": res["n_pairs"], "n_systems": res["n_systems"],
-            "pass": res["worst_ratio"] <= 1.0 + 1e-9}
+        class_from_spec(_require(config, "class", "validate config")),
+        seed=seed, **dataclasses.asdict(settings))
+    return {**res, "pass": res["worst_ratio"] <= 1.0 + 1e-9}
 
 
-def _validate_theta(config, jobs):
+def _validate_theta(config, settings, seed, jobs):
     from .processes import fit_theta_decay, model_from_spec
 
-    allowed = {"kind", "process", "taus", "n_mc", "history", "seed", "decay",
-               "expect", "prefix"}
-    _check_keys(config, allowed, "validate config")
-    _cfg(model_from_spec, _require(config, "process", "validate config"))
-    taus = [_pos_int(t, "taus entry") for t in _require(config, "taus",
-                                                        "validate config")]
-    decay = str(_require(config, "decay", "validate config"))
-    if decay not in ("geometric", "algebraic"):
-        raise ConfigError("decay must be 'geometric' or 'algebraic'")
-    seed = _seed(config)
-    n_mc = _pos_int(config.get("n_mc", 10000), "n_mc", minimum=2)
-    history = (None if config.get("history") is None
-               else _pos_int(config["history"], "history"))
-    payloads = [{"process": config["process"], "tau": tau, "n_mc": n_mc,
-                 "history": history, "cell_seed": seed + 7919 * tau}
-                for tau in taus]
-    rows = _pmap(_theta_cell, payloads, jobs)
-    fit = fit_theta_decay([(row["tau"], row["value"]) for row in rows], decay)
-    out = {"kind": "theta", "decay": decay, "theta": rows,
-           "fit": to_spec(fit)}
-    expect = config.get("expect")
-    passed = True
+    model = _cfg(model_from_spec, _require(config, "process", "validate config"))
+    rows = _pmap(functools.partial(_theta_cell, model, settings, seed),
+                 settings.taus, jobs)
+    fit = fit_theta_decay([(row["tau"], row["value"]) for row in rows],
+                          settings.decay)
+    expect = settings.expect
+    out = {"decay": settings.decay, "theta": rows, "fit": to_spec(fit),
+           "pass": expect is None or expect.met_by(fit.rate)}
     if expect is not None:
-        _check_keys(expect, {"rate_max", "exponent", "tol"}, "expect spec")
-        if "rate_max" in expect:
-            passed = passed and fit.rate <= float(expect["rate_max"])
-        if "exponent" in expect:
-            tol = float(expect.get("tol", 0.08))
-            passed = passed and abs(fit.rate - float(expect["exponent"])) <= tol
-        out["expect"] = expect
-    out["pass"] = passed
+        out["expect"] = config["expect"]  # as given
     return out
 
 
-def _validate_consistency(config, jobs):
-    allowed = {"kind", "class", "process", "target", "loss", "case", "ns",
-               "n_trials", "n_random", "delta", "history", "n_pool", "seed",
-               "profile", "profile_mc", "phi", "prefix"}
-    _check_keys(config, allowed, "validate config")
-    case = _case(config, "validate config")
-    ns = [_pos_int(n, "ns entry") for n in _require(config, "ns",
-                                                    "validate config")]
-    seed = _seed(config)
-    # one profile for every cell: its Monte Carlo does not depend on n
-    prof = _experiment(config, seed)[2]
-    shared = {"n_trials": _pos_int(config.get("n_trials", 30), "n_trials"),
-              "delta": _prob(config.get("delta", 0.1), "delta"),
-              "n_random": _pos_int(config.get("n_random", 8), "n_random"),
-              "history": _pos_int(config.get("history", 200), "history"),
-              "n_pool": _pos_int(config.get("n_pool", 20000), "n_pool",
-                                 minimum=2)}
-    payloads = [dict(shared, config=config, seed=seed, profile=prof, n=n)
-                for n in ns]
-    rows = _pmap(_consistency_cell, payloads, jobs)
-    bounds = [row["bound"] for row in rows]
-    medians = [row["median_gap"] for row in rows]
-    passed = (all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
-              and all(m2 < m1 for m1, m2 in zip(medians, medians[1:])))
-    return {"kind": "consistency", "case": case, "rows": rows, "pass": passed}
+def _validate_consistency(config, settings, seed, jobs):
+    # one experiment, its profile included, for every cell
+    experiment = _experiment(config, settings, seed)
+    rows = _pmap(functools.partial(_consistency_cell, experiment, settings,
+                                   seed), settings.ns, jobs)
+    # the bound and the median gap both fall strictly along ns
+    passed = all(b["bound"] < a["bound"] and b["median_gap"] < a["median_gap"]
+                 for a, b in zip(rows, rows[1:]))
+    return {"case": settings.case, "rows": rows, "pass": passed}
 
 
+_EXPERIMENT_BLOCKS = ("class", "process", "target", "loss", "profile", "phi")
+
+# kind: (its settings type in rcbounds.validation, the model blocks its
+# config may hold besides the settings, its run)
 _VALIDATORS = {
-    "rademacher": _validate_rademacher,
-    "coverage": _validate_coverage,
-    "truncation": _validate_truncation,
-    "lipschitz": _validate_lipschitz,
-    "theta": _validate_theta,
-    "consistency": _validate_consistency,
+    "rademacher": ("RademacherSettings", ("class", "process"),
+                   _validate_rademacher),
+    "coverage": ("CoverageSettings", _EXPERIMENT_BLOCKS, _validate_coverage),
+    "truncation": ("TruncationSettings", ("class", "process", "y_law", "loss"),
+                   _validate_truncation),
+    "lipschitz": ("LipschitzSettings", ("class",), _validate_lipschitz),
+    "theta": ("ThetaSettings", ("process",), _validate_theta),
+    "consistency": ("ConsistencySettings", _EXPERIMENT_BLOCKS,
+                    _validate_consistency),
 }
 
 
 def run_validate(config, out_dir, jobs):
+    from . import validation
+
     kind = str(_require(config, "kind", "validate config"))
     if kind not in _VALIDATORS:
         raise ConfigError(f"validate kind must be one of {list(_VALIDATORS)}")
     prefix = _prefix(config, f"validate_{kind}")
-    report = _VALIDATORS[kind](config, jobs)
+    seed = _seed(config)
+    settings_type, blocks, validate = _VALIDATORS[kind]
+    spec = {key: value for key, value in config.items()
+            if key not in ("kind", "seed", "prefix", *blocks)}
+    settings = _cfg(_from_spec, getattr(validation, settings_type), spec,
+                    "validate config")
+    report = {"kind": kind, **validate(config, settings, seed, jobs)}
     json_path = out_dir / f"{prefix}.json"
     _write_json(json_path, report)
     report["report"] = str(json_path)

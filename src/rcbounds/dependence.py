@@ -43,11 +43,10 @@ class WeightingSequence:
     kind "geometric": w_j = param**j with param in (0, 1).
     kind "polynomial": w_j = (1 + j)**(-param) with param > 1.
 
-    Exposes the inverse decay ratio l_w = sup w_j / w_{j+1}, the decay ratio
-    d_w = sup w_{j+1} / w_j and the l1 norm sum_j w_j.  Only geometric
-    sequences have d_w < 1; the polynomial family has d_w = 1 (its ratio
-    (1+j)/(2+j) -> 1), which disqualifies it from the bound chains that
-    divide by 1 - d_w.
+    Exposes the decay ratio d_w = sup w_{j+1} / w_j and the l1 norm
+    sum_j w_j.  Only geometric sequences have d_w < 1; the polynomial family
+    has d_w = 1 (its ratio (1+j)/(2+j) -> 1), which disqualifies it from the
+    bound chains that divide by 1 - d_w.
     """
 
     kind: str
@@ -67,13 +66,6 @@ class WeightingSequence:
         if self.kind == "geometric":
             return self.param ** j
         return (1.0 + j) ** (-self.param)
-
-    @property
-    def l_w(self):
-        # sup_j w_j / w_{j+1}; attained at j -> inf (geometric) resp. j = 0.
-        if self.kind == "geometric":
-            return 1.0 / self.param
-        return 2.0 ** self.param
 
     @property
     def d_w(self):

@@ -519,7 +519,7 @@ def _mc_mean(draw, values, n_mc, seed):
     return Moment(float(vals.mean()), float(vals.std() / np.sqrt(n_mc)), "mc")
 
 
-def estimate_theta(model, tau, n_mc=10_000, history=None, seed=0):
+def estimate_theta(model, tau, n_mc, history=None, seed=0):
     """Monte Carlo estimate of the coupling coefficient theta(tau).
 
     One rng = default_rng(seed) serves all n_mc trials; trial i takes the

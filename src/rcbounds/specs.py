@@ -46,6 +46,8 @@ def _cfg(build, *args, **kwargs):
 def _pos_int(value, where, minimum=1):
     try:
         n = int(value)
+        if value != n and float(value) != n:  # 2.7 would truncate to 2
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be an integer") from None
     if n < minimum:
@@ -75,13 +77,17 @@ def _read(typ, value, where):
         return _pos_int(value, where)
     if typ is Moment:
         return _moment(value, where)
+    if typ is bool:  # bool("False") is True
+        if value is not True and value is not False:
+            raise ConfigError(f"{where} must be true or false")
+        return value
     spelled_by = getattr(typ, "spec_field", None)
     if dataclasses.is_dataclass(typ) and spelled_by is None:
         return _from_spec(typ, value, f"{where} spec")
     try:
         if spelled_by is not None:
             return typ(**{spelled_by: value})
-        return typ(value)  # float, str, bool, tuple
+        return typ(value)  # float, str, tuple
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 

@@ -13,18 +13,19 @@ than the candidates show.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bounds import (
+    _CASES,
     bound_inputs_from_class,
     c_zero,
-    rademacher_constant,
     risk_bound,
     truncation_risk_gap,
 )
 from .learning import (
+    LossFunction,
     _gaussian_risks,
     _pool_losses,
     exact_risk,
@@ -42,9 +43,17 @@ from .reservoir import (
     sample_from_class,
     zero_input_fixed_point,
 )
+from .specs import _pos_int
 
 __all__ = [
+    "ConsistencySettings",
     "CoverageResult",
+    "CoverageSettings",
+    "LipschitzSettings",
+    "RademacherSettings",
+    "ThetaExpect",
+    "ThetaSettings",
+    "TruncationSettings",
     "candidate_set",
     "mc_rademacher",
     "expected_loss_at_zero",
@@ -74,6 +83,125 @@ class CoverageResult:
     # largest standard error of a true risk estimated on the Monte Carlo
     # pool (candidates and ERM fits); None when no pool was drawn
     pool_std_error: float | None = None
+
+
+# ---------------------------------------------------------------------------
+# settings
+# ---------------------------------------------------------------------------
+
+
+class _Settings:
+    """The settings of a validate kind: its config keys with their defaults,
+    into which its experiment function reads its keyword settings.  Range
+    checks by field name: a grid (ks, taus, ns) is a non-empty list of
+    integers >= 1, kept as a tuple; n_pool, n_mc, profile_mc are >= 2 and
+    other counts >= 1; delta lies in (0, 1); input_bound is finite and > 0."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name in ("ks", "taus", "ns"):
+                grid = tuple(_pos_int(v, f"{name} entry") for v in value)
+                if not grid:
+                    raise ValueError(f"{name} must not be empty")
+                object.__setattr__(self, name, grid)
+            elif name in ("n_pool", "n_mc", "profile_mc") and value < 2:
+                raise ValueError(f"{name} must be >= 2")
+            elif f.type is int and value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
+            elif name == "delta" and not 0 < value < 1:
+                raise ValueError("delta must lie in (0, 1)")
+            elif name == "input_bound" and not 0 < value < math.inf:
+                raise ValueError("input_bound must be finite and > 0")
+            elif name == "case" and value not in _CASES:
+                raise ValueError(f"case must be one of {list(_CASES)}")
+            elif name == "decay" and value not in ("geometric", "algebraic"):
+                raise ValueError("decay must be 'geometric' or 'algebraic'")
+
+
+@dataclass(frozen=True)
+class RademacherSettings(_Settings):
+    """mc_rademacher at each block count in ks."""
+
+    ks: tuple
+    n_rep: int = 64
+    n_random: int = 16
+    history: int = 200
+
+
+@dataclass(frozen=True, kw_only=True)
+class _RiskSettings(_Settings):
+    """What coverage and consistency runs share."""
+
+    case: str
+    delta: float = 0.1
+    history: int = 200
+    n_pool: int = 20000
+    profile_mc: int = 20000  # draws for a profile the config does not give
+
+
+@dataclass(frozen=True, kw_only=True)
+class CoverageSettings(_RiskSettings):
+    """risk_gap_experiment at one n."""
+
+    n: int
+    n_trials: int = 200
+    n_random: int = 10
+    fit_erm: bool = True
+    erm_iters: int = 100
+
+
+@dataclass(frozen=True)
+class TruncationSettings(_Settings):
+    """truncation_gap_experiment at the sample sizes ns."""
+
+    ns: tuple
+    n_trials: int = 100
+    n_random: int = 50
+
+
+@dataclass(frozen=True)
+class LipschitzSettings(_Settings):
+    """history_lipschitz_check on inputs in the ball of radius input_bound."""
+
+    input_bound: float
+    n_pairs: int = 200
+    history: int = 64
+
+
+@dataclass(frozen=True)
+class ThetaExpect:
+    """The pass rule of a theta run: the fitted rate is at most rate_max
+    and within tol of exponent; a rule left unset always holds."""
+
+    rate_max: float = None
+    exponent: float = None
+    tol: float = 0.08
+
+    def met_by(self, rate):
+        return ((self.rate_max is None or rate <= self.rate_max)
+                and (self.exponent is None
+                     or abs(rate - self.exponent) <= self.tol))
+
+
+@dataclass(frozen=True)
+class ThetaSettings(_Settings):
+    """estimate_theta at each lag in taus, then a fit of the decay law."""
+
+    taus: tuple
+    decay: str
+    n_mc: int = 10_000
+    history: int = None
+    expect: ThetaExpect = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class ConsistencySettings(_RiskSettings):
+    """consistency_curve along the sample sizes ns."""
+
+    ns: tuple
+    n_trials: int = 30
+    n_random: int = 8
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +251,20 @@ def _by_reservoir(candidates, indices=None):
 # ---------------------------------------------------------------------------
 
 
-def mc_rademacher(candidates, model, k, n_rep=64, history=None, seed=0,
-                  n_random=16):
+def mc_rademacher(candidates, model, k, seed=0, **settings):
     """Monte Carlo estimate of the block Rademacher complexity at k blocks.
 
     (1/k) E sup_H || sum_j eps_j H(Z_j) ||_2 with the sup over a finite
     candidate set (a class is expanded via candidate_set) and Z_j fresh
     stationary histories per repetition, read by one final_outputs pass per
-    reservoir.  Returns a Moment with the repetition standard error.
+    reservoir.  settings are the other fields of RademacherSettings.
+    Returns a Moment with the repetition standard error.
     """
-    if k < 1 or n_rep < 1:
-        raise ValueError("k and n_rep must be >= 1")
+    s = RademacherSettings(ks=(k,), **settings)
+    k, n_rep, history = s.ks[0], s.n_rep, s.history
     if not isinstance(candidates, (list, tuple)):
-        candidates = candidate_set(candidates, n_random=n_random,
+        candidates = candidate_set(candidates, n_random=s.n_random,
                                    seed=seed + 7919)
-    if history is None:
-        history = 200
     # a zero readout's sums have norm 0, where the sup starts
     groups = _by_reservoir(candidates, [
         i for i, h in enumerate(candidates)
@@ -171,7 +297,7 @@ def mc_rademacher(candidates, model, k, n_rep=64, history=None, seed=0,
 # ---------------------------------------------------------------------------
 
 
-def expected_loss_at_zero(joint, loss, n_mc=20000, history=200, seed=0):
+def expected_loss_at_zero(joint, loss, n_mc, history, seed=0):
     """E|L(0, Y_0)| as a Moment; analytic for independent scalar targets."""
     if joint.teacher is None and joint.noise.dim == 1:
         law = joint.noise
@@ -186,7 +312,7 @@ def expected_loss_at_zero(joint, loss, n_mc=20000, history=200, seed=0):
                   float(vals.std(ddof=1) / math.sqrt(n_mc)), "mc")
 
 
-def target_l2_moment(joint, n_mc=20000, history=200, seed=0):
+def target_l2_moment(joint, n_mc, history, seed=0):
     """E[||Y_0||_2^2]^(1/2) as a Moment; analytic for independent targets."""
     if joint.teacher is None:
         m2 = joint.noise.norm_power_moment(2.0)
@@ -293,9 +419,8 @@ def _empirical_risks(candidates, z_train, y_train, loss):
     return out
 
 
-def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
-                        delta=0.1, n_random=10, seed=0, history=200,
-                        n_pool=20000, fit_erm=True, erm_iters=100, phi=None):
+def risk_gap_experiment(klass, joint, loss, profile, case, n, seed=0,
+                        phi=None, **settings):
     """Coverage of the risk certificate by realized sup generalization gaps.
 
     Per trial: one training series of length n, the sup over the candidate
@@ -310,31 +435,33 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
     reservoir and take their risks from its one stationary covariance
     under inputs with a Gaussian moving-average form (i.i.d. Gaussian,
     Gaussian MA, ARFIMA); under other inputs, uniform ones included, they
-    use the pool.
+    use the pool.  settings are the other fields of CoverageSettings.
     Seed offsets: + 11 the loss at zero e0, + 12 the target moment yl2,
     + 14 the training series, + 15 the pool, + 16 the ERM starts.
     """
-    candidates = candidate_set(klass, n_random=n_random, seed=seed)
+    s = CoverageSettings(case=case, n=n, **settings)
+    history, n_pool = s.history, s.n_pool
+    candidates = candidate_set(klass, n_random=s.n_random, seed=seed)
     e0 = expected_loss_at_zero(joint, loss, n_mc=n_pool, history=history,
                                seed=seed + 11)
     yl2 = target_l2_moment(joint, n_mc=n_pool, history=history, seed=seed + 12)
     inputs = bound_inputs_from_class(klass, loss, profile, e0, yl2, phi=phi)
-    report = risk_bound(inputs, n, delta, case)
+    report = risk_bound(inputs, s.n, s.delta, s.case)
 
     pool = _lazy_pool(joint, n_pool, history, seed + 15)
     true_r, pool_se = _true_risks(candidates, joint, loss, pool)
-    z_train, y_train = sample_joint_paths(joint, n_trials, n, history=history,
-                                          seed=seed + 14)
+    z_train, y_train = sample_joint_paths(joint, s.n_trials, s.n,
+                                          history=history, seed=seed + 14)
     emp = _empirical_risks(candidates, z_train, y_train, loss)
     gaps = (true_r[:, None] - emp).max(axis=0)
 
-    if fit_erm:
+    if s.fit_erm:
         erm_res = candidates[0].reservoir
         states = iterate_states_batch(erm_res, z_train,
                                       x0=zero_input_fixed_point(erm_res),
                                       return_all=True)
         fits = fit_readout_erm(states, y_train, caps=(klass.l_h, klass.l_h0),
-                               loss=loss, n_iter=erm_iters, n_restarts=2,
+                               loss=loss, n_iter=s.erm_iters, n_restarts=2,
                                seed=seed + 16)
         # candidate_set checked erm_res against the reservoir caps
         for ro in fits:
@@ -355,7 +482,7 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
     covered = gaps <= report.total
     med = float(np.median(gaps))
     return CoverageResult(
-        case=case, n=n, delta=delta, n_trials=n_trials,
+        case=s.case, n=s.n, delta=s.delta, n_trials=s.n_trials,
         coverage=float(covered.mean()), bound=report.total, median_gap=med,
         max_gap=float(gaps.max()),
         slack=report.total / med if med > 0 else math.inf,
@@ -367,21 +494,20 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, n_trials=200,
 # ---------------------------------------------------------------------------
 
 
-def truncation_gap_experiment(klass, model, y_law, ns=(10, 100, 1000),
-                              n_trials=100, n_random=50, loss=None, seed=0):
+def truncation_gap_experiment(klass, model, y_law, ns, loss=LossFunction(),
+                              seed=0, **settings):
     """Zero-padding gap versus its deterministic envelope.
 
     For each trial path and candidate, compares the zero-padded empirical
     risk on the window against the same risk opened with a long warm
     prefix (a proxy for the full past, off by at most the reported
-    tolerance), across the sample sizes ns.  Returns per-n maxima, the
-    envelope values, and the total violation count.
+    tolerance), across the sample sizes ns.  settings are the other fields
+    of TruncationSettings.  Returns per-n maxima, the envelope values, and
+    the total violation count.
     """
-    from .learning import LossFunction
-
-    if loss is None:
-        loss = LossFunction(kind="absolute")
-    candidates = candidate_set(klass, n_random=n_random, seed=seed,
+    s = TruncationSettings(ns=ns, **settings)
+    ns, n_trials = s.ns, s.n_trials
+    candidates = candidate_set(klass, n_random=s.n_random, seed=seed,
                                include_zero=False)
     r, m_f, l_h = klass.r, klass.m_f, klass.l_h
     c0 = c_zero(r, loss.l_l, l_h, m_f)
@@ -413,7 +539,7 @@ def truncation_gap_experiment(klass, model, y_law, ns=(10, 100, 1000),
 
     bounds = {n: truncation_risk_gap(c0, r, n) for n in ns}
     violations = int(sum((sup_gaps[n] > bounds[n] + tol).sum() for n in ns))
-    return {"ns": tuple(ns),
+    return {"ns": ns,
             "bounds": {n: bounds[n] for n in ns},
             "max_gap": {n: float(sup_gaps[n].max()) for n in ns},
             "violations": violations,
@@ -427,8 +553,7 @@ def truncation_gap_experiment(klass, model, y_law, ns=(10, 100, 1000),
 # ---------------------------------------------------------------------------
 
 
-def history_lipschitz_check(systems, input_bound, n_pairs=200, history=64,
-                            seed=0):
+def history_lipschitz_check(systems, input_bound, seed=0, **settings):
     """Worst ratio of realized state deviation to the history envelope.
 
     For pairs of input histories sharing a random-length recent stretch,
@@ -437,8 +562,11 @@ def history_lipschitz_check(systems, input_bound, n_pairs=200, history=64,
     envelope is floored at the roundoff scale of the recursion (the
     contracted exact difference can sit below machine epsilon while the
     computed one carries accumulated float noise).  Sound means a worst
-    ratio <= 1 up to that floor.
+    ratio <= 1 up to that floor.  settings are the other fields of
+    LipschitzSettings.
     """
+    s = LipschitzSettings(input_bound=input_bound, **settings)
+    input_bound, n_pairs, t = s.input_bound, s.n_pairs, s.history
     if not isinstance(systems, (list, tuple)):
         systems = [h.reservoir for h in candidate_set(systems, n_random=8,
                                                       seed=seed)]
@@ -449,7 +577,6 @@ def history_lipschitz_check(systems, input_bound, n_pairs=200, history=64,
         m_f = system.bound_M_F(input_bound)
         l_r = system.input_lipschitz(input_bound, m_f)
         d = system.n_input
-        t = history
         z = rng.uniform(-input_bound, input_bound, (n_pairs, t, d))
         z2 = z.copy()
         fresh = rng.uniform(-input_bound, input_bound, (n_pairs, t, d))
@@ -482,9 +609,8 @@ def history_lipschitz_check(systems, input_bound, n_pairs=200, history=64,
 # ---------------------------------------------------------------------------
 
 
-def consistency_curve(klass, joint, loss, profile, case, ns, n_trials=30,
-                      delta=0.1, n_random=8, seed=0, history=200,
-                      n_pool=20000, phi=None):
+def consistency_curve(klass, joint, loss, profile, case, ns, seed=0, phi=None,
+                      **settings):
     """Certificate and realized sup-gap medians along a sample-size grid.
 
     Returns one dict per n with the bound, the median and max sup-gap over
@@ -493,8 +619,11 @@ def consistency_curve(klass, joint, loss, profile, case, ns, n_trials=30,
     (seed + 23), drawn only if a candidate needs it.
     Training draws are seeded by the value of n, so a row does not depend
     on where its n sits in the grid (rows for a repeated n coincide).
+    settings are the other fields of ConsistencySettings.
     """
-    candidates = candidate_set(klass, n_random=n_random, seed=seed)
+    s = ConsistencySettings(case=case, ns=ns, **settings)
+    history, n_pool = s.history, s.n_pool
+    candidates = candidate_set(klass, n_random=s.n_random, seed=seed)
     e0 = expected_loss_at_zero(joint, loss, n_mc=n_pool, history=history,
                                seed=seed + 21)
     yl2 = target_l2_moment(joint, n_mc=n_pool, history=history, seed=seed + 22)
@@ -503,15 +632,15 @@ def consistency_curve(klass, joint, loss, profile, case, ns, n_trials=30,
                             _lazy_pool(joint, n_pool, history, seed + 23))
 
     rows = []
-    for n in ns:
-        report = risk_bound(inputs, int(n), delta, case)
-        z_train, y_train = sample_joint_paths(joint, n_trials, int(n),
+    for n in s.ns:
+        report = risk_bound(inputs, n, s.delta, s.case)
+        z_train, y_train = sample_joint_paths(joint, s.n_trials, n,
                                               history=history,
-                                              seed=seed + 1009 * int(n) + 1000)
+                                              seed=seed + 1009 * n + 1000)
         emp = _empirical_risks(candidates, z_train, y_train, loss)
         gaps = (true_r[:, None] - emp).max(axis=0)
         med = float(np.median(gaps))
-        rows.append({"n": int(n), "bound": report.total,
+        rows.append({"n": n, "bound": report.total,
                      "median_gap": med, "max_gap": float(gaps.max()),
                      "coverage": float((gaps <= report.total).mean())})
     return rows

@@ -21,7 +21,7 @@ from rcbounds.processes import (
     dependence_params,
     model_from_spec,
 )
-from rcbounds.specs import ConfigError, _from_spec, to_spec
+from rcbounds.specs import ConfigError, _from_spec, _pos_int, to_spec
 
 GARCH = {"kind": "garch11", "omega": 0.05, "alpha": 0.10, "beta": 0.85}
 IID_UNIF = {"kind": "iid", "innovation": {"kind": "uniform", "dim": 1,
@@ -592,6 +592,17 @@ LIPSCHITZ = {"kind": "lipschitz", "input_bound": 1, "n_pairs": 20,
 COVERAGE = {"kind": "coverage", "class": LIN_CLASS, "process": IID_UNIF,
             "case": "bounded", "n": 256, "n_trials": 8, "n_random": 4,
             "history": 40, "n_pool": 2000, "erm_iters": 10, "seed": 0}
+THETA = {"kind": "theta", "process": GARCH, "taus": [1, 2, 4], "n_mc": 50,
+         "decay": "geometric", "expect": {"exponent": 0.9}}
+RADEMACHER = {"kind": "rademacher", "class": LIN_CLASS, "process": IID_UNIF,
+              "ks": [4], "n_rep": 4, "n_random": 2, "history": 10}
+TRUNCATION = {"kind": "truncation", "class": LIN_CLASS, "process": IID_UNIF,
+              "y_law": {"kind": "uniform"}, "ns": [8], "n_trials": 4,
+              "n_random": 2}
+CONSISTENCY = {"kind": "consistency", "case": "geometric", "ns": [64, 128],
+               "class": LIN_CLASS, "process": IID_UNIF,
+               "target": {"kind": "teacher"}, "n_trials": 4, "n_random": 2,
+               "history": 20, "n_pool": 200}
 
 
 def test_coverage_report_gives_pool_std_error(tmp_path, capsys):
@@ -640,7 +651,7 @@ def test_coverage_independent_target_profile_from_target_law(tmp_path,
               "law": {"kind": "uniform", "dim": 1, "scale": 0.8}}
     config = dict(COVERAGE, target=target, prefix="cov")
     model = model_from_spec(IID_UNIF)
-    prof = _coverage_profile(config, None, model, 0)
+    prof = _coverage_profile(config, None, model, 0, 20_000)
     inputs = dependence_params(model, seed=5)
     assert prof.xi_bound_z == 1.0 and prof.xi_bound_y == 0.8
     assert prof.xi_law_z == UNIF_Z and prof.xi_law_y == UNIF_Y
@@ -655,7 +666,8 @@ def test_coverage_independent_target_profile_from_target_law(tmp_path,
 def test_empty_target_law_reads_as_standard_gaussian():
     # an innovation law defaults its kind like its other fields
     config = dict(COVERAGE, target={"kind": "independent", "law": {}})
-    prof = _coverage_profile(config, None, model_from_spec(IID_UNIF), 0)
+    prof = _coverage_profile(config, None, model_from_spec(IID_UNIF), 0,
+                             20_000)
     assert prof.xi_law_y == InnovationLaw("gaussian", 1, 1.0)
     assert prof.xi_law_z == UNIF_Z
 
@@ -666,7 +678,7 @@ def test_coverage_independent_target_y_role_is_exact_zero(tmp_path, capsys):
     config = dict(COVERAGE, process=GARCH, target=target, case="geometric",
                   profile_mc=2000, prefix="cov")
     model = model_from_spec(GARCH)
-    prof = _coverage_profile(config, None, model, 0)
+    prof = _coverage_profile(config, None, model, 0, 2000)
     inputs = dependence_params(model, n_mc=2000, seed=5)
     assert prof.exact_zero_y and prof.c_y == Moment(0.0, 0.0, "exact-zero")
     assert (prof.regime, prof.c_z, prof.rate_z) == ("geometric", inputs.c_z,
@@ -705,8 +717,11 @@ def test_coverage_independent_target_y_role_is_exact_zero(tmp_path, capsys):
     ("validate", dict(COVERAGE, target={"kind": "independent",
                                         "law": {"kind": "uniform"}}),
      "target.law.scale=[]"),
+    # a boolean is a JSON true or false: the text "False" is no boolean
+    ("bound", BOUND, "inputs.profile.exact_zero_y=False"),
+    ("validate", dict(COVERAGE, target={"kind": "teacher"}), "fit_erm=no"),
 ], ids=["inputs", "profile", "linear", "esn", "sas", "random_esn", "loss",
-        "phi", "target_law"])
+        "phi", "target_law", "bool-text", "fit_erm-text"])
 def test_malformed_block_value_exits_two(tmp_path, capsys, command, config,
                                          override):
     cfg = write_config(tmp_path, "cfg.json", config)
@@ -729,15 +744,71 @@ def test_malformed_block_value_exits_two(tmp_path, capsys, command, config,
                                         "law": {"kind": "uniform"}}),
      "target.law.scale=Infinity"),
     ("bound", BOUND, "inputs.profile.l_z=-1"),
+    ("validate", THETA, "expect.rate_max=x"),
+    ("validate", THETA, "expect.exponent=x"),
+    ("validate", THETA, "expect.tol=x"),
+    ("simulate", {"process": IID_UNIF, "n": 4}, "nominal_rate=x"),
+    ("simulate", {"process": IID_UNIF, "n": 4}, "nominal_rate=2"),
+    ("validate", dict(LIPSCHITZ, **{"class": LIN_CLASS}),
+     "input_bound=Infinity"),
 ], ids=["seed-text", "seed-negative", "validate-seed-negative",
         "validate-seed-text", "linear-l_h-inf", "esn-spec_a-negative",
-        "sas-c_sas-inf", "law-scale-inf", "profile-l_z-negative"])
+        "sas-c_sas-inf", "law-scale-inf", "profile-l_z-negative",
+        "expect-rate_max-text", "expect-exponent-text", "expect-tol-text",
+        "nominal_rate-text", "nominal_rate-out-of-range",
+        "input_bound-inf"])
 def test_bad_seed_cap_or_profile_exits_two(tmp_path, capsys, command, config,
                                            override):
     cfg = write_config(tmp_path, "cfg.json", config)
     code, report, err = run_cli(capsys, [command, "--config", cfg, "--out",
                                          str(tmp_path), "--set", override])
     assert code == 2 and report is None and "config error" in err
+
+
+@pytest.mark.parametrize("config, key", [
+    (LIPSCHITZ, "bogus"), (LIPSCHITZ, "process"), (THETA, "class"),
+    (COVERAGE, "y_law"), (TRUNCATION, "target"),
+])
+def test_validate_unknown_key_exits_two(tmp_path, capsys, config, key):
+    # a key is a setting of its kind or one of the model blocks it reads
+    cfg = write_config(tmp_path, "cfg.json", dict(config, **{key: 1}))
+    code, report, err = run_cli(capsys, ["validate", "--config", cfg,
+                                         "--out", str(tmp_path)])
+    assert code == 2 and report is None and repr(key) in err
+
+
+@pytest.mark.parametrize("config, override", [
+    (RADEMACHER, "ks=[]"), (RADEMACHER, "ks=4"), (THETA, "taus=[]"),
+    (THETA, "taus=3"), (TRUNCATION, "ns=[]"), (CONSISTENCY, "ns=[]"),
+], ids=["ks-empty", "ks-scalar", "taus-empty", "taus-scalar",
+        "truncation-ns-empty", "consistency-ns-empty"])
+def test_empty_or_scalar_grid_exits_two(tmp_path, capsys, config, override):
+    # a run over no cells would pass vacuously, and a scalar is no grid
+    cfg = write_config(tmp_path, "cfg.json", config)
+    code, report, err = run_cli(capsys, ["validate", "--config", cfg, "--out",
+                                         str(tmp_path), "--set", override])
+    assert code == 2 and report is None and "config error" in err
+
+
+@pytest.mark.parametrize("config, override", [
+    (RADEMACHER, "ks=[2.7]"), (THETA, "taus=[1, 2.5, 4]"),
+    (BOUND, "n=512.9"), (COVERAGE, "n=64.5"),
+], ids=["ks-entry", "taus-entry", "bound-n", "coverage-n"])
+def test_non_integral_count_exits_two(tmp_path, capsys, config, override):
+    # 2.7 used to run as k = 2 and 512.9 as n = 512
+    command = "bound" if config is BOUND else "validate"
+    cfg = write_config(tmp_path, "cfg.json", config)
+    code, report, err = run_cli(capsys, [command, "--config", cfg, "--out",
+                                         str(tmp_path), "--set", override])
+    assert code == 2 and report is None and "must be an integer" in err
+
+
+def test_integral_counts_read_as_before():
+    for value in (512, 512.0, "512", " 512 "):
+        assert _pos_int(value, "n") == 512
+    for value in (512.9, "512.0", "x", None, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            _pos_int(value, "n")
 
 
 WIDE_ESN = dict(ESN_CLASS, n_input=2, input_second_moment=2.0 / 3.0)
