@@ -51,9 +51,11 @@ __all__ = [
     "min_sample_size",
     "min_sample_size_from_constants",
     "bound_inputs_from_class",
+    "check_case_regime",
 ]
 
 _CASES = ("bounded", "phi_moment", "geometric", "algebraic")
+_N_CAP = 10 ** 12  # the sample-size search's default cap
 _RATE_FLOOR = 1e-12
 
 
@@ -427,6 +429,18 @@ def _effective_rates(prof, r):
     return max(max(rates), _RATE_FLOOR)
 
 
+def check_case_regime(case, regime):
+    """Raise ValueError unless a profile of this regime serves the case:
+    bounded and phi_moment need a lipschitz profile, geometric any but an
+    algebraic one, algebraic an algebraic one."""
+    if case in ("bounded", "phi_moment") and regime != "lipschitz":
+        raise ValueError(f"case {case!r} needs a lipschitz profile")
+    if case == "geometric" and regime == "algebraic":
+        raise ValueError("geometric case cannot use an algebraic profile")
+    if case == "algebraic" and regime != "algebraic":
+        raise ValueError("algebraic case needs an algebraic profile")
+
+
 def expected_gap_constants(inputs, case):
     """Constants of the expected sup-gap decay for the given case.
 
@@ -440,13 +454,7 @@ def expected_gap_constants(inputs, case):
         raise ValueError(f"unknown case {case!r}")
     prov = []
     prof = inputs.profile
-    if case in ("bounded", "phi_moment"):
-        if prof.regime != "lipschitz":
-            raise ValueError(f"case {case!r} needs a lipschitz profile")
-    if case == "geometric" and prof.regime == "algebraic":
-        raise ValueError("geometric case cannot use an algebraic profile")
-    if case == "algebraic" and prof.regime != "algebraic":
-        raise ValueError("algebraic case needs an algebraic profile")
+    check_case_regime(case, prof.regime)
 
     r = inputs.r
     c0 = c_zero(r, inputs.l_l, inputs.l_h, inputs.m_f)
@@ -674,7 +682,7 @@ def risk_bound(inputs, n, delta, case):
     return bound_from_constants(expected_gap_constants(inputs, case), n, delta)
 
 
-def min_sample_size(inputs, case, epsilon, delta, n_cap=10 ** 12):
+def min_sample_size(inputs, case, epsilon, delta, n_cap=_N_CAP):
     """Smallest n with risk_bound(n) <= epsilon, or None below n_cap.
 
     Derives the case constants from the inputs and searches them with
@@ -684,7 +692,7 @@ def min_sample_size(inputs, case, epsilon, delta, n_cap=10 ** 12):
         expected_gap_constants(inputs, case), epsilon, delta, n_cap)
 
 
-def min_sample_size_from_constants(consts, epsilon, delta, n_cap=10 ** 12):
+def min_sample_size_from_constants(consts, epsilon, delta, n_cap=_N_CAP):
     """Smallest n with bound_from_constants(consts, n, delta) <= epsilon, or
     None below n_cap.
 

@@ -26,9 +26,11 @@ from pathlib import Path
 
 from .bounds import (
     _CASES,
+    _N_CAP,
     BoundInputs,
     PhiFunction,
     bound_from_constants,
+    check_case_regime,
     expected_gap_constants,
     min_sample_size_from_constants,
     rademacher_constant,
@@ -217,7 +219,13 @@ def _prefix(config, default):
 
 
 def run_simulate(config, out_dir):
-    from .processes import batch_paths, dependence_params, model_from_spec
+    from .processes import (
+        _NOMINAL_RATE,
+        _PROFILE_MC,
+        batch_paths,
+        dependence_params,
+        model_from_spec,
+    )
 
     allowed = {"process", "n", "n_paths", "burn_in", "seed", "prefix",
                "profile_mc", "nominal_rate"}
@@ -229,8 +237,8 @@ def run_simulate(config, out_dir):
     burn_in = (None if config.get("burn_in") is None
                else _pos_int(config["burn_in"], "burn_in", minimum=0))
     prefix = _prefix(config, "path")
-    n_mc = _pos_int(config.get("profile_mc", 20000), "profile_mc", minimum=2)
-    nominal_rate = _prob(config.get("nominal_rate", 0.5), "nominal_rate")
+    n_mc = _pos_int(config.get("profile_mc", _PROFILE_MC), "profile_mc", minimum=2)
+    nominal_rate = _prob(config.get("nominal_rate", _NOMINAL_RATE), "nominal_rate")
 
     paths = batch_paths(model, n_paths, n, burn_in=burn_in, seed=seed)
     d = paths.shape[2]
@@ -340,7 +348,7 @@ def run_samplesize(config, out_dir):
                     "epsilon")
     if not epsilon > 0:
         raise ConfigError("epsilon must be > 0")
-    n_cap = _pos_int(config.get("n_cap", 10 ** 12), "n_cap")
+    n_cap = _pos_int(config.get("n_cap", _N_CAP), "n_cap")
     inputs = bound_inputs_from_spec(_require(config, "inputs",
                                              "samplesize config"))
     prefix = _prefix(config, "samplesize")
@@ -438,15 +446,18 @@ def _loss(config):
 
 def _experiment(config, settings, seed):
     """The klass, joint, loss, phi and profile keywords of a coverage or
-    consistency run."""
+    consistency run; a case its profile's regime cannot serve is a config
+    error, raised before any candidate work."""
     klass, model = _class_and_model(config)
     target, phi = _require(config, "target", "validate config"), config.get("phi")
-    return dict(
+    experiment = dict(
         klass=klass, joint=_joint_from_spec(target, klass, model),
         loss=_loss(config),
         phi=None if phi is None else _from_spec(PhiFunction, phi, "phi spec"),
         profile=_coverage_profile(config, klass, model, seed,
                                   settings.profile_mc))
+    _cfg(check_case_regime, settings.case, experiment["profile"].regime)
+    return experiment
 
 
 def _rademacher_cell(klass, model, settings, seed, k):

@@ -11,14 +11,17 @@ driven by i.i.d. innovations, and each model states its G once, as
     lag(burn_in)              innovations drawn before the n returned values
     dim, burn_in              output dimension and default burn-in
 
-Three generic drivers use nothing else and one chunking rule (blocks of
-about _CHUNK_FLOATS innovation floats): batch_paths simulates paths, moment
-E||Z_0||^order and estimate_theta the coupling coefficient
+Three generic drivers use nothing else.  batch_paths simulates paths in
+row chunks of about _CHUNK_FLOATS innovation floats; moment E||Z_0||^order
+and estimate_theta the coupling coefficient
 
     theta(tau) = E|| G(..., xi_{-1}, xi_0)
                     - G(..., xi~_{-tau-1}, xi~_{-tau}, xi_{-tau+1}, ..., xi_0) ||_2
 
-(innovations at times <= -tau replaced by an independent copy).  Each model
+(innovations at times <= -tau replaced by an independent copy) are Monte
+Carlo means over blocks of trials, block j drawn from the j-th spawned
+child of SeedSequence(seed), the blocks shared among the usable CPUs
+(_mc_mean): an estimate depends on its arguments alone.  Each model
 also states its closed forms once: dependence(mean_abs, nominal_rate), its
 decay envelope theta(tau) <= C * lambda^tau or C * tau^(-alpha) as a
 DependenceProfile (mean_abs() gives E||Z_0||_2 where C needs it);
@@ -32,6 +35,8 @@ WeightingSequence, InnovationLaw, DependenceProfile) live in the numpy-free
 rcbounds.dependence and are re-exported here.
 """
 
+import math
+import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -64,7 +69,19 @@ __all__ = [
 ]
 
 # Innovation floats per driver block; an FFT transform holds about three.
+# The Monte Carlo means keep no more than this many in flight at once.
 _CHUNK_FLOATS = 2_000_000
+# Trials and innovation floats per Monte Carlo block, one stream each; 2 MB
+# blocks, as 8 MB ones raised two threads' peak RSS on the theta benchmark
+# by about 10 MB.
+_MC_BLOCK = 256
+_MC_FLOATS = 1 << 18
+# Steps per time tile of the GARCH recursion.
+_GARCH_TILE = 64
+# dependence_params defaults: Monte Carlo draws for E||Z_0|| and the rate
+# reported for exactly independent processes
+_PROFILE_MC = 20_000
+_NOMINAL_RATE = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +318,25 @@ class GARCHProcess:
 
     def transform(self, xi, n):
         eps = xi[..., 0]
-        steps = eps.shape[-1]
-        s2 = np.full(eps.shape[:-1], self.stationary_variance)
-        r2 = s2
-        kept = np.empty(eps.shape[:-1] + (n,))  # the last n variances only
-        for t in range(steps):
-            s2 = self.omega + self.alpha * r2 + self.beta * s2
-            r2 = s2 * eps[..., t] ** 2
-            if t >= steps - n:
-                kept[..., t - steps + n] = s2
+        steps, batch = eps.shape[-1], eps.shape[:-1]
+        s2 = np.full(batch, self.stationary_variance)
+        r2 = s2.copy()
+        kept = np.empty((n,) + batch)  # the last n variances, time-major
+        sq = np.empty((min(steps, _GARCH_TILE),) + batch)
+        for lo in range(0, steps, _GARCH_TILE):
+            # eps^2 of one tile of steps, time-major and contiguous
+            tile = sq[:min(steps - lo, _GARCH_TILE)]
+            np.square(np.moveaxis(eps[..., lo:lo + len(tile)], -1, 0), out=tile)
+            for t, eps2 in enumerate(tile, lo):
+                # s2 = (omega + alpha r2) + beta s2, then r2 = s2 eps^2
+                r2 *= self.alpha
+                r2 += self.omega
+                s2 *= self.beta
+                s2 += r2
+                np.multiply(s2, eps2, out=r2)
+                if t >= steps - n:
+                    kept[t - steps + n] = s2
+        kept = np.moveaxis(kept, 0, -1)
         r = np.sqrt(kept) * eps[..., steps - n:]
         if self.representation == "squared":
             return np.stack([r ** 2, kept], axis=-1)
@@ -495,39 +522,66 @@ def batch_paths(model, n_paths, n, burn_in=None, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _mc_mean(draw, values, n_mc, seed):
-    """Mean and standard error of values(xi) over n_mc trials.
+def _usable_cpus():
+    """CPUs this process may run on (its affinity mask where the platform
+    reports one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    One rng = default_rng(seed) serves the whole estimate: trial i is the
-    i-th consecutive draw(rng), one complete draw per trial in stream order,
-    so its value does not depend on chunking.  Trials are written along the
-    leading axis of one buffer of about _CHUNK_FLOATS innovation floats,
-    chunk by chunk, and the n_mc values are reduced once, so neither does
-    the estimate.
+
+def _mc_mean(draw, values, n_mc, seed):
+    """Mean and standard error of values(draw(rng, count)) over n_mc trials.
+
+    draw(rng, count) gives the innovations of count trials along its
+    leading axis and values maps them to the count trial values.  The
+    trials are cut into consecutive blocks of at most _MC_BLOCK trials and
+    _MC_FLOATS innovation floats, a size set by one trial's floats alone;
+    block j draws once from its own stream,
+    Generator(PCG64(SeedSequence(seed).spawn(n_blocks)[j])).  Blocks run
+    on up to _usable_cpus() threads, no more than _CHUNK_FLOATS innovation
+    floats in flight; each writes its values to its own slice and the n_mc
+    values are reduced once, so the estimate depends on neither the thread
+    count nor _CHUNK_FLOATS.
     """
-    rng = np.random.default_rng(seed)
-    first = draw(rng)  # trial 0, which also sizes the chunk buffer
-    size = min(n_mc, max(1, _CHUNK_FLOATS // first.size))
-    buf = np.empty((size,) + first.shape)
-    buf[0] = first
+    root = np.random.SeedSequence(seed)
+    # a draw of no trial gives the shape, and so the floats, of one trial
+    trial = math.prod(draw(np.random.Generator(np.random.PCG64(root)), 0).shape[1:])
+    size = max(1, min(_MC_BLOCK, _MC_FLOATS // trial))
+    starts = range(0, n_mc, size)
+    streams = root.spawn(len(starts))
     vals = np.empty(n_mc)
-    for lo in range(0, n_mc, size):
-        hi = min(n_mc, lo + size)
-        for i in range(max(lo, 1), hi):
-            buf[i - lo] = draw(rng)
-        vals[lo:hi] = values(buf[:hi - lo])
+
+    def block(lo, stream):
+        count = min(size, n_mc - lo)
+        rng = np.random.Generator(np.random.PCG64(stream))
+        vals[lo:lo + count] = values(draw(rng, count))
+
+    # imported here, not at module load: about 6 ms of import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(
+        min(_usable_cpus(), len(starts), max(1, _CHUNK_FLOATS // (size * trial))))
+    try:
+        # list() waits for every block and re-raises a block's error
+        list(pool.map(block, starts, streams))
+    finally:
+        # on an error or an interrupt the blocks still queued do not run
+        pool.shutdown(cancel_futures=True)
     return Moment(float(vals.mean()), float(vals.std() / np.sqrt(n_mc)), "mc")
 
 
 def estimate_theta(model, tau, n_mc, history=None, seed=0):
     """Monte Carlo estimate of the coupling coefficient theta(tau).
 
-    One rng = default_rng(seed) serves all n_mc trials; trial i takes the
-    i-th consecutive draw of two histories of
-    L = model.lag(history) + 1 innovations at times -L+1 .. 0 (history
-    defaults to max(200, 10 tau)).  The second keeps its own draws at times
-    <= -tau and takes the first's at the tau times after; one transform of
-    both gives the coupled pair, so the truncation bias is shared.
+    A trial draws two histories of L = model.lag(history) + 1 innovations
+    at times -L+1 .. 0 (history defaults to max(200, 10 tau)), in one
+    model.innovations(rng, count, 2 L) call per block of trials (_mc_mean:
+    block j of SeedSequence(seed)'s spawned streams).  The second history
+    keeps its own draws at times <= -tau and takes the first's at the tau
+    times after; one transform of both gives the coupled pair, so the
+    truncation bias is shared.
 
     Returns a Moment with provenance "mc", or "exact-zero" when the coupling
     provably has no effect because no innovation at a time <= -tau is in
@@ -553,7 +607,8 @@ def estimate_theta(model, tau, n_mc, history=None, seed=0):
         z = model.transform(xi.reshape(2 * len(xi), steps, -1), 1)[:, 0]
         return np.linalg.norm(z[0::2] - z[1::2], axis=-1)
 
-    return _mc_mean(lambda rng: model.innovations(rng, 2 * steps), values, n_mc, seed)
+    return _mc_mean(lambda rng, count: model.innovations(rng, count, 2 * steps),
+                    values, n_mc, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +623,7 @@ def _mean_abs_z0(model, n_mc, seed):
     return moment(model, 1, n_mc=n_mc, seed=seed)
 
 
-def dependence_params(model, n_mc=20_000, seed=0, nominal_rate=0.5):
+def dependence_params(model, n_mc=_PROFILE_MC, seed=0, nominal_rate=_NOMINAL_RATE):
     """Analytic dependence profile of a built-in model, model.dependence.
 
     Envelope constants requiring E||Z_0||_2 are Monte Carlo estimated
@@ -606,10 +661,10 @@ def analytic_moment(model, order):
 def moment(model, order, n_mc=10_000, seed=0, burn_in=None):
     """Monte Carlo E||Z_0||_2^order over independent stationary draws.
 
-    Trial i is the last value of batch_paths(model, 1, 1, burn_in, rng),
-    with one rng = default_rng(seed) shared by the n_mc trials in order.
-    Returns a Moment with provenance "mc" and the standard error of the
-    mean.
+    The trials of block j (_mc_mean) are the one-step paths of
+    batch_paths(model, count, 1, burn_in, rng_j), rng_j drawing from the
+    j-th spawned stream of SeedSequence(seed).  Returns a Moment with
+    provenance "mc" and the standard error of the mean.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -620,7 +675,8 @@ def moment(model, order, n_mc=10_000, seed=0, burn_in=None):
     def values(xi):
         return np.linalg.norm(model.transform(xi, 1)[:, 0], axis=-1) ** order
 
-    return _mc_mean(lambda rng: model.innovations(rng, steps), values, n_mc, seed)
+    return _mc_mean(lambda rng, count: model.innovations(rng, count, steps),
+                    values, n_mc, seed)
 
 
 # ---------------------------------------------------------------------------

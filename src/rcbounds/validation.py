@@ -33,7 +33,7 @@ from .learning import (
     sample_joint,
     sample_joint_paths,
 )
-from .processes import DependenceProfile, Moment, batch_paths
+from .processes import _PROFILE_MC, DependenceProfile, Moment, batch_paths
 from .reservoir import (
     Hypothesis,
     Readout,
@@ -137,7 +137,7 @@ class _RiskSettings(_Settings):
     delta: float = 0.1
     history: int = 200
     n_pool: int = 20000
-    profile_mc: int = 20000  # draws for a profile the config does not give
+    profile_mc: int = _PROFILE_MC  # draws for a profile the config does not give
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -645,6 +645,30 @@ def test_coverage_unbounded_independent_target_is_refused(tmp_path, capsys):
     assert "xi_bound_y" in err and "target" in err
 
 
+@pytest.mark.parametrize("config", [
+    dict(COVERAGE, target={"kind": "teacher"}, profile_mc=500),
+    dict(CONSISTENCY, case="bounded"),
+], ids=["coverage", "consistency"])
+def test_case_its_profile_cannot_serve_exits_two(tmp_path, capsys, monkeypatch,
+                                                 config):
+    # a teacher target's profile is geometric; the bounded case needs a
+    # lipschitz one, which no candidate or ERM fit can change
+    from rcbounds import validation
+
+    def candidate_work(*args, **kwargs):
+        raise AssertionError("candidate work ran")
+
+    monkeypatch.setattr(validation, "risk_gap_experiment", candidate_work)
+    monkeypatch.setattr(validation, "consistency_curve", candidate_work)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "bad.json", config)
+    code, report, err = run_cli(capsys, ["validate", "--config", cfg,
+                                         "--out", str(out)])
+    assert code == 2 and report is None
+    assert "config error" in err and "needs a lipschitz profile" in err
+    assert list(out.iterdir()) == []
+
+
 def test_coverage_independent_target_profile_from_target_law(tmp_path,
                                                              capsys):
     target = {"kind": "independent",

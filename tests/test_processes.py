@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -334,42 +336,59 @@ def test_generate_path_is_first_batch_path(name):
         assert np.array_equal(path, batch_paths(model, 1, 40, burn_in, seed=4)[0])
 
 
+def _mc_blocks(n_mc, trial_floats, seed):
+    """(count, rng) of each block of a Monte Carlo mean, in trial order:
+    blocks of min(_MC_BLOCK, _MC_FLOATS // trial_floats) consecutive trials,
+    block j drawing from SeedSequence(seed).spawn(n_blocks)[j]."""
+    size = max(1, min(processes._MC_BLOCK, processes._MC_FLOATS // trial_floats))
+    counts = [min(size, n_mc - lo) for lo in range(0, n_mc, size)]
+    streams = np.random.SeedSequence(seed).spawn(len(counts))
+    return [(count, np.random.Generator(np.random.PCG64(stream)))
+            for count, stream in zip(counts, streams)]
+
+
 @pytest.mark.parametrize("name", sorted(SHIFT_MODELS))
-def test_moment_is_mean_over_one_step_paths(name):
+def test_moment_is_mean_over_one_step_paths(monkeypatch, name):
     model = SHIFT_MODELS[name]
     n_mc, seed = 40, 9
-    for burn_in in (None, 7):
-        for order in (1, 2):
-            m = moment(model, order, n_mc=n_mc, seed=seed, burn_in=burn_in)
-            # default_rng returns a Generator unaltered: the trials draw
-            # consecutively from one stream
-            rng = np.random.default_rng(seed)
-            want = np.mean([
-                np.linalg.norm(batch_paths(model, 1, 1, burn_in, rng)[0, -1]) ** order
-                for i in range(n_mc)])
-            assert abs(m.value - want) <= 1e-12 * max(1.0, want)
-            assert m.provenance == "mc"
+    # one block of 40 trials, then blocks of 7 and a ragged 5
+    for block in (processes._MC_BLOCK, 7):
+        monkeypatch.setattr(processes, "_MC_BLOCK", block)
+        for burn_in in (None, 7):
+            steps = processes._lag(model, burn_in) + 1
+            trial = model.innovations(np.random.default_rng(0), 1, steps).size
+            for order in (1, 2):
+                m = moment(model, order, n_mc=n_mc, seed=seed, burn_in=burn_in)
+                # default_rng returns a Generator unaltered: block j's
+                # trials are the one-step paths its stream draws at once
+                want = np.mean([
+                    np.linalg.norm(path[-1]) ** order
+                    for count, rng in _mc_blocks(n_mc, trial, seed)
+                    for path in batch_paths(model, count, 1, burn_in, rng)])
+                assert abs(m.value - want) <= 1e-12 * max(1.0, want)
+                assert m.provenance == "mc"
 
 
 def _coupled_theta_by_loop(tau, history, n_mc, seed, step, draw):
-    """theta(tau) from two explicit trajectories per trial: trial i draws
-    the i-th consecutive 2 (history + 1) innovations from one
-    default_rng(seed), the first half drives the original path and the
-    second half, with the original's last tau innovations put back, the
-    coupled one."""
+    """theta(tau) from two explicit trajectories per trial: trial i is row
+    i % b of the draw(rng, count) of its block (count trials of
+    2 (history + 1) innovations each, see _mc_blocks); the first half of a
+    row drives the original path and the second half, with the original's
+    last tau innovations put back, the coupled one."""
     steps = history + 1
-    rng = np.random.default_rng(seed)
+    trial = 2 * steps * draw(np.random.default_rng(0), 1)[0].size
     vals = []
-    for i in range(n_mc):
-        xi = draw(rng, 2 * steps)
-        orig = xi[:steps]
-        coupled = np.concatenate([xi[steps:2 * steps - tau], orig[steps - tau:]])
-        vals.append(np.linalg.norm(step(orig) - step(coupled)))
+    for count, rng in _mc_blocks(n_mc, trial, seed):
+        block = draw(rng, count * 2 * steps)
+        for xi in block.reshape((count, 2 * steps) + block.shape[1:]):
+            orig = xi[:steps]
+            coupled = np.concatenate([xi[steps:2 * steps - tau], orig[steps - tau:]])
+            vals.append(np.linalg.norm(step(orig) - step(coupled)))
     return float(np.mean(vals))
 
 
 @pytest.mark.parametrize("name", ["var1-2d", "var1-1d-scaled"])
-def test_var1_theta_matches_explicit_coupling(name):
+def test_var1_theta_matches_explicit_coupling(monkeypatch, name):
     model = SHIFT_MODELS[name]
     d = model.noise.dim
 
@@ -386,15 +405,18 @@ def test_var1_theta_matches_explicit_coupling(name):
             z = s_t * (model.a_base @ z) + eta_t
         return z
 
-    for tau in (1, 4):
-        est = estimate_theta(model, tau, n_mc=60, history=25, seed=3)
-        want = _coupled_theta_by_loop(tau, 25, 60, 3, step, draw)
-        assert est.provenance == "mc"
-        assert abs(est.value - want) <= 1e-12 * max(1.0, want)
+    # one block of 60 trials, then blocks of 7 and a ragged 4
+    for block in (processes._MC_BLOCK, 7):
+        monkeypatch.setattr(processes, "_MC_BLOCK", block)
+        for tau in (1, 4):
+            est = estimate_theta(model, tau, n_mc=60, history=25, seed=3)
+            want = _coupled_theta_by_loop(tau, 25, 60, 3, step, draw)
+            assert est.provenance == "mc"
+            assert abs(est.value - want) <= 1e-12 * max(1.0, want)
 
 
 @pytest.mark.parametrize("representation", ["returns", "squared"])
-def test_garch_theta_matches_explicit_coupling(representation):
+def test_garch_theta_matches_explicit_coupling(monkeypatch, representation):
     model = GARCHProcess(omega=0.05, alpha=0.10, beta=0.85,
                          representation=representation)
 
@@ -406,12 +428,15 @@ def test_garch_theta_matches_explicit_coupling(representation):
         r = math.sqrt(s2) * eps[-1]
         return np.array([r ** 2, s2] if representation == "squared" else [r])
 
-    for tau in (1, 6):
-        est = estimate_theta(model, tau, n_mc=60, history=30, seed=11)
-        want = _coupled_theta_by_loop(
-            tau, 30, 60, 11, step, lambda rng, count: rng.standard_normal(count))
-        assert est.provenance == "mc"
-        assert abs(est.value - want) <= 1e-12 * max(1.0, want)
+    for block in (processes._MC_BLOCK, 7):
+        monkeypatch.setattr(processes, "_MC_BLOCK", block)
+        for tau in (1, 6):
+            est = estimate_theta(model, tau, n_mc=60, history=30, seed=11)
+            want = _coupled_theta_by_loop(
+                tau, 30, 60, 11, step,
+                lambda rng, count: rng.standard_normal(count))
+            assert est.provenance == "mc"
+            assert abs(est.value - want) <= 1e-12 * max(1.0, want)
 
 
 def test_arfima_burn_in_is_truncation_capped_at_trunc():
@@ -509,23 +534,97 @@ def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch, name):
         assert estimates() == default
 
 
-@pytest.mark.parametrize("name", ["var1-1d-scaled", "garch-squared", "arfima"])
-def test_mc_estimate_builds_one_generator(monkeypatch, name):
+class _CountingPool(concurrent.futures.ThreadPoolExecutor):
+    """A ThreadPoolExecutor that records its max_workers in `sizes`."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_MODELS))
+def test_mc_estimates_do_not_depend_on_workers(monkeypatch, name):
     model = SHIFT_MODELS[name]
-    builds = []
-    default_rng = np.random.default_rng
 
-    def counting_rng(seed):
-        builds.append(seed)
-        return default_rng(seed)
+    def estimates():
+        return (moment(model, 1, n_mc=301, seed=3, burn_in=20),
+                moment(model, 2, n_mc=301, seed=3, burn_in=20),
+                estimate_theta(model, 2, n_mc=301, history=30, seed=5))
 
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    for estimate in (lambda: estimate_theta(model, 2, n_mc=50, history=20, seed=7),
-                     lambda: moment(model, 1, n_mc=50, seed=7, burn_in=10),
-                     lambda: moment(model, 2, n_mc=50, seed=7)):
-        builds.clear()
-        assert estimate().provenance == "mc"
-        assert builds == [7]
+    # 19 blocks of at most 16 trials; the threads switch often, so a block
+    # whose values were lost or misplaced would show
+    monkeypatch.setattr(processes, "_MC_BLOCK", 16)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # first with the workers this process's CPU affinity allows
+        results.append(estimates())
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(processes, "_usable_cpus", lambda: workers)
+            _CountingPool.sizes = []
+            results.append(estimates())
+            assert _CountingPool.sizes and set(_CountingPool.sizes) == {workers}
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == results[0] for result in results)
+
+
+def test_mc_blocks_stay_within_the_float_budget(monkeypatch):
+    model = ARFIMAProcess(d_frac=0.3)  # trunc 10_000: 20_002 floats a trial
+    shapes = []
+    innovations = ARFIMAProcess.innovations
+
+    def recording(self, rng, *shape):
+        xi = innovations(self, rng, *shape)
+        shapes.append(xi.shape)
+        return xi
+
+    monkeypatch.setattr(ARFIMAProcess, "innovations", recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(processes, "_usable_cpus", lambda: 64)
+    _CountingPool.sizes = []
+    est = estimate_theta(model, 1000, n_mc=100, seed=0)
+    assert est.provenance == "mc"
+    blocks = [shape for shape in shapes if shape[0] > 0]
+    assert len(blocks) > 2 and sum(shape[0] for shape in blocks) == 100
+    block_floats = max(math.prod(shape) for shape in blocks)
+    assert block_floats <= processes._MC_FLOATS
+    # the workers' innovations in flight stay within _CHUNK_FLOATS
+    assert _CountingPool.sizes and max(_CountingPool.sizes) > 1
+    assert max(_CountingPool.sizes) * block_floats <= processes._CHUNK_FLOATS
+
+
+@pytest.mark.parametrize("name", ["var1-1d-scaled", "garch-squared", "arfima"])
+def test_mc_streams_descend_from_one_seed_sequence(monkeypatch, name):
+    model = SHIFT_MODELS[name]
+    seeds = []
+    pcg64 = np.random.PCG64
+
+    def recording_pcg64(seed):
+        seeds.append(seed)
+        return pcg64(seed)
+
+    def no_default_rng(seed=None):
+        raise AssertionError("a Monte Carlo mean builds no default_rng")
+
+    monkeypatch.setattr(np.random, "PCG64", recording_pcg64)
+    monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+    for block, n_blocks in ((processes._MC_BLOCK, 1), (7, 8)):
+        monkeypatch.setattr(processes, "_MC_BLOCK", block)
+        for estimate in (lambda: estimate_theta(model, 2, n_mc=50, history=20, seed=7),
+                         lambda: moment(model, 1, n_mc=50, seed=7, burn_in=10),
+                         lambda: moment(model, 2, n_mc=50, seed=7)):
+            seeds.clear()
+            assert estimate().provenance == "mc"
+            # SeedSequence(7) itself, then each of its n_blocks children once
+            assert all(isinstance(s, np.random.SeedSequence) and s.entropy == 7
+                       for s in seeds)
+            assert sorted(s.spawn_key for s in seeds) == (
+                [()] + [(j,) for j in range(n_blocks)])
 
 
 def test_next_fast_len_matches_scipy():
