@@ -26,9 +26,11 @@ only the Gaussian exp-moment quadrature loads scipy.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field, fields, replace
 
 from .dependence import DependenceProfile, Moment
+from .specs import _pos_int
 
 __all__ = [
     "PhiFunction",
@@ -154,7 +156,7 @@ def geometric_envelope(profile):
 
 
 # ---------------------------------------------------------------------------
-# inputs and constants containers
+# inputs, settings and constants containers
 # ---------------------------------------------------------------------------
 
 
@@ -198,6 +200,63 @@ class BoundInputs:
             raise ValueError("n_out must be >= 1")
         if self.e_loss_zero.value < 0:
             raise ValueError("e_loss_zero must be >= 0")
+
+
+# the least value of a count by its field name; any other count is >= 1
+_LEAST = {"n_pool": 2, "n_mc": 2, "profile_mc": 2, "seed": 0, "burn_in": 0}
+
+
+class _Settings:
+    """The settings of a command or a validate kind: its config keys with
+    their defaults.  Range checks by field name: a grid (ks, taus, ns) is a
+    non-empty list of integers >= 1, kept as a tuple; a count is >= its
+    _LEAST entry, or else >= 1; delta and nominal_rate lie in (0, 1);
+    input_bound and epsilon are finite and > 0; case is a certificate case;
+    prefix (an artifact file stem) matches [A-Za-z0-9._-]+."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name in ("ks", "taus", "ns"):
+                grid = tuple(_pos_int(v, f"{name} entry") for v in value)
+                if not grid:
+                    raise ValueError(f"{name} must not be empty")
+                object.__setattr__(self, name, grid)
+            elif (f.type is int and value is not None
+                  and value < (least := _LEAST.get(name, 1))):
+                raise ValueError(f"{name} must be >= {least}")
+            elif name in ("delta", "nominal_rate") and not 0 < value < 1:
+                raise ValueError(f"{name} must lie in (0, 1)")
+            elif name in ("input_bound", "epsilon") and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+            elif name == "case" and value not in _CASES:
+                raise ValueError(f"case must be one of {list(_CASES)}")
+            elif name == "decay" and value not in ("geometric", "algebraic"):
+                raise ValueError("decay must be 'geometric' or 'algebraic'")
+            elif name == "prefix" and not re.fullmatch(r"[A-Za-z0-9._-]+", value):
+                raise ValueError("prefix must match [A-Za-z0-9._-]+")
+
+
+@dataclass(frozen=True)
+class BoundSettings(_Settings):
+    """The certificate at n and delta, and along curve (N1:N2:STEPS)."""
+
+    case: str
+    n: int
+    delta: float
+    inputs: BoundInputs
+    curve: str = None
+
+
+@dataclass(frozen=True)
+class SamplesizeSettings(_Settings):
+    """The least n <= n_cap whose certificate at delta is at most epsilon."""
+
+    case: str
+    delta: float
+    epsilon: float
+    inputs: BoundInputs
+    n_cap: int = _N_CAP
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ prints a one-line JSON summary to stdout.  Identical configs produce
 byte-identical artifacts; ``--jobs`` only changes how many workers grind
 through grid-shaped Monte Carlo work, never the numbers.
 
+Every config key is read as a field of a type: seed and prefix of
+_RunSettings, the others of the subcommand's settings type (for validate,
+its kind's) or, in a model block, of the block's own type (rcbounds.specs).
+
 Exit codes: 0 success, 2 config error, 3 runtime error, 4 a validation
 experiment ran to completion but its pass condition failed.
 
@@ -20,15 +24,16 @@ import dataclasses
 import functools
 import json
 import math
-import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import (
-    _CASES,
-    _N_CAP,
     BoundInputs,
+    BoundSettings,
     PhiFunction,
+    SamplesizeSettings,
+    _Settings,
     bound_from_constants,
     check_case_regime,
     expected_gap_constants,
@@ -36,16 +41,7 @@ from .bounds import (
     rademacher_constant,
 )
 from .dependence import DependenceProfile, InnovationLaw, Moment
-from .specs import (
-    ConfigError,
-    _cfg,
-    _check_keys,
-    _from_spec,
-    _pos_int,
-    _read,
-    _require,
-    to_spec,
-)
+from .specs import ConfigError, _cfg, _from_spec, _pick, _pos_int, to_spec
 
 __all__ = [
     "ConfigError",
@@ -62,66 +58,37 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _case(config, where):
-    case = str(_require(config, "case", where))
-    if case not in _CASES:
-        raise ConfigError(f"case must be one of {list(_CASES)}")
-    return case
+@dataclass(frozen=True)
+class _RunSettings(_Settings):
+    """What every command's config holds besides its command's settings:
+    the seed of its draws and the stem of its artifacts' file names."""
+
+    prefix: str
+    seed: int = 0
 
 
-def _seed(config):
-    """The config's top-level seed (default 0), an integer >= 0."""
-    return _pos_int(config.get("seed", 0), "seed", minimum=0)
-
-
-def _prob(value, where):
-    x = _read(float, value, where)
-    if not 0 < x < 1:
-        raise ConfigError(f"{where} must lie in (0, 1)")
-    return x
-
-
-# random_esn's spec describes a draw (entry_law, base_seed), not the fields
-# of RandomEchoStateClass
-_RANDOM_ESN_REQUIRED = {"n_state": int, "n_input": int, "n_out": int,
-                        "a": float, "c_scale": float, "zeta_scale": float,
-                        "l_h": float, "l_h0": float}
-
-
-def _random_esn_from_spec(spec, where):
-    from .reservoir import Activation, random_esn
-
-    optional = {"activation": Activation, "input_bound": float,
-                "input_second_moment": Moment}
-    _check_keys(spec, {*_RANDOM_ESN_REQUIRED, *optional,
-                       "entry_law", "base_seed"}, where)
-    kw = {key: _read(typ, _require(spec, key, where), key)
-          for key, typ in _RANDOM_ESN_REQUIRED.items()}
-    kw.update({key: _read(typ, spec[key], key)
-               for key, typ in optional.items()
-               if spec.get(key) is not None})
-    return _cfg(random_esn, entry_law=str(spec.get("entry_law", "gaussian")),
-                seed=_pos_int(spec.get("base_seed", 0), "base_seed", minimum=0),
-                **kw)
+def _read_config(config, command, settings_type, prefix, blocks=()):
+    """A config's run settings (default prefix prefix) and settings_type,
+    read from the fields of their types; the command reads the blocks."""
+    run = {"prefix": prefix} | {k: config[k] for k in ("seed", "prefix")
+                                if k in config}
+    rest = {k: v for k, v in config.items()
+            if k not in ("seed", "prefix", *blocks)}
+    return (_from_spec(_RunSettings, run, f"{command} config"),
+            _from_spec(settings_type, rest, f"{command} config"))
 
 
 def class_from_spec(spec):
     """Build a hypothesis class from a JSON-style dict: "family" picks the
-    class and the other keys are its fields."""
-    from .reservoir import EchoStateClass, LinearClass, StateAffineClass
+    class and the other keys are its fields; random_esn's are the draw of
+    its template (RandomEchoStateDraw)."""
+    from . import reservoir
 
-    families = {"linear": LinearClass, "esn": EchoStateClass,
-                "sas": StateAffineClass}
-    if not isinstance(spec, dict):
-        raise ConfigError("class spec must be a JSON object")
-    family = str(_require(spec, "family", "class spec"))
-    fields = {k: v for k, v in spec.items() if k != "family"}
-    where = f"{family} class spec"
-    if family == "random_esn":
-        return _random_esn_from_spec(fields, where)
-    if family not in families:
-        raise ConfigError(f"unknown class family {family!r}")
-    return _from_spec(families[family], fields, where)
+    families = {"linear": reservoir.LinearClass, "esn": reservoir.EchoStateClass,
+                "sas": reservoir.StateAffineClass,
+                "random_esn": reservoir.RandomEchoStateDraw}
+    family, klass = _pick(spec, "family", families, "class spec")
+    return _cfg(klass.draw) if family == "random_esn" else klass
 
 
 def bound_inputs_from_spec(spec):
@@ -206,13 +173,6 @@ def _profile_json(prof):
     return out
 
 
-def _prefix(config, default):
-    prefix = str(config.get("prefix", default))
-    if not re.fullmatch(r"[A-Za-z0-9._-]+", prefix):
-        raise ConfigError("prefix must match [A-Za-z0-9._-]+")
-    return prefix
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -220,27 +180,18 @@ def _prefix(config, default):
 
 def run_simulate(config, out_dir):
     from .processes import (
-        _NOMINAL_RATE,
-        _PROFILE_MC,
+        SimulateSettings,
         batch_paths,
         dependence_params,
         model_from_spec,
     )
 
-    allowed = {"process", "n", "n_paths", "burn_in", "seed", "prefix",
-               "profile_mc", "nominal_rate"}
-    _check_keys(config, allowed, "simulate config")
-    model = _cfg(model_from_spec, _require(config, "process", "simulate config"))
-    n = _pos_int(_require(config, "n", "simulate config"), "n")
-    n_paths = _pos_int(config.get("n_paths", 1), "n_paths")
-    seed = _seed(config)
-    burn_in = (None if config.get("burn_in") is None
-               else _pos_int(config["burn_in"], "burn_in", minimum=0))
-    prefix = _prefix(config, "path")
-    n_mc = _pos_int(config.get("profile_mc", _PROFILE_MC), "profile_mc", minimum=2)
-    nominal_rate = _prob(config.get("nominal_rate", _NOMINAL_RATE), "nominal_rate")
-
-    paths = batch_paths(model, n_paths, n, burn_in=burn_in, seed=seed)
+    run, settings = _read_config(config, "simulate", SimulateSettings, "path",
+                                 ("process",))
+    model = model_from_spec(config.get("process"))
+    n, n_paths, prefix = settings.n, settings.n_paths, run.prefix
+    paths = batch_paths(model, n_paths, n, burn_in=settings.burn_in,
+                        seed=run.seed)
     d = paths.shape[2]
     header = (["path"] if n_paths > 1 else []) + ["t"] + [f"z{i}" for i in range(d)]
     rows = []
@@ -251,8 +202,8 @@ def run_simulate(config, out_dir):
     csv_path = out_dir / f"{prefix}.csv"
     _write_csv(csv_path, header, rows)
 
-    prof = dependence_params(model, n_mc=n_mc, seed=seed,
-                             nominal_rate=nominal_rate)
+    prof = dependence_params(model, n_mc=settings.profile_mc, seed=run.seed,
+                             nominal_rate=settings.nominal_rate)
     sidecar = _profile_json(prof)
     sidecar_path = out_dir / f"{prefix}_profile.json"
     _write_json(sidecar_path, sidecar)
@@ -309,30 +260,25 @@ def _parse_curve(text):
 
 
 def run_bound(config, out_dir, curve_flag):
-    allowed = {"case", "n", "delta", "inputs", "curve", "prefix", "seed"}
-    _check_keys(config, allowed, "bound config")
-    case = _case(config, "bound config")
-    n = _pos_int(_require(config, "n", "bound config"), "n")
-    delta = _prob(_require(config, "delta", "bound config"), "delta")
-    inputs = bound_inputs_from_spec(_require(config, "inputs", "bound config"))
-    prefix = _prefix(config, "bound")
+    run, settings = _read_config(config, "bound", BoundSettings, "bound")
+    case, delta = settings.case, settings.delta
 
-    consts = expected_gap_constants(inputs, case)
-    report = bound_from_constants(consts, n, delta)
+    consts = expected_gap_constants(settings.inputs, case)
+    report = bound_from_constants(consts, settings.n, delta)
     out = _bound_report_json(report)
-    json_path = out_dir / f"{prefix}.json"
+    json_path = out_dir / f"{run.prefix}.json"
     _write_json(json_path, out)
     result = {"command": "bound", "report": str(json_path),
               "bound": report.total, "valid": report.valid, "case": case}
 
-    curve = curve_flag if curve_flag is not None else config.get("curve")
+    curve = curve_flag if curve_flag is not None else settings.curve
     if curve is not None:
-        grid = _parse_curve(str(curve))
+        grid = _parse_curve(curve)
         rows = []
         for ni in grid:
             rep = bound_from_constants(consts, ni, delta)
             rows.append([ni, rep.total, rep.valid])
-        csv_path = out_dir / f"{prefix}_curve.csv"
+        csv_path = out_dir / f"{run.prefix}_curve.csv"
         _write_csv(csv_path, ["n", "bound", "valid"], rows)
         result["curve_csv"] = str(csv_path)
         result["curve_points"] = len(rows)
@@ -340,28 +286,20 @@ def run_bound(config, out_dir, curve_flag):
 
 
 def run_samplesize(config, out_dir):
-    allowed = {"case", "delta", "epsilon", "n_cap", "inputs", "prefix", "seed"}
-    _check_keys(config, allowed, "samplesize config")
-    case = _case(config, "samplesize config")
-    delta = _prob(_require(config, "delta", "samplesize config"), "delta")
-    epsilon = _read(float, _require(config, "epsilon", "samplesize config"),
-                    "epsilon")
-    if not epsilon > 0:
-        raise ConfigError("epsilon must be > 0")
-    n_cap = _pos_int(config.get("n_cap", _N_CAP), "n_cap")
-    inputs = bound_inputs_from_spec(_require(config, "inputs",
-                                             "samplesize config"))
-    prefix = _prefix(config, "samplesize")
+    run, settings = _read_config(config, "samplesize", SamplesizeSettings,
+                                 "samplesize")
+    case, delta = settings.case, settings.delta
 
-    consts = expected_gap_constants(inputs, case)
-    n_min = min_sample_size_from_constants(consts, epsilon, delta, n_cap)
+    consts = expected_gap_constants(settings.inputs, case)
+    n_min = min_sample_size_from_constants(consts, settings.epsilon, delta,
+                                           settings.n_cap)
     out = {"command": "samplesize", "case": case, "delta": delta,
-           "epsilon": epsilon, "n_cap": n_cap,
+           "epsilon": settings.epsilon, "n_cap": settings.n_cap,
            "n_min": None if n_min is None else int(n_min)}
     if n_min is not None:
         out["bound_at_n_min"] = bound_from_constants(consts, n_min, delta).total
     out["provenance"] = list(consts.provenance)
-    json_path = out_dir / f"{prefix}.json"
+    json_path = out_dir / f"{run.prefix}.json"
     _write_json(json_path, out)
     out["report"] = str(json_path)
     return out
@@ -388,43 +326,24 @@ def _class_and_model(config):
     a process of that dimension."""
     from .processes import model_from_spec
 
-    klass = class_from_spec(_require(config, "class", "validate config"))
-    model = _cfg(model_from_spec, _require(config, "process", "validate config"))
+    klass = class_from_spec(config.get("class"))
+    model = model_from_spec(config.get("process"))
     if klass.n_input != model.dim:
         raise ConfigError(f"class n_input {klass.n_input} does not match the "
                           f"process dimension {model.dim}")
     return klass, model
 
 
-def _joint_from_spec(target, klass, model):
-    from .learning import IndependentJoint, TeacherJoint
-    from .reservoir import sample_from_class
-
-    _check_keys(target, {"kind", "law", "noise", "teacher_seed"}, "target spec")
-    kind = str(_require(target, "kind", "target spec"))
-    if kind == "independent":
-        law = _from_spec(InnovationLaw, _require(target, "law", "target spec"),
-                         "target law")
-        return _cfg(IndependentJoint, model, law)
-    if kind == "teacher":
-        seed = _pos_int(target.get("teacher_seed", 0), "teacher_seed", minimum=0)
-        teacher = sample_from_class(klass, n=1, seed=seed)[0]
-        noise = (None if target.get("noise") is None
-                 else _from_spec(InnovationLaw, target["noise"], "teacher noise"))
-        return _cfg(TeacherJoint, model, teacher, noise_law=noise)
-    raise ConfigError("target kind must be 'independent' or 'teacher'")
-
-
 def _coverage_profile(config, klass, model, seed, n_mc):
     """The config's dependence profile, or one derived from n_mc draws."""
     from .processes import IIDProcess, combine_profiles, dependence_params
-    from .validation import teacher_target_profile
+    from .validation import _TARGETS, teacher_target_profile
 
     if config.get("profile") is not None:
         return _from_spec(DependenceProfile, config["profile"], "profile spec")
     z_prof = dependence_params(model, n_mc=n_mc, seed=seed + 5)
-    target = _require(config, "target", "validate config")
-    if target.get("kind") == "teacher":
+    kind, target = _pick(config.get("target"), "kind", _TARGETS, "target spec")
+    if kind == "teacher":
         return _cfg(teacher_target_profile, z_prof, klass)
     # an independent target is an i.i.d. process of its own law: its theta
     # is exactly zero, and the lipschitz y-role (l_y, w_y, xi_*_y) must
@@ -432,9 +351,7 @@ def _coverage_profile(config, klass, model, seed, n_mc):
     if z_prof.regime != "lipschitz":
         return dataclasses.replace(z_prof, c_y=Moment(0.0, 0.0, "exact-zero"),
                                    exact_zero_y=True)
-    y_law = _from_spec(InnovationLaw, _require(target, "law", "target spec"),
-                       "target law")
-    y_prof = dependence_params(IIDProcess(y_law), n_mc=n_mc, seed=seed + 5)
+    y_prof = dependence_params(IIDProcess(target.law), n_mc=n_mc, seed=seed + 5)
     return combine_profiles(z_prof, y_prof)
 
 
@@ -448,11 +365,20 @@ def _experiment(config, settings, seed):
     """The klass, joint, loss, phi and profile keywords of a coverage or
     consistency run; a case its profile's regime cannot serve is a config
     error, raised before any candidate work."""
+    from .learning import IndependentJoint, TeacherJoint
+    from .reservoir import sample_from_class
+    from .validation import _TARGETS
+
     klass, model = _class_and_model(config)
-    target, phi = _require(config, "target", "validate config"), config.get("phi")
+    kind, target = _pick(config.get("target"), "kind", _TARGETS, "target spec")
+    if kind == "teacher":
+        teacher = sample_from_class(klass, n=1, seed=target.seed)[0]
+        joint = _cfg(TeacherJoint, model, teacher, noise_law=target.noise)
+    else:
+        joint = _cfg(IndependentJoint, model, target.law)
+    phi = config.get("phi")
     experiment = dict(
-        klass=klass, joint=_joint_from_spec(target, klass, model),
-        loss=_loss(config),
+        klass=klass, joint=joint, loss=_loss(config),
         phi=None if phi is None else _from_spec(PhiFunction, phi, "phi spec"),
         profile=_coverage_profile(config, klass, model, seed,
                                   settings.profile_mc))
@@ -511,8 +437,7 @@ def _validate_truncation(config, settings, seed, jobs):
     from .validation import truncation_gap_experiment
 
     klass, model = _class_and_model(config)
-    y_law = _from_spec(InnovationLaw, _require(config, "y_law",
-                                               "validate config"), "y_law")
+    y_law = _from_spec(InnovationLaw, config.get("y_law"), "y_law spec")
     res = truncation_gap_experiment(klass, model, y_law, loss=_loss(config),
                                     seed=seed, **dataclasses.asdict(settings))
     return {**res, "pass": res["violations"] == 0}
@@ -522,7 +447,7 @@ def _validate_lipschitz(config, settings, seed, jobs):
     from .validation import history_lipschitz_check
 
     res = history_lipschitz_check(
-        class_from_spec(_require(config, "class", "validate config")),
+        class_from_spec(config.get("class")),
         seed=seed, **dataclasses.asdict(settings))
     return {**res, "pass": res["worst_ratio"] <= 1.0 + 1e-9}
 
@@ -530,7 +455,7 @@ def _validate_lipschitz(config, settings, seed, jobs):
 def _validate_theta(config, settings, seed, jobs):
     from .processes import fit_theta_decay, model_from_spec
 
-    model = _cfg(model_from_spec, _require(config, "process", "validate config"))
+    model = model_from_spec(config.get("process"))
     rows = _pmap(functools.partial(_theta_cell, model, settings, seed),
                  settings.taus, jobs)
     fit = fit_theta_decay([(row["tau"], row["value"]) for row in rows],
@@ -574,18 +499,15 @@ _VALIDATORS = {
 def run_validate(config, out_dir, jobs):
     from . import validation
 
-    kind = str(_require(config, "kind", "validate config"))
+    kind = str(config.get("kind"))
     if kind not in _VALIDATORS:
         raise ConfigError(f"validate kind must be one of {list(_VALIDATORS)}")
-    prefix = _prefix(config, f"validate_{kind}")
-    seed = _seed(config)
     settings_type, blocks, validate = _VALIDATORS[kind]
-    spec = {key: value for key, value in config.items()
-            if key not in ("kind", "seed", "prefix", *blocks)}
-    settings = _cfg(_from_spec, getattr(validation, settings_type), spec,
-                    "validate config")
-    report = {"kind": kind, **validate(config, settings, seed, jobs)}
-    json_path = out_dir / f"{prefix}.json"
+    run, settings = _read_config(config, "validate",
+                                 getattr(validation, settings_type),
+                                 f"validate_{kind}", ("kind", *blocks))
+    report = {"kind": kind, **validate(config, settings, run.seed, jobs)}
+    json_path = out_dir / f"{run.prefix}.json"
     _write_json(json_path, report)
     report["report"] = str(json_path)
     report["command"] = "validate"

@@ -20,14 +20,18 @@ class Moment:
     """A scalar moment together with how it was obtained.
 
     provenance is one of "analytic", "quadrature", "mc", "exact-zero";
-    std_error is nonzero only for "mc".
+    std_error is nonzero only for "mc".  Left unset, the provenance is
+    "mc" when there is a std error and "analytic" otherwise.
     """
 
     value: float
     std_error: float = 0.0
-    provenance: str = "analytic"
+    provenance: str = None
 
     def __post_init__(self):
+        if self.provenance is None:
+            object.__setattr__(self, "provenance",
+                               "mc" if self.std_error > 0 else "analytic")
         if not math.isfinite(self.value):
             raise ValueError("moment value must be finite")
         if self.std_error < 0:

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .dependence import DependenceProfile, InnovationLaw, Moment, WeightingSequence
-from .specs import _from_spec, to_spec
+from .bounds import _Settings
+from .specs import _pick, to_spec
 
 __all__ = [
     "Moment",
@@ -632,6 +633,18 @@ def dependence_params(model, n_mc=_PROFILE_MC, seed=0, nominal_rate=_NOMINAL_RAT
     return model.dependence(lambda: _mean_abs_z0(model, n_mc, seed), nominal_rate)
 
 
+@dataclass(frozen=True)
+class SimulateSettings(_Settings):
+    """batch_paths of n_paths paths of length n, and the dependence_params
+    profile of their model from profile_mc draws at nominal_rate."""
+
+    n: int
+    n_paths: int = 1
+    burn_in: int = None
+    profile_mc: int = _PROFILE_MC
+    nominal_rate: float = _NOMINAL_RATE
+
+
 def combine_profiles(z_profile, y_profile):
     """Joint profile: the regime and z-role from z_profile, the y-role (the
     fields named *_y) from y_profile.
@@ -737,13 +750,7 @@ def fit_theta_decay(theta_values, regime):
 def model_from_spec(spec):
     """Build a process model from a JSON-style dict: "kind" picks the model
     and the other keys are its fields; unknown keys are rejected."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("process spec must be an object with a 'kind'")
-    for model in _MODELS:
-        if model.kind == spec["kind"]:
-            fields = {k: v for k, v in spec.items() if k != "kind"}
-            return _from_spec(model, fields, f"{model.kind} process spec")
-    raise ValueError(f"unknown process kind {spec['kind']!r}")
+    return _pick(spec, "kind", _MODELS, "process spec")[1]
 
 
 def model_to_spec(model):
@@ -751,4 +758,5 @@ def model_to_spec(model):
     return {"kind": model.kind, **to_spec(model)}
 
 
-_MODELS = (IIDProcess, MAProcess, VAR1Process, GARCHProcess, ARFIMAProcess)
+_MODELS = {model.kind: model for model in (
+    IIDProcess, MAProcess, VAR1Process, GARCHProcess, ARFIMAProcess)}

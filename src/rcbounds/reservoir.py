@@ -37,7 +37,7 @@ are one shared rule, contains_readout.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +63,7 @@ __all__ = [
     "esp_convergence_check",
     "sample_from_class",
     "random_esn",
+    "RandomEchoStateDraw",
 ]
 
 _WASHOUT_TOL = 1e-10
@@ -686,10 +687,10 @@ def _check_caps(**caps):
             raise ValueError(f"{name} must be finite and >= 0")
 
 
-def _check_common(l_h, l_h0, n_out):
-    _check_caps(l_h=l_h, l_h0=l_h0)
-    if n_out < 1:
-        raise ValueError("n_out must be >= 1")
+def _check_common(klass):
+    _check_caps(l_h=klass.l_h, l_h0=klass.l_h0)
+    if min(klass.n_state, klass.n_input, klass.n_out) < 1:
+        raise ValueError("n_state, n_input and n_out must be >= 1")
 
 
 class _ReadoutCaps:
@@ -744,7 +745,7 @@ class LinearClass(_ReadoutCaps):
     input_second_moment: Moment = None
 
     def __post_init__(self):
-        _check_common(self.l_h, self.l_h0, self.n_out)
+        _check_common(self)
         if not 0.0 <= self.lam_a < 1.0:
             raise ValueError("lam_a must lie in [0, 1)")
         _check_caps(lam_c=self.lam_c, lam_zeta=self.lam_zeta)
@@ -810,7 +811,7 @@ class EchoStateClass(_ReadoutCaps):
     input_second_moment: Moment = None
 
     def __post_init__(self):
-        _check_common(self.l_h, self.l_h0, self.n_out)
+        _check_common(self)
         for name in ("row_a", "row_c", "row_zeta"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (self.n_state,):
@@ -922,7 +923,7 @@ class StateAffineClass(_ReadoutCaps):
     l_h0: float
 
     def __post_init__(self):
-        _check_common(self.l_h, self.l_h0, self.n_out)
+        _check_common(self)
         if self.input_bound <= 0:
             raise ValueError("input_bound must be > 0")
         _check_caps(lam_sas=self.lam_sas, c_sas=self.c_sas)
@@ -1025,7 +1026,7 @@ class RandomEchoStateClass(_ReadoutCaps):
         object.__setattr__(self, "base_a", lin.a)
         object.__setattr__(self, "base_c", lin.c)
         object.__setattr__(self, "base_zeta", lin.zeta)
-        _check_common(self.l_h, self.l_h0, self.n_out)
+        _check_common(self)
         if not 0.0 < self.a < 1.0:
             raise ValueError("a must lie in (0, 1)")
         _check_caps(c_scale=self.c_scale, zeta_scale=self.zeta_scale)
@@ -1170,33 +1171,54 @@ def sample_from_class(klass, n=1, seed=0):
     return out
 
 
-def random_esn(n_state, n_input, n_out, a, c_scale, zeta_scale, l_h, l_h0,
-               entry_law="gaussian", activation=None, seed=0,
-               input_second_moment=None, input_bound=None):
-    """Draw one random echo state template and wrap it as a scaled class.
+@dataclass(frozen=True)
+class RandomEchoStateDraw:
+    """One random echo state template, which draw() draws and wraps as a
+    scaled class; a random_esn class spec, its seed under base_seed.
 
     Base entries of A, C, zeta are i.i.d. from entry_law ("gaussian",
     "uniform" or "laplace", unit scale).  An all-zero base A is rejected.
     a in (0, 1) caps the row-sum constant of every scaled member.
     """
-    if activation is None:
-        activation = Activation("tanh")
-    rng = np.random.default_rng(seed)
-    if entry_law == "gaussian":
-        draw = rng.standard_normal
-    elif entry_law == "uniform":
-        draw = lambda size: rng.uniform(-1.0, 1.0, size)
-    elif entry_law == "laplace":
-        draw = lambda size: rng.laplace(0.0, 1.0, size)
-    else:
-        raise ValueError(f"unknown entry law {entry_law!r}")
-    base_a = draw((n_state, n_state))
-    if not np.abs(base_a).max() > 0:
-        raise ValueError("base A must be nonzero")
-    base_c = draw((n_state, n_input))
-    base_zeta = draw((n_state,))
-    return RandomEchoStateClass(
-        base_a=base_a, base_c=base_c, base_zeta=base_zeta, a=a,
-        c_scale=c_scale, zeta_scale=zeta_scale, l_h=l_h, l_h0=l_h0,
-        n_out=n_out, activation=activation,
-        input_second_moment=input_second_moment, input_bound=input_bound)
+
+    n_state: int
+    n_input: int
+    n_out: int
+    a: float
+    c_scale: float
+    zeta_scale: float
+    l_h: float
+    l_h0: float
+    entry_law: str = "gaussian"
+    activation: Activation = None
+    seed: int = field(default=0, metadata={"key": "base_seed"})
+    input_second_moment: Moment = None
+    input_bound: float = None
+
+    def draw(self):
+        rng = np.random.default_rng(self.seed)
+        if self.entry_law == "gaussian":
+            draw = rng.standard_normal
+        elif self.entry_law == "uniform":
+            draw = lambda size: rng.uniform(-1.0, 1.0, size)
+        elif self.entry_law == "laplace":
+            draw = lambda size: rng.laplace(0.0, 1.0, size)
+        else:
+            raise ValueError(f"unknown entry law {self.entry_law!r}")
+        base_a = draw((self.n_state, self.n_state))
+        if not np.abs(base_a).max() > 0:
+            raise ValueError("base A must be nonzero")
+        base_c = draw((self.n_state, self.n_input))
+        base_zeta = draw((self.n_state,))
+        # the class takes the other fields; an unset activation is its tanh
+        kw = {key: value for key, value in vars(self).items()
+              if key not in ("n_state", "n_input", "entry_law", "seed")
+              and value is not None}
+        return RandomEchoStateClass(base_a=base_a, base_c=base_c,
+                                    base_zeta=base_zeta, **kw)
+
+
+def random_esn(*args, **kwargs):
+    """Draw one random echo state template and wrap it as a scaled class:
+    RandomEchoStateDraw(*args, **kwargs).draw()."""
+    return RandomEchoStateDraw(*args, **kwargs).draw()

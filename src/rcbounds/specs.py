@@ -3,9 +3,11 @@
 The keys of a spec are the fields of its type, or the key a field names in
 field(metadata={"key": ...}).  _from_spec reads one: a field without a
 default is required, a null leaves a field that defaults to None unset,
-and a value its field's annotated type cannot take is a ConfigError.
-to_spec writes one back.  A type spelled by one of its fields alone (an
-activation by its kind) names that field in its class attribute spec_field.
+and a value its field's annotated type cannot take is a ConfigError; the
+type states the ranges of its fields.  to_spec writes one back.  A type
+spelled by one of its fields alone (an activation by its kind) names that
+field in its class attribute spec_field; a block whose kind or family
+picks its type is read by _pick.
 """
 
 import dataclasses
@@ -19,20 +21,6 @@ class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
 
 
-def _check_keys(spec, allowed, where):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(spec) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {unknown}")
-
-
-def _require(spec, key, where):
-    if key not in spec:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return spec[key]
-
-
 def _cfg(build, *args, **kwargs):
     """Run a constructor on config data; its ValueErrors are config errors."""
     try:
@@ -44,39 +32,28 @@ def _cfg(build, *args, **kwargs):
 
 
 def _pos_int(value, where, minimum=1):
+    """An integer >= minimum (None: any); true, false and 512.9 are none."""
     try:
+        if value is True or value is False:
+            raise ValueError
         n = int(value)
         if value != n and float(value) != n:  # 2.7 would truncate to 2
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be an integer") from None
-    if n < minimum:
+    if minimum is not None and n < minimum:
         raise ConfigError(f"{where} must be >= {minimum}")
     return n
-
-
-def _moment(value, where):
-    # a std error without a provenance reads as a Monte Carlo estimate
-    try:
-        if not isinstance(value, dict):
-            value = {"value": value}
-        _check_keys(value, {"value", "std_error", "provenance"}, where)
-        v = float(_require(value, "value", where))
-        se = float(value.get("std_error", 0.0))
-        return Moment(v, se, value.get("provenance",
-                                       "mc" if se > 0 else "analytic"))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _read(typ, value, where):
     """One config value read as the annotated type of its field."""
     if typ is int:
-        return _pos_int(value, where)
-    if typ is Moment:
-        return _moment(value, where)
+        return _pos_int(value, where, minimum=None)  # the type states its range
+    if typ is str and not isinstance(value, str):  # str(7) is "7"
+        raise ConfigError(f"{where} must be a string")
+    if typ is Moment and not isinstance(value, dict):
+        value = {"value": value}  # a bare number is the moment's value
     if typ is bool:  # bool("False") is True
         if value is not True and value is not False:
             raise ConfigError(f"{where} must be true or false")
@@ -92,13 +69,29 @@ def _read(typ, value, where):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _pick(spec, key, types, where):
+    """A block's family or kind (spec[key]), and its other keys read as the
+    type that name picks among types."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ConfigError(f"{where} must be a JSON object with a {key!r}")
+    name = str(spec[key])
+    if name not in types:
+        raise ConfigError(f"{where} {key} must be one of {list(types)}")
+    rest = {k: v for k, v in spec.items() if k != key}
+    return name, _from_spec(types[name], rest, f"{name} {where}")
+
+
 def _key(f):
     return f.metadata.get("key", f.name)
 
 
 def _from_spec(cls, spec, where):
     fields = dataclasses.fields(cls)
-    _check_keys(spec, [_key(f) for f in fields], where)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(spec) - {_key(f) for f in fields})
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
     kwargs = {}
     for f in fields:
         key = _key(f)

@@ -13,12 +13,12 @@ than the candidates show.
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import (
-    _CASES,
+    _Settings,
     bound_inputs_from_class,
     c_zero,
     risk_bound,
@@ -33,6 +33,7 @@ from .learning import (
     sample_joint,
     sample_joint_paths,
 )
+from .dependence import InnovationLaw
 from .processes import _PROFILE_MC, DependenceProfile, Moment, batch_paths
 from .reservoir import (
     Hypothesis,
@@ -43,7 +44,6 @@ from .reservoir import (
     sample_from_class,
     zero_input_fixed_point,
 )
-from .specs import _pos_int
 
 __all__ = [
     "ConsistencySettings",
@@ -88,35 +88,6 @@ class CoverageResult:
 # ---------------------------------------------------------------------------
 # settings
 # ---------------------------------------------------------------------------
-
-
-class _Settings:
-    """The settings of a validate kind: its config keys with their defaults,
-    into which its experiment function reads its keyword settings.  Range
-    checks by field name: a grid (ks, taus, ns) is a non-empty list of
-    integers >= 1, kept as a tuple; n_pool, n_mc, profile_mc are >= 2 and
-    other counts >= 1; delta lies in (0, 1); input_bound is finite and > 0."""
-
-    def __post_init__(self):
-        for f in fields(self):
-            name, value = f.name, getattr(self, f.name)
-            if name in ("ks", "taus", "ns"):
-                grid = tuple(_pos_int(v, f"{name} entry") for v in value)
-                if not grid:
-                    raise ValueError(f"{name} must not be empty")
-                object.__setattr__(self, name, grid)
-            elif name in ("n_pool", "n_mc", "profile_mc") and value < 2:
-                raise ValueError(f"{name} must be >= 2")
-            elif f.type is int and value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1")
-            elif name == "delta" and not 0 < value < 1:
-                raise ValueError("delta must lie in (0, 1)")
-            elif name == "input_bound" and not 0 < value < math.inf:
-                raise ValueError("input_bound must be finite and > 0")
-            elif name == "case" and value not in _CASES:
-                raise ValueError(f"case must be one of {list(_CASES)}")
-            elif name == "decay" and value not in ("geometric", "algebraic"):
-                raise ValueError("decay must be 'geometric' or 'algebraic'")
 
 
 @dataclass(frozen=True)
@@ -202,6 +173,25 @@ class ConsistencySettings(_RiskSettings):
     ns: tuple
     n_trials: int = 30
     n_random: int = 8
+
+
+@dataclass(frozen=True)
+class IndependentTarget:
+    """A target of kind "independent": i.i.d. draws of law, apart from Z."""
+
+    law: InnovationLaw
+
+
+@dataclass(frozen=True)
+class TeacherTarget(_Settings):
+    """A target block of kind "teacher": targets that a class member drawn
+    at teacher_seed makes of the inputs, plus noise when one is given."""
+
+    noise: InnovationLaw = None
+    seed: int = field(default=0, metadata={"key": "teacher_seed"})
+
+
+_TARGETS = {"independent": IndependentTarget, "teacher": TeacherTarget}
 
 
 # ---------------------------------------------------------------------------

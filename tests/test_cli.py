@@ -587,6 +587,8 @@ def test_samplesize_report_lists_input_provenance(tmp_path, capsys):
 
 
 BOUND = {"case": "geometric", "n": 64, "delta": 0.1, "inputs": GEO_INPUTS}
+SAMPLESIZE = {"case": "geometric", "delta": 0.1, "epsilon": 5.0,
+              "inputs": GEO_INPUTS}
 LIPSCHITZ = {"kind": "lipschitz", "input_bound": 1, "n_pairs": 20,
              "history": 16}
 COVERAGE = {"kind": "coverage", "class": LIN_CLASS, "process": IID_UNIF,
@@ -744,8 +746,19 @@ def test_coverage_independent_target_y_role_is_exact_zero(tmp_path, capsys):
     # a boolean is a JSON true or false: the text "False" is no boolean
     ("bound", BOUND, "inputs.profile.exact_zero_y=False"),
     ("validate", dict(COVERAGE, target={"kind": "teacher"}), "fit_erm=no"),
+    # each target kind refuses the keys of the other
+    ("validate", dict(COVERAGE, target={"kind": "teacher"}, case="geometric",
+                      profile_mc=500, fit_erm=False),
+     'target.law={"kind": "bogus-law"}'),
+    ("validate", dict(COVERAGE, target={"kind": "independent",
+                                        "law": {"kind": "uniform"}}),
+     'target.noise={"kind": "uniform"}'),
+    ("validate", dict(COVERAGE, target={"kind": "independent",
+                                        "law": {"kind": "uniform"}}),
+     "target.teacher_seed=3"),
 ], ids=["inputs", "profile", "linear", "esn", "sas", "random_esn", "loss",
-        "phi", "target_law", "bool-text", "fit_erm-text"])
+        "phi", "target_law", "bool-text", "fit_erm-text", "teacher-law",
+        "independent-noise", "independent-teacher_seed"])
 def test_malformed_block_value_exits_two(tmp_path, capsys, command, config,
                                          override):
     cfg = write_config(tmp_path, "cfg.json", config)
@@ -775,12 +788,30 @@ def test_malformed_block_value_exits_two(tmp_path, capsys, command, config,
     ("simulate", {"process": IID_UNIF, "n": 4}, "nominal_rate=2"),
     ("validate", dict(LIPSCHITZ, **{"class": LIN_CLASS}),
      "input_bound=Infinity"),
+    # bound and samplesize read their seed and prefix by the rule of the
+    # other commands, and epsilon is finite
+    ("bound", BOUND, "seed=-1"),
+    ("bound", BOUND, "seed=1.5"),
+    ("samplesize", SAMPLESIZE, "seed=x"),
+    ("samplesize", SAMPLESIZE, "epsilon=Infinity"),
+    ("bound", BOUND, "prefix=null"),
+    ("samplesize", SAMPLESIZE, "prefix=true"),
+    ("simulate", {"process": IID_UNIF, "n": 4}, "prefix=7"),
+    ("validate", dict(LIPSCHITZ, **{"class": LIN_CLASS}), "prefix=null"),
+    # a boolean is no count: true used to read as 1 (a 1-step path, 1 pair,
+    # a 1-state class)
+    ("simulate", {"process": IID_UNIF, "n": 4}, "n=true"),
+    ("validate", dict(LIPSCHITZ, **{"class": LIN_CLASS}), "n_pairs=true"),
+    ("validate", dict(LIPSCHITZ, **{"class": LIN_CLASS}), "class.n_state=true"),
 ], ids=["seed-text", "seed-negative", "validate-seed-negative",
         "validate-seed-text", "linear-l_h-inf", "esn-spec_a-negative",
         "sas-c_sas-inf", "law-scale-inf", "profile-l_z-negative",
         "expect-rate_max-text", "expect-exponent-text", "expect-tol-text",
         "nominal_rate-text", "nominal_rate-out-of-range",
-        "input_bound-inf"])
+        "input_bound-inf", "bound-seed-negative", "bound-seed-fraction",
+        "samplesize-seed-text", "epsilon-inf", "prefix-null",
+        "prefix-bool", "prefix-number", "validate-prefix-null",
+        "simulate-n-bool", "n_pairs-bool", "class-n_state-bool"])
 def test_bad_seed_cap_or_profile_exits_two(tmp_path, capsys, command, config,
                                            override):
     cfg = write_config(tmp_path, "cfg.json", config)
