@@ -262,7 +262,7 @@ def _parse_curve(text):
 def run_bound(config, out_dir, curve_flag):
     run, settings = _read_config(config, "bound", BoundSettings, "bound")
     case, delta = settings.case, settings.delta
-
+    _cfg(check_case_regime, case, settings.inputs.profile.regime)
     consts = expected_gap_constants(settings.inputs, case)
     report = bound_from_constants(consts, settings.n, delta)
     out = _bound_report_json(report)
@@ -289,7 +289,7 @@ def run_samplesize(config, out_dir):
     run, settings = _read_config(config, "samplesize", SamplesizeSettings,
                                  "samplesize")
     case, delta = settings.case, settings.delta
-
+    _cfg(check_case_regime, case, settings.inputs.profile.regime)
     consts = expected_gap_constants(settings.inputs, case)
     n_min = min_sample_size_from_constants(consts, settings.epsilon, delta,
                                            settings.n_cap)

@@ -77,7 +77,9 @@ _CHUNK_FLOATS = 2_000_000
 # by about 10 MB.
 _MC_BLOCK = 256
 _MC_FLOATS = 1 << 18
-# Steps per time tile of the GARCH recursion.
+# Steps per time tile of the GARCH recursion: the time loop squares one
+# tile of innovations at a time, and the closed-form last variance takes
+# one tile of products at a time.
 _GARCH_TILE = 64
 # dependence_params defaults: Monte Carlo draws for E||Z_0|| and the rate
 # reported for exactly independent processes
@@ -286,6 +288,11 @@ class GARCHProcess:
     path r_t; "squared" exposes the two dimensional state (r_t^2, sigma_t^2)
     whose companion-matrix form makes the geometric dependence rate
     alpha + beta explicit.  The recursion starts at the stationary variance.
+
+    Paths (n > 1) step through time, squaring one _GARCH_TILE tile of
+    innovations at a time; a closed form for every step would divide by
+    products that underflow.  A one-step transform (estimate_theta, moment)
+    takes the last variance in closed form, one tile of products at a time.
     """
 
     omega: float
@@ -319,6 +326,15 @@ class GARCHProcess:
 
     def transform(self, xi, n):
         eps = xi[..., 0]
+        steps = eps.shape[-1]
+        kept = self._last_variance(eps) if n == 1 else self._variances(eps, n)
+        r = np.sqrt(kept) * eps[..., steps - n:]
+        if self.representation == "squared":
+            return np.stack([r ** 2, kept], axis=-1)
+        return r[..., None]
+
+    def _variances(self, eps, n):
+        """The last n variances of the time loop, shape eps.shape[:-1] + (n,)."""
         steps, batch = eps.shape[-1], eps.shape[:-1]
         s2 = np.full(batch, self.stationary_variance)
         r2 = s2.copy()
@@ -337,11 +353,37 @@ class GARCHProcess:
                 np.multiply(s2, eps2, out=r2)
                 if t >= steps - n:
                     kept[t - steps + n] = s2
-        kept = np.moveaxis(kept, 0, -1)
-        r = np.sqrt(kept) * eps[..., steps - n:]
-        if self.representation == "squared":
-            return np.stack([r ** 2, kept], axis=-1)
-        return r[..., None]
+        return np.moveaxis(kept, 0, -1)
+
+    def _last_variance(self, eps):
+        """The time loop's last variance, shape eps.shape[:-1] + (1,).
+
+        With a_t = alpha eps_t^2 + beta, the loop's s2_t = omega + a_{t-1}
+        s2_{t-1} unrolls over S steps to s2_{S-1} = omega (c_0 + ... +
+        c_{S-2}) + c_{S-1} s2_0, c_k the product of the last k of a_0 ..
+        a_{S-2} (c_0 = 1).  The c_k are taken backwards in time, one tile
+        of _GARCH_TILE steps at a time, each row carrying its running
+        product and sum.  One step gives s2_0 itself, alpha = beta = 0
+        gives omega exactly.
+        """
+        steps, batch = eps.shape[-1], eps.shape[:-1]
+        total, prod = np.zeros(batch + (1,)), np.ones(batch + (1,))
+        buf = np.empty(batch + (min(steps - 1, _GARCH_TILE),))
+        for hi in range(steps - 1, 0, -_GARCH_TILE):
+            lo = max(hi - _GARCH_TILE, 0)
+            # with prod = c_k, the products of the tile's w = hi - lo a's,
+            # latest first, are c_{k+1} / c_k .. c_{k+w} / c_k; the sum
+            # takes c_k .. c_{k+w-1}, and c_{k+w} is the next tile's prod
+            c = buf[..., :hi - lo]
+            np.square(eps[..., lo:hi][..., ::-1], out=c)
+            c *= self.alpha
+            c += self.beta
+            np.multiply.accumulate(c, axis=-1, out=c)
+            total += prod * (1.0 + np.sum(c[..., :-1], axis=-1, keepdims=True))
+            prod *= c[..., -1:]
+        # s2_0: the time loop's first step from the stationary variance
+        v = self.stationary_variance
+        return self.omega * total + prod * (self.beta * v + (self.alpha * v + self.omega))
 
     def dependence(self, mean_abs, nominal_rate):
         """Geometric at rate alpha + beta (the companion form's)."""

@@ -647,14 +647,17 @@ def test_coverage_unbounded_independent_target_is_refused(tmp_path, capsys):
     assert "xi_bound_y" in err and "target" in err
 
 
-@pytest.mark.parametrize("config", [
-    dict(COVERAGE, target={"kind": "teacher"}, profile_mc=500),
-    dict(CONSISTENCY, case="bounded"),
-], ids=["coverage", "consistency"])
+@pytest.mark.parametrize("command, config", [
+    ("validate", dict(COVERAGE, target={"kind": "teacher"}, profile_mc=500)),
+    ("validate", dict(CONSISTENCY, case="bounded")),
+    ("bound", dict(BOUND, case="bounded")),
+    ("samplesize", dict(SAMPLESIZE, case="bounded")),
+], ids=["coverage", "consistency", "bound", "samplesize"])
 def test_case_its_profile_cannot_serve_exits_two(tmp_path, capsys, monkeypatch,
-                                                 config):
-    # a teacher target's profile is geometric; the bounded case needs a
-    # lipschitz one, which no candidate or ERM fit can change
+                                                 command, config):
+    # a teacher target's profile is geometric, and so is the inputs'
+    # profile of bound and samplesize; the bounded case needs a lipschitz
+    # one, which no candidate or ERM fit can change
     from rcbounds import validation
 
     def candidate_work(*args, **kwargs):
@@ -664,7 +667,7 @@ def test_case_its_profile_cannot_serve_exits_two(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(validation, "consistency_curve", candidate_work)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "bad.json", config)
-    code, report, err = run_cli(capsys, ["validate", "--config", cfg,
+    code, report, err = run_cli(capsys, [command, "--config", cfg,
                                          "--out", str(out)])
     assert code == 2 and report is None
     assert "config error" in err and "needs a lipschitz profile" in err

@@ -439,6 +439,51 @@ def test_garch_theta_matches_explicit_coupling(monkeypatch, representation):
             assert abs(est.value - want) <= 1e-12 * max(1.0, want)
 
 
+def _loop_last(model, xi):
+    # the time loop's last value: a two-step transform keeps it last
+    return model.transform(xi, 2)[..., -1:, :]
+
+
+@pytest.mark.parametrize("representation", ["returns", "squared"])
+def test_garch_last_value_matches_the_time_loop(representation):
+    persistent = GARCHProcess(omega=0.05, alpha=0.10, beta=0.85,
+                              representation=representation)
+    # alpha = beta = 0 pins the variance at omega
+    flat = GARCHProcess(omega=0.7, alpha=0.0, beta=0.0,
+                        representation=representation)
+    rng = np.random.default_rng(4)
+    for batch in ((5,), (2, 3)):
+        for model in (persistent, flat):
+            # one step is the loop's first: beta v + (alpha v + omega)
+            v = model.stationary_variance
+            s2 = np.full(batch + (1,), model.beta * v + (model.alpha * v + model.omega))
+            xi = rng.standard_normal(batch + (1, 1))
+            r = np.sqrt(s2) * xi[..., 0]
+            want = np.stack([r ** 2, s2] if model.dim == 2 else [r], axis=-1)
+            assert np.array_equal(model.transform(xi, 1), want)
+        for steps in (2, 63, 64, 65, 129, 1281):
+            xi = rng.standard_normal(batch + (steps, 1))
+            got = persistent.transform(xi, 1)
+            assert got.shape == batch + (1, persistent.dim)
+            np.testing.assert_allclose(got, _loop_last(persistent, xi),
+                                       rtol=1e-14, atol=0)
+            assert np.array_equal(flat.transform(xi, 1), _loop_last(flat, xi))
+
+
+@pytest.mark.parametrize("representation", ["returns", "squared"])
+def test_garch_last_value_on_a_long_history_near_unit_persistence(representation):
+    # alpha + beta = 0.99 over 20,001 steps: the products of the a_t may
+    # underflow, nothing may overflow or turn invalid
+    model = GARCHProcess(omega=0.01, alpha=0.2, beta=0.79,
+                         representation=representation)
+    xi = np.random.default_rng(9).standard_normal((2, 3, 20_001, 1))
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        got = model.transform(xi, 1)
+        want = _loop_last(model, xi)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_arfima_burn_in_is_truncation_capped_at_trunc():
     model = ARFIMAProcess(d_frac=0.3, trunc=20)
     default = batch_paths(model, 3, 16, seed=2)
