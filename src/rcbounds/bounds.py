@@ -21,8 +21,7 @@ in four flavours keyed by the dependence assumption on the data:
                 deviation, valid for every sample size
 
 Every constant is plain float arithmetic so reports are bit-reproducible,
-and the chain imports no numpy: only block_bias sums a series with it, and
-only the Gaussian exp-moment quadrature loads scipy.
+and the chain imports no numpy: only block_bias sums a series with it.
 """
 
 import math
@@ -421,8 +420,8 @@ def algebraic_tail_constant(r, alpha_z, gamma=None):
 
 
 def _norm_mgf(law, t):
-    """E[exp(t ||xi||_2)] in closed form or by quadrature on the norm
-    density; inf when the moment diverges."""
+    """E[exp(t ||xi||_2)] in closed form or as a positive series; inf when
+    the moment diverges."""
     d, s = law.dim, law.scale
     if law.kind == "laplace":
         if d != 1:
@@ -436,17 +435,36 @@ def _norm_mgf(law, t):
         if t == 0.0:
             return 1.0
         return (math.exp(t * s) - 1.0) / (t * s)
-    # gaussian: ||xi|| / s is chi_d; integrate the density
-    from scipy.integrate import quad
+    # gaussian: R = ||xi|| / s is chi_d, and u = t s
+    u = t * s
+    if u == 0.0:
+        return 1.0
+    if d == 1:
+        # 2 e^(u^2/2) Phi(u)
+        return math.exp(u * u / 2.0) * math.erfc(-u / math.sqrt(2.0))
+    return _chi_mgf_series(d, u)
 
-    logc = (1.0 - d / 2.0) * math.log(2.0) - math.lgamma(d / 2.0)
 
-    def dens(x):
-        return math.exp(logc + (d - 1.0) * math.log(x) - x * x / 2.0
-                        + t * s * x) if x > 0 else 0.0
+def _chi_mgf_series(d, u):
+    """E[exp(u R)] for R ~ chi_d and u > 0 as the positive series
+    sum_k u^k E[R^k] / k!, E[R^k] = 2^(k/2) Gamma((d+k)/2) / Gamma(d/2).
 
-    val, _ = quad(dens, 0.0, max(50.0, 10.0 * abs(t) * s + 50.0), limit=200)
-    return val
+    Each term is u^2 (d+k) / ((k+1)(k+2)) times the one two places back,
+    so no term exceeds the sum, and an overflow raises OverflowError as
+    math.exp does.  The ratio is below 1/2 once k > 2 (u^2 + d); the sum
+    stops past there when the last two terms are below 1e-17 of the
+    largest, which bounds what is left at 2e-17 of it.
+    """
+    terms = [1.0, u * math.sqrt(2.0) * math.exp(
+        math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))]
+    top, k, u2 = max(terms), 0, u * u
+    while k <= 2.0 * (u2 + d) or max(terms[-2:]) >= 1e-17 * top:
+        terms.append(terms[-2] * u2 * (d + k) / ((k + 1.0) * (k + 2.0)))
+        top = max(top, terms[-1])
+        if top == math.inf:
+            raise OverflowError("the chi norm mgf overflows")
+        k += 1
+    return math.fsum(terms)
 
 
 def _phi_norm_moment(phi, law, c):
@@ -602,9 +620,10 @@ def expected_gap_constants(inputs, case):
                       * math.sqrt(_phi_norm_moment(inputs.phi, law, 1.0)))
         extra.update(c_mom_z=c_mom_z, c_mom_y=c_mom_y, c_phi=c_phi,
                      phi=inputs.phi)
-        if inputs.phi.kind == "exp" and "gaussian" in (prof.xi_law_z.kind,
-                                                       prof.xi_law_y.kind):
-            prov.append("quadrature moment-function expectation")
+        if inputs.phi.kind == "exp" and any(
+                law.kind == "gaussian" and law.dim > 1
+                for law in (prof.xi_law_z, prof.xi_law_y)):
+            prov.append("series moment-function expectation")
 
     return ChainConstants(
         case=case, r=r, c0=c0, big_m=big_m, b=b, c_rc=inputs.c_rc,

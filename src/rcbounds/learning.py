@@ -12,8 +12,8 @@ the zero-input fixed point of the state map and the whole risk costs one
 forward pass (for a linear reservoir, one FFT convolution).
 """
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,17 +296,62 @@ def _folded_normal_mean(mu, var):
             + mu * math.erf(mu / np.sqrt(2.0 * var)))
 
 
+# the characteristic-function quadrature of _mean_abs_cf: its absolute and
+# relative tolerances, its panel limit, and the most floats one chunk of the
+# sinc product may hold (a kappa chain has up to _KAPPA_TERMS terms)
+_CF_EPSABS = 1e-11
+_CF_EPSREL = 1e-10
+_CF_PANELS = 500
+_CF_CHUNK = 1 << 18
+
+
+# below x^2 = 1/16, log(sin x / x) takes its Taylor series in x^2 (the first
+# term left out is below 6e-15 of the sum); above, the log of the quotient
+# loses about 2e-14 of it at most
+_LOG_SINC_X2 = 0.0625
+_LOG_SINC_TAYLOR = (-1 / 6, -1 / 180, -1 / 2835, -1 / 37800, -1 / 467775,
+                    -691 / 3831077250)
+
+
+def _log_sinc_series(x2):
+    """log(sin x / x) = sum_n c_n x^(2n) at x^2 = x2, by Horner's rule."""
+    acc = np.full_like(x2, _LOG_SINC_TAYLOR[-1])
+    for c in _LOG_SINC_TAYLOR[-2::-1]:
+        acc *= x2
+        acc += c
+    return acc * x2
+
+
+@functools.cache
+def _gauss_legendre_pair():
+    """Nodes of the 10- and 21-point Gauss-Legendre rules on [-1, 1], side
+    by side (31,), and each rule's weights on them (2, 31), zero off its
+    own nodes."""
+    from numpy.polynomial.legendre import leggauss
+
+    (x10, w10), (x21, w21) = leggauss(10), leggauss(21)
+    weights = np.zeros((2, 31))
+    weights[0, :10], weights[1, 10:] = w10, w21
+    return np.concatenate([x10, x21]), weights
+
+
 def _mean_abs_cf(deltas, gauss_var, mu):
     """E|X| for X = mu + sum_i U(-deltas_i, deltas_i) + N(0, gauss_var).
 
-    Uses E|X| = (2/pi) int_0^inf (1 - Re phi_X(t)) / t^2 dt; the tail
-    beyond T contributes 1/T plus a remainder below 1e-13 once the
-    envelope prod min(1, 1/(d_i t)) exp(-gauss_var t^2 / 2) is small
-    enough.  Degenerate sums (no terms, or one uniform and no gaussian)
-    take their closed forms instead.
+    Uses E|X| = (2/pi) int_0^inf (1 - Re phi_X(t)) / t^2 dt, with
+    1 - Re phi_X taken from log|phi_X| so that it keeps its digits where
+    phi_X is near 1; the tail beyond T contributes 1/T plus a remainder
+    below 1e-13 once the envelope prod min(1, 1/(d_i t))
+    exp(-gauss_var t^2 / 2) is small enough.  The integral over [0, T] is
+    globally adaptive bisection with a 10/21-point Gauss-Legendre pair:
+    each round splits the fewest panels whose error estimates |G21 - G10|
+    cover the excess over the tolerance (absolute 1e-11, relative 1e-10)
+    and evaluates them in one batch, the sinc product in chunks of terms.
+    Raises ValueError when _CF_PANELS panels do not reach the tolerance.
+    Degenerate sums take closed forms instead: no terms, and with no
+    gaussian part |mu| >= sum(deltas) (X never changes sign) or one
+    uniform U(-a, a) with a >= |mu| plus the others' sum.
     """
-    from scipy.integrate import IntegrationWarning, quad
-
     d = np.abs(np.asarray(deltas, dtype=float).ravel())
     d = d[d > 0]
     var = float(np.sum(d ** 2) / 3.0 + gauss_var)
@@ -314,22 +359,48 @@ def _mean_abs_cf(deltas, gauss_var, mu):
         return abs(mu)
     if d.size == 0:
         return _folded_normal_mean(mu, gauss_var)
-    if d.size == 1 and gauss_var == 0.0:
-        a = d[0]
-        if abs(mu) >= a:
+    if gauss_var == 0.0:
+        a = float(d.max())
+        rest = math.fsum(d) - a
+        if abs(mu) >= a + rest:
             return abs(mu)
-        return (a * a + mu * mu) / (2.0 * a)
-
-    t0 = 1e-4 / math.sqrt(var)
-    second = 0.5 * (var + mu * mu)
+        if a >= abs(mu) + rest:
+            # the rest R keeps y = mu + R in [-a, a], where
+            # E|y + U(-a, a)| = (a^2 + y^2) / (2a); E y^2 = mu^2 + var - a^2/3
+            return (2.0 * a * a / 3.0 + mu * mu + var) / (2.0 * a)
 
     def integrand(t):
-        if t < t0:
-            return second
-        x = d * t
-        phi = (float(np.prod(np.sinc(x / np.pi)))
-               * math.exp(-0.5 * gauss_var * t * t) * math.cos(mu * t))
-        return (1.0 - phi) / (t * t)
+        # (1 - Re phi_X(t)) / t^2 at the nodes t (panels, 31), from
+        # log|prod_i sinc(d_i t)| and the parity of its negative factors
+        log_phi = -0.5 * gauss_var * t * t
+        negative = np.zeros(t.shape, dtype=bool)
+        step = max(1, _CF_CHUNK // t.size)
+        for i in range(0, d.size, step):
+            x = np.multiply.outer(t, d[i:i + step])
+            sinc = np.sin(x) / x
+            negative ^= np.logical_xor.reduce(sinc < 0.0, axis=-1)
+            x *= x
+            log_sinc = _log_sinc_series(x)
+            big = x >= _LOG_SINC_X2
+            with np.errstate(divide="ignore"):
+                log_sinc[big] = np.log(np.abs(sinc[big]))
+            log_phi += log_sinc.sum(axis=-1)
+        # with the factors' sign +1, 1 - phi = -expm1(L) + 2 e^L sin^2(mu t/2)
+        # adds two terms >= 0, so it keeps its digits where phi is near 1
+        mag = np.exp(log_phi)
+        gap = np.where(negative, 1.0 + mag * np.cos(mu * t),
+                       2.0 * mag * np.sin(0.5 * mu * t) ** 2
+                       - np.expm1(log_phi))
+        return gap / (t * t)
+
+    nodes, weights = _gauss_legendre_pair()
+
+    def panels(lo, hi):
+        # each panel's G21 value and its error estimate |G21 - G10|
+        half = 0.5 * (hi - lo)
+        t = (lo + half)[:, None] + half[:, None] * nodes
+        g10, g21 = (integrand(t) @ weights.T * half[:, None]).T
+        return g21, np.abs(g21 - g10)
 
     def envelope(t):
         dt = d * t
@@ -339,13 +410,28 @@ def _mean_abs_cf(deltas, gauss_var, mu):
     t_hi = 10.0 / math.sqrt(var)
     while envelope(t_hi) / t_hi > 1e-13 and t_hi < 1e12:
         t_hi *= 2.0
-    with warnings.catch_warnings():
-        # long oscillatory ranges trip quadpack's roundoff heuristic while
-        # the achieved accuracy (checked against closed forms) is ~1e-10
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 0.0, t_hi, limit=500, epsabs=1e-11,
-                      epsrel=1e-10)
-    return 2.0 / math.pi * (val + 1.0 / t_hi)
+    lo, hi = np.array([0.0]), np.array([t_hi])
+    val, err = panels(lo, hi)
+    while True:
+        total = math.fsum(val)
+        excess = float(err.sum()) - max(_CF_EPSABS, _CF_EPSREL * abs(total))
+        if excess <= 0.0:
+            return 2.0 / math.pi * (total + 1.0 / t_hi)
+        room = _CF_PANELS - lo.size
+        if room <= 0:
+            raise ValueError(f"the characteristic-function quadrature did "
+                             f"not reach its tolerance in {_CF_PANELS} panels")
+        order = np.argsort(err)[::-1]
+        k = int(np.searchsorted(np.cumsum(err[order]), excess)) + 1
+        split, keep = order[:min(k, room)], order[min(k, room):]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err = panels(new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
 
 
 # longest kappa chain the uniform-input closed form evaluates, and its tail
@@ -460,26 +546,39 @@ def _stationary_covariance(a, c, kernel, s2):
     """Stationary covariance of x_t = A x_{t-1} + C z_t driven by
     z_t = sum_{k<=K} kernel_k xi_{t-k}, xi i.i.d. N(0, s2 I):
 
-        s2 sum_{m<K} G_m G_m^T + solve_discrete_lyapunov(A, s2 G_K G_K^T)
+        s2 sum_{m<K} G_m G_m^T + s2 sum_{j>=0} A^j G_K G_K^T A^jT
 
     with G_m = sum_{k<=m} kernel_k A^(m-k) C, the weight of xi_{t-m} in
     x_t (beyond lag K it is A^(m-K) G_K).  The powers A^j C, j <= K, come
-    by doubling, and G_0..G_K from one FFT convolution along the lag axis.
-    At K = 0 this is the Lyapunov solve of i.i.d. inputs alone.
+    by doubling, and G_0..G_K from one FFT convolution along the lag axis;
+    the Lyapunov sum over j is _lyapunov_sum.  At K = 0 this is the
+    Lyapunov sum of i.i.d. inputs alone.
     """
-    from scipy.linalg import solve_discrete_lyapunov
-
     k = kernel.size - 1
     if k == 0:
         g = kernel[0] * c
-        return solve_discrete_lyapunov(a, s2 * (g @ g.T))
+        return _lyapunov_sum(a, s2 * (g @ g.T))
     powers = _powers(a, c, k + 1)  # A^j C
     size = _next_fast_len(2 * k + 1)
     spec = np.fft.rfft(powers, size, axis=0)
     spec *= np.fft.rfft(kernel, size)[:, None, None]
     g = np.fft.irfft(spec, size, axis=0)[:k + 1]
     head = g[:k].transpose(1, 0, 2).reshape(c.shape[0], -1)
-    return s2 * (head @ head.T) + solve_discrete_lyapunov(a, s2 * (g[k] @ g[k].T))
+    return s2 * (head @ head.T) + _lyapunov_sum(a, s2 * (g[k] @ g[k].T))
+
+
+def _lyapunov_sum(a, q):
+    """X = sum_{j>=0} A^j Q A^jT, the solution of X = A X A^T + Q, by
+    squared doubling: X <- X + A_k X A_k^T, A_k <- A_k^2 sums the first
+    2^(k+1) terms after k squarings, until a step leaves X unchanged.
+    Raises ValueError when that takes more than 64 squarings."""
+    x = q
+    for _ in range(64):
+        nxt = x + a @ x @ a.T
+        if np.array_equal(nxt, x):
+            return x
+        x, a = nxt, a @ a
+    raise ValueError("the Lyapunov sum did not converge in 64 squarings")
 
 
 def _exact_risk_uniform(hyp, joint, loss):

@@ -264,6 +264,16 @@ def test_norm_mgf_closed_forms():
     for t in (0.3, 1.2):
         closed = 2 * math.exp(t * t / 2) * scipy_norm.cdf(t)
         assert abs(B._norm_mgf(GAUSS, t) - closed) < 1e-8
+    # ||xi|| / s is chi_2 (Rayleigh) and chi_3 (Maxwell); u = t s
+    for t in (0.3, 1.2, 6.0):
+        u = 0.5 * t
+        cdf = scipy_norm.cdf(u)
+        rayleigh = 1 + u * math.sqrt(2 * math.pi) * math.exp(u * u / 2) * cdf
+        maxwell = (2 * (1 + u * u) * math.exp(u * u / 2) * cdf
+                   + u * math.sqrt(2 / math.pi))
+        for d, closed in ((2, rayleigh), (3, maxwell)):
+            got = B._norm_mgf(InnovationLaw("gaussian", d, 0.5), t)
+            assert abs(got - closed) <= 1e-13 * closed
     assert abs(B._norm_mgf(UNIF, 1.3) - (math.exp(1.3) - 1) / 1.3) < 1e-12
     lap = InnovationLaw("laplace", 1, 0.5)
     assert abs(B._norm_mgf(lap, 1.0) - 2.0) < 1e-12

@@ -505,8 +505,8 @@ def test_every_exported_name_resolves():
 
 
 def test_import_loads_no_scipy_module():
-    # scipy loads only on the rare paths that need it (Gaussian norm-mgf
-    # quadrature, exact_risk, polynomial weights), never on import
+    # no module of the package imports scipy; the tests keep it as their
+    # reference, and nothing loads it on import
     code = ("import sys\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
@@ -541,6 +541,19 @@ def test_bound_and_samplesize_run_without_scipy(tmp_path):
         requests.append(("samplesize", {"case": case, "delta": 0.1,
                                         "epsilon": eps, "inputs": spec,
                                         "prefix": f"s_{case}"}, []))
+    # an exp moment function with Gaussian innovations: the norm mgf in
+    # closed form (one dimension) and as a series (two)
+    laws = {"z": InnovationLaw("gaussian", 2, 0.5),
+            "y": InnovationLaw("gaussian", 1, 0.4)}
+    profile = dict(CHAIN_INPUTS["profile"])
+    for role, law in laws.items():
+        profile.update({f"xi_law_{role}": to_spec(law),
+                        f"xi_mean_abs_{role}": law.mean_abs_norm().value,
+                        f"xi_second_{role}": law.second_moment().value})
+        del profile[f"xi_bound_{role}"]
+    spec = dict(CHAIN_INPUTS, phi={"kind": "exp"}, profile=profile)
+    requests.append(("bound", {"case": "phi_moment", "n": 4096, "delta": 0.1,
+                               "inputs": spec, "prefix": "b_exp_gauss"}, []))
     artifacts = {}
     for mode in ("scipy", "numpy", "plain"):
         out = tmp_path / mode
@@ -551,9 +564,9 @@ def test_bound_and_samplesize_run_without_scipy(tmp_path):
             [sys.executable, "-c", _CHILD, mode, json.dumps(argvs)],
             capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * 8
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * 9
         artifacts[mode] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert len(artifacts["numpy"]) == 12  # 8 reports and 4 curves
+    assert len(artifacts["numpy"]) == 13  # 9 reports and 4 curves
     assert artifacts["scipy"] == artifacts["numpy"] == artifacts["plain"]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from rcbounds.learning import (
     loss_value,
     statistical_risk_mc,
 )
+from rcbounds import learning
 from rcbounds.learning import (
     _gaussian_risks,
     _lrc_kappa_chain,
+    _mean_abs_cf,
     _stationary_covariance,
 )
 from rcbounds.processes import (
@@ -217,6 +220,96 @@ def test_stationary_covariance_matches_the_lag_sum():
         for m in range(400)))
     got = _stationary_covariance(a, c, kernel, 0.49)
     assert np.max(np.abs(got - 0.49 * want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, rho, lags", [(12, 0.6, 400), (3, 0.999, 25_000)],
+                         ids=["n12", "rho0.999"])
+def test_stationary_covariance_matches_the_lag_sum_of_larger_and_slower_states(
+        n, rho, lags):
+    # G_m = A G_{m-1} + kernel_m C, the weight of xi_{t-m} in x_t, summed
+    # over lags far past the kernel; A = rho Q with Q orthogonal decays at
+    # exactly rho per step
+    rng = np.random.default_rng(5)
+    a = rho * np.linalg.qr(rng.standard_normal((n, n)))[0]
+    c = rng.standard_normal((n, 2))
+    kernel = ARFIMAProcess(d_frac=0.3, trunc=25)._phi
+    g = kernel[0] * c
+    want = g @ g.T
+    for m in range(1, lags):
+        g = a @ g
+        if m < kernel.size:
+            g += kernel[m] * c
+        want += g @ g.T
+    got = _stationary_covariance(a, c, kernel, 0.49)
+    assert np.max(np.abs(got - 0.49 * want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _uniform_plus_gaussian_mean_abs(a, var, mu):
+    # E|mu + U(-a, a) + N(0, var)|: the folded-normal mean averaged over
+    # the uniform, through its antiderivative
+    # G(m) = (m^2 + var)/2 erf(m / sqrt(2 var)) + m s pdf(m / s), s^2 = var
+    s = math.sqrt(var)
+
+    def antiderivative(m):
+        return ((m * m + var) / 2.0 * math.erf(m / (s * math.sqrt(2.0)))
+                + m * s * math.exp(-m * m / (2.0 * var))
+                / math.sqrt(2.0 * math.pi))
+
+    return (antiderivative(mu + a) - antiderivative(mu - a)) / (2.0 * a)
+
+
+@pytest.mark.parametrize("deltas, gauss_var, mu, want", [
+    # 3 + U(-2, 2) + U(-0.01, 0.01) never changes sign
+    ([2.0, 0.01], 0.0, 3.0, 3.0),
+    # two U(-1, 1): triangular on [-2, 2]; with mu in [0, 2],
+    # E|X| = mu + (2 - mu)^3 / 12
+    ([1.0, 1.0], 0.0, 0.3, 0.3 + 1.7 ** 3 / 12.0),
+    ([1.0], 0.2, 0.4, _uniform_plus_gaussian_mean_abs(1.0, 0.2, 0.4)),
+    # U(-1, 1) covers y = 0.5 + U(-0.2, 0.2) + U(-0.1, 0.1):
+    # E|X| = (1 + E y^2) / 2
+    ([0.2, 1.0, 0.1], 0.0, 0.5, (1.0 + 0.25 + 0.05 / 3.0) / 2.0),
+], ids=["sign_definite", "two_equal_uniforms", "uniform_plus_gaussian",
+        "dominant_uniform"])
+def test_mean_abs_cf_matches_closed_forms(deltas, gauss_var, mu, want):
+    assert abs(_mean_abs_cf(deltas, gauss_var, mu) - want) <= 1e-9 * want
+
+
+def test_mean_abs_cf_closed_forms_meet_the_quadrature_at_their_edges():
+    # at the edge of each closed form (a = mu + rest for a dominant uniform
+    # U(-a, a), mu = sum(deltas) where X never changes sign) the quadrature
+    # takes over a step h inside; E|X| is smooth in mu there, with slope
+    # mu / a and 1 respectively
+    h = 1e-5
+    for deltas, mu, slope in (([1.0, 0.2, 0.1], 0.7, 0.7),
+                              ([0.6, 0.3, 0.1], 1.0, 1.0)):
+        edge = _mean_abs_cf(deltas, 0.0, mu)
+        inside = _mean_abs_cf(deltas, 0.0, mu - h)
+        assert abs((edge - inside) / h - slope) <= 1e-4
+
+
+def test_mean_abs_cf_of_a_long_chain_stays_small():
+    # 50,000 terms: one (panels, nodes, terms) array would take hundreds of
+    # MB, so the sinc product is taken in chunks of terms.  The sum of so
+    # many small uniforms is nearly Gaussian.
+    deltas = np.full(50_000, 0.005)
+    tracemalloc.start()
+    try:
+        got = _mean_abs_cf(deltas, 0.01, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    var = 50_000 * 0.005 ** 2 / 3.0 + 0.01
+    want = (math.sqrt(2.0 * var / math.pi) * math.exp(-0.02 / var)
+            + 0.2 * math.erf(0.2 / math.sqrt(2.0 * var)))
+    assert abs(got - want) <= 1e-4 * want
+
+
+def test_mean_abs_cf_raises_past_its_panel_limit(monkeypatch):
+    # exact_risk's callers take the pool instead
+    monkeypatch.setattr(learning, "_CF_PANELS", 2)
+    with pytest.raises(ValueError, match="panels"):
+        _mean_abs_cf([1.0, 1.0], 0.0, 0.3)
 
 
 def test_kappa_chain_matches_its_definition():

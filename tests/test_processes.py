@@ -222,6 +222,17 @@ def test_weighting_sequences_decrease(kind, raw):
     assert w.l1_norm >= sum(vals) - 1e-12
 
 
+def test_polynomial_weights_l1_norm_is_zeta():
+    # sum_j (1 + j)^-p = zeta(p), computed without scipy
+    from scipy.special import zeta
+
+    pairs = [(2.0, math.pi ** 2 / 6), (4.0, math.pi ** 4 / 90)]
+    pairs += [(p, float(zeta(p, 1))) for p in (1.01, 1.5, 3.0, 10.0)]
+    for p, want in pairs:
+        got = WeightingSequence("polynomial", p).l1_norm
+        assert abs(got - want) <= 1e-13 * want, p
+
+
 def test_model_spec_roundtrip():
     models = [
         IIDProcess(InnovationLaw("laplace", 2, 0.7)),

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rcbounds
 from rcbounds import validation
 from rcbounds.bounds import rademacher_constant
 from rcbounds.learning import IndependentJoint, LossFunction, TeacherJoint
@@ -262,6 +267,32 @@ def test_arfima_risk_gap_experiment_draws_no_pool(monkeypatch):
     assert batches == [4]
     assert cov.pool_std_error is None
     assert cov.coverage == 1.0
+
+
+_NO_SCIPY_CHILD = """
+import sys
+from test_validation import ABS, arfima_setup, teacher_setup
+from rcbounds.validation import risk_gap_experiment
+for setup, case in ((teacher_setup, "geometric"), (arfima_setup, "algebraic")):
+    klass, joint, prof = setup()
+    risk_gap_experiment(klass, joint, ABS, prof, case, n=64, n_trials=4,
+                        n_random=3, seed=3, history=40, n_pool=500,
+                        erm_iters=10)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_risk_gap_experiment_loads_no_scipy():
+    # exact risks under uniform inputs (the characteristic-function
+    # quadrature) and ARFIMA inputs (the stationary covariance) are numpy
+    # alone, in a fresh interpreter
+    src = Path(rcbounds.__file__).resolve().parents[1]
+    path = [str(Path(__file__).parent), str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_consistency_curve_decreases():
