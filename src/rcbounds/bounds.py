@@ -55,7 +55,13 @@ __all__ = [
     "check_case_regime",
 ]
 
-_CASES = ("bounded", "phi_moment", "geometric", "algebraic")
+# each certificate case: the profile regimes that serve it
+_CASES = {"bounded": ("lipschitz",), "phi_moment": ("lipschitz",),
+          "geometric": ("lipschitz", "geometric"), "algebraic": ("algebraic",)}
+# the cases that bound the absolute gap's expectation (so need y_l2_moment)
+# and reach level delta by Markov's inequality, at a factor 2 / delta; the
+# others add a deviation term to the expectation of the plain gap
+_MARKOV = ("geometric", "algebraic")
 _N_CAP = 10 ** 12  # the sample-size search's default cap
 _RATE_FLOOR = 1e-12
 
@@ -421,28 +427,24 @@ def algebraic_tail_constant(r, alpha_z, gamma=None):
 
 def _norm_mgf(law, t):
     """E[exp(t ||xi||_2)] in closed form or as a positive series; inf when
-    the moment diverges."""
-    d, s = law.dim, law.scale
-    if law.kind == "laplace":
-        if d != 1:
-            raise ValueError("laplace norm mgf needs d = 1")
-        if t * s >= 1.0:
-            return math.inf
-        return 1.0 / (1.0 - t * s)
-    if law.kind == "uniform":
-        if d != 1:
-            raise ValueError("uniform norm mgf needs d = 1")
-        if t == 0.0:
-            return 1.0
-        return (math.exp(t * s) - 1.0) / (t * s)
-    # gaussian: R = ||xi|| / s is chi_d, and u = t s
-    u = t * s
+    the moment diverges or its value leaves the float range."""
+    d, u = law.dim, t * law.scale
+    if law.kind != "gaussian" and d != 1:
+        raise ValueError(f"{law.kind} norm mgf needs d = 1")
     if u == 0.0:
         return 1.0
-    if d == 1:
+    if law.kind == "laplace":
+        return 1.0 / (1.0 - u) if u < 1.0 else math.inf
+    if law.kind == "gaussian" and d > 1:
+        # R = ||xi|| / s is chi_d
+        return _chi_mgf_series(d, u)
+    try:
+        if law.kind == "uniform":
+            return (math.exp(u) - 1.0) / u
         # 2 e^(u^2/2) Phi(u)
         return math.exp(u * u / 2.0) * math.erfc(-u / math.sqrt(2.0))
-    return _chi_mgf_series(d, u)
+    except OverflowError:
+        return math.inf
 
 
 def _chi_mgf_series(d, u):
@@ -450,10 +452,10 @@ def _chi_mgf_series(d, u):
     sum_k u^k E[R^k] / k!, E[R^k] = 2^(k/2) Gamma((d+k)/2) / Gamma(d/2).
 
     Each term is u^2 (d+k) / ((k+1)(k+2)) times the one two places back,
-    so no term exceeds the sum, and an overflow raises OverflowError as
-    math.exp does.  The ratio is below 1/2 once k > 2 (u^2 + d); the sum
-    stops past there when the last two terms are below 1e-17 of the
-    largest, which bounds what is left at 2e-17 of it.
+    so no term exceeds the sum, and the sum is inf once a term overflows.
+    The ratio is below 1/2 once k > 2 (u^2 + d); the sum stops past there
+    when the last two terms are below 1e-17 of the largest, which bounds
+    what is left at 2e-17 of it.
     """
     terms = [1.0, u * math.sqrt(2.0) * math.exp(
         math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))]
@@ -462,34 +464,35 @@ def _chi_mgf_series(d, u):
         terms.append(terms[-2] * u2 * (d + k) / ((k + 1.0) * (k + 2.0)))
         top = max(top, terms[-1])
         if top == math.inf:
-            raise OverflowError("the chi norm mgf overflows")
+            return math.inf
         k += 1
     return math.fsum(terms)
 
 
-def _phi_norm_moment(phi, law, c):
-    """E[Phi(c ||xi||)] (c >= 0), analytic where possible."""
+def _phi_norm_moment(phi, law, c, q=1):
+    """E[Phi(c ||xi||)^q] for c >= 0 and q in {1, 2}, analytic where
+    possible; inf when it diverges or leaves the float range."""
     if c == 0.0:
         return 0.0
     if phi.kind == "power":
-        m = law.norm_power_moment(phi.p)
-        if m is None:
-            raise ValueError("no closed-form norm moment for this law")
-        return c ** phi.p * float(m)
-    return _norm_mgf(law, c) - 1.0
-
-
-def _phi_sq_norm_moment(phi, law, c):
-    """E[Phi(c ||xi||)^2]."""
-    if c == 0.0:
-        return 0.0
-    if phi.kind == "power":
-        m = law.norm_power_moment(2.0 * phi.p)
-        if m is None:
-            raise ValueError("no closed-form norm moment for this law")
-        return c ** (2.0 * phi.p) * float(m)
+        try:
+            m = law.norm_power_moment(q * phi.p)
+            if m is None:
+                raise ValueError("no closed-form norm moment for this law")
+            return c ** (q * phi.p) * float(m)
+        except OverflowError:
+            return math.inf
+    top = _norm_mgf(law, q * c)  # raises for a law without a closed form
+    if c * law.scale * math.sqrt(law.dim) < 0.01:
+        # (e^x - 1)^q = sum_{k>=1} (q^k - q (q-1)^k) x^k / k!; at small c
+        # the mgf forms below cancel to rounding noise, or below zero
+        return math.fsum((q ** k - q * (q - 1) ** k) * c ** k
+                         * law.norm_power_moment(k) / math.factorial(k)
+                         for k in range(1, 24))
+    if q == 1 or top == math.inf:
+        return top - 1.0
     # (e^x - 1)^2 = e^{2x} - 2 e^x + 1
-    return _norm_mgf(law, 2.0 * c) - 2.0 * _norm_mgf(law, c) + 1.0
+    return top - 2.0 * _norm_mgf(law, c) + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -497,25 +500,39 @@ def _phi_sq_norm_moment(phi, law, c):
 # ---------------------------------------------------------------------------
 
 
-def _effective_rates(prof, r):
-    rates = [r]
-    if not prof.exact_zero_z:
-        rates.append(prof.rate_z)
-    if not prof.exact_zero_y:
-        rates.append(prof.rate_y)
-    return max(max(rates), _RATE_FLOOR)
+def _decay_rates(env, r):
+    """(lambda_max, alpha) of a profile in envelope form, the other one
+    None.  An algebraic profile decays at the least exponent alpha of its
+    roles that are not exact zero; any other at lambda_max, the largest of
+    r and those roles' rates (at least _RATE_FLOOR)."""
+    rates = [rate for rate, zero in ((env.rate_z, env.exact_zero_z),
+                                     (env.rate_y, env.exact_zero_y))
+             if not zero]
+    if env.regime != "algebraic":
+        return max(max([r] + rates), _RATE_FLOOR), None
+    if not rates:
+        raise ValueError("algebraic case needs a nonzero decay role")
+    return None, min(rates)
+
+
+def _shared_constants(inputs):
+    """c0 = c_zero, M = l_l l_h m_f + E|L(0, Y)| + l_h0 l_l (the loss cap)
+    and B = 2 sqrt(m) l_l (the complexity factor) of every case."""
+    c0 = c_zero(inputs.r, inputs.l_l, inputs.l_h, inputs.m_f)
+    big_m = (inputs.l_l * inputs.l_h * inputs.m_f + inputs.e_loss_zero.value
+             + inputs.l_h0 * inputs.l_l)
+    return c0, big_m, 2.0 * math.sqrt(inputs.n_out) * inputs.l_l
 
 
 def check_case_regime(case, regime):
-    """Raise ValueError unless a profile of this regime serves the case:
-    bounded and phi_moment need a lipschitz profile, geometric any but an
-    algebraic one, algebraic an algebraic one."""
-    if case in ("bounded", "phi_moment") and regime != "lipschitz":
-        raise ValueError(f"case {case!r} needs a lipschitz profile")
-    if case == "geometric" and regime == "algebraic":
-        raise ValueError("geometric case cannot use an algebraic profile")
-    if case == "algebraic" and regime != "algebraic":
-        raise ValueError("algebraic case needs an algebraic profile")
+    """Raise ValueError unless the case is known and a profile of this
+    regime serves it (_CASES)."""
+    if case not in _CASES:
+        raise ValueError(f"unknown case {case!r}")
+    if regime not in _CASES[case]:
+        article = "an" if case == "algebraic" else "a"
+        raise ValueError(f"case {case!r} needs {article} "
+                         f"{' or '.join(_CASES[case])} profile")
 
 
 def expected_gap_constants(inputs, case):
@@ -527,32 +544,20 @@ def expected_gap_constants(inputs, case):
     c1 n^(-1/(2 + 1/alpha)) + c2 n^(-2/(2 + 1/alpha)).  Functional-
     Lipschitz profiles are first converted to their geometric envelopes.
     """
-    if case not in _CASES:
-        raise ValueError(f"unknown case {case!r}")
-    prov = []
-    prof = inputs.profile
+    prof, r, l_l, l_h = inputs.profile, inputs.r, inputs.l_l, inputs.l_h
     check_case_regime(case, prof.regime)
-
-    r = inputs.r
-    c0 = c_zero(r, inputs.l_l, inputs.l_h, inputs.m_f)
-    big_m = (inputs.l_l * inputs.l_h * inputs.m_f + inputs.e_loss_zero.value
-             + inputs.l_h0 * inputs.l_l)
-    b = 2.0 * math.sqrt(inputs.n_out) * inputs.l_l
-    for m in (inputs.e_loss_zero, inputs.y_l2_moment):
-        if isinstance(m, Moment) and m.provenance != "analytic":
-            prov.append(f"{m.provenance} moment input")
-
-    y_l2 = inputs.y_l2_moment.value if inputs.y_l2_moment is not None else None
+    c0, big_m, b = _shared_constants(inputs)
+    env = geometric_envelope(prof)
+    lam, alpha = _decay_rates(env, r)
+    y_l2 = inputs.y_l2_moment
+    if y_l2 is None and case in _MARKOV:
+        raise ValueError(f"{case} case needs y_l2_moment")
+    prov = [f"{m.provenance} moment input" for m in (inputs.e_loss_zero, y_l2)
+            if m is not None and m.provenance != "analytic"]
+    c_z = 0.0 if env.exact_zero_z else env.c_z.value
+    c_y = 0.0 if env.exact_zero_y else env.c_y.value
 
     if case == "algebraic":
-        alphas = []
-        if not prof.exact_zero_z:
-            alphas.append(prof.rate_z)
-        if not prof.exact_zero_y:
-            alphas.append(prof.rate_y)
-        if not alphas:
-            raise ValueError("algebraic case needs a nonzero decay role")
-        alpha = min(alphas)
         if r > 0:
             gam = gamma_alpha(r, prof.rate_z)
             c_al = algebraic_tail_constant(r, prof.rate_z, gam)
@@ -560,75 +565,67 @@ def expected_gap_constants(inputs, case):
         else:
             # r -> 0 limits: the maximizer collapses to tau = 1
             gam, c_al, rg = -0.25, 2.0 ** prof.rate_z, 0.0
-        c_z = 0.0 if prof.exact_zero_z else prof.c_z.value
-        c_y = 0.0 if prof.exact_zero_y else prof.c_y.value
-        c1 = (inputs.l_l * (2.0 * inputs.m_f * inputs.l_h * rg
-                            + inputs.l_r * inputs.l_h * c_z * c_al + c_y)
+        c1 = (l_l * (2.0 * inputs.m_f * l_h * rg
+                     + inputs.l_r * l_h * c_z * c_al + c_y)
               + b * inputs.c_rc)
-        c2 = 2.0 * big_m
-        if y_l2 is None:
-            raise ValueError("algebraic case needs y_l2_moment")
-        c1_abs = c1 + 4.0 * inputs.l_l * y_l2 + b * inputs.c_rc
-        return ChainConstants(
-            case=case, r=r, c0=c0, big_m=big_m, b=b, c_rc=inputs.c_rc,
-            alpha=alpha, alpha_z=prof.rate_z, gamma_alpha=gam, c_alpha=c_al,
-            c1=c1, c2=c2, c1_abs=c1_abs, provenance=tuple(prov))
+        shape = dict(c1=c1, c2=2.0 * big_m, alpha_z=prof.rate_z,
+                     gamma_alpha=gam, c_alpha=c_al,
+                     c1_abs=c1 + 4.0 * l_l * y_l2.value + b * inputs.c_rc)
+    else:
+        log_inv = math.log(1.0 / lam)
+        c3 = b * inputs.c_rc / math.sqrt(log_inv)
+        shape = dict(
+            c1=(2.0 * inputs.m_f * l_l * l_h + l_l * c_y) / lam,
+            c2=(2.0 * big_m / log_inv
+                + l_l * inputs.l_r * l_h * c_z / (lam * log_inv)),
+            c3=c3, c3_abs=None)
+        if y_l2 is not None:
+            shape["c3_abs"] = (2.0 * c3
+                               + 4.0 * l_l * y_l2.value / math.sqrt(log_inv))
 
-    env = geometric_envelope(prof)
-    lam = _effective_rates(env, r)
-    if lam >= 1.0:
-        raise ValueError("effective decay rate must stay below 1")
-    log_inv = math.log(1.0 / lam)
-    c_z = 0.0 if env.exact_zero_z else env.c_z.value
-    c_y = 0.0 if env.exact_zero_y else env.c_y.value
-    c1 = (2.0 * inputs.m_f * inputs.l_l * inputs.l_h + inputs.l_l * c_y) / lam
-    c2 = (2.0 * big_m / log_inv
-          + inputs.l_l * inputs.l_r * inputs.l_h * c_z / (lam * log_inv))
-    c3 = b * inputs.c_rc / math.sqrt(log_inv)
-    c3_abs = None
-    if y_l2 is not None:
-        c3_abs = 2.0 * c3 + 4.0 * inputs.l_l * y_l2 / math.sqrt(log_inv)
-
-    extra = {}
-    if case == "geometric":
-        if c3_abs is None:
-            raise ValueError("geometric case needs y_l2_moment")
-    elif case == "bounded":
+    if case == "bounded":
         for name, role, bound in (("xi_bound_z", "input", prof.xi_bound_z),
                                   ("xi_bound_y", "target", prof.xi_bound_y)):
             if bound is None:
                 raise ValueError(f"bounded case needs bounded {role} "
                                  f"innovations ({name} is missing)")
         m_bar = max(prof.xi_bound_z, prof.xi_bound_y)
-        w1z = prof.w_z.l1_norm
-        w1y = prof.w_y.l1_norm
-        extra["c_bd"] = 2.0 * inputs.l_l * (
-            inputs.l_h / (1.0 - r) * (inputs.m_f * r
-                                      + inputs.l_r * m_bar * prof.l_z * w1z)
+        w1z, w1y = prof.w_z.l1_norm, prof.w_y.l1_norm
+        shape["c_bd"] = 2.0 * l_l * (
+            l_h / (1.0 - r) * (inputs.m_f * r + inputs.l_r * m_bar * prof.l_z * w1z)
             + m_bar * prof.l_y * w1y)
     elif case == "phi_moment":
-        if inputs.phi is None:
+        phi = inputs.phi
+        if phi is None:
             raise ValueError("phi_moment case needs a moment function")
         if prof.xi_law_z is None or prof.xi_law_y is None:
             raise ValueError("phi_moment case needs the innovation laws")
-        c_mom_z = (inputs.l_l * inputs.l_h * inputs.l_r / (1.0 - r)
+        c_mom_z = (l_l * l_h * inputs.l_r / (1.0 - r)
                    * prof.l_z * prof.w_z.l1_norm)
-        c_mom_y = inputs.l_l * prof.l_y * prof.w_y.l1_norm
+        c_mom_y = l_l * prof.l_y * prof.w_y.l1_norm
         c_phi = 0.0
-        for c_mom, law in ((c_mom_y, prof.xi_law_y), (c_mom_z, prof.xi_law_z)):
-            c_phi += (math.sqrt(_phi_sq_norm_moment(inputs.phi, law, 2.0 * c_mom))
-                      * math.sqrt(_phi_norm_moment(inputs.phi, law, 1.0)))
-        extra.update(c_mom_z=c_mom_z, c_mom_y=c_mom_y, c_phi=c_phi,
-                     phi=inputs.phi)
-        if inputs.phi.kind == "exp" and any(
+        for role, c_mom, law in (("y", c_mom_y, prof.xi_law_y),
+                                 ("z", c_mom_z, prof.xi_law_z)):
+            if c_mom == 0.0:
+                continue  # the role adds nothing, whatever its law
+            moments = {
+                f"E[Phi(2 c_mom_{role} ||xi_{role}||)^2]":
+                    _phi_norm_moment(phi, law, 2.0 * c_mom, 2),
+                f"E[Phi(||xi_{role}||)]": _phi_norm_moment(phi, law, 1.0)}
+            diverging = [name for name, v in moments.items() if v == math.inf]
+            prov += [f"diverging moment-function expectation {name}"
+                     for name in diverging]
+            sq, one = moments.values()
+            c_phi += math.inf if diverging else math.sqrt(sq) * math.sqrt(one)
+        shape.update(c_mom_z=c_mom_z, c_mom_y=c_mom_y, c_phi=c_phi, phi=phi)
+        if phi.kind == "exp" and any(
                 law.kind == "gaussian" and law.dim > 1
                 for law in (prof.xi_law_z, prof.xi_law_y)):
             prov.append("series moment-function expectation")
 
     return ChainConstants(
         case=case, r=r, c0=c0, big_m=big_m, b=b, c_rc=inputs.c_rc,
-        lambda_max=lam, c1=c1, c2=c2, c3=c3, c3_abs=c3_abs,
-        provenance=tuple(prov), **extra)
+        lambda_max=lam, alpha=alpha, provenance=tuple(prov), **shape)
 
 
 # ---------------------------------------------------------------------------
@@ -642,27 +639,20 @@ def expectation_gap_bound(inputs, n, tau=None, absolute=False):
     (k tau / n) a_tau + B (k tau / n) R_k + 2 M (n - k tau) / n with
     R_k <= c_rc / sqrt(k); the absolute variant doubles the complexity
     term and adds (4 tau sqrt(k) / n) l_l E[||Y||^2]^(1/2).  tau defaults
-    to the prescribed block length for the profile's regime.
+    to the prescribed block length, the one bound_from_constants reports.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     prof = inputs.profile
     if tau is None:
-        if prof.regime == "algebraic":
-            alphas = [a for a, z in ((prof.rate_z, prof.exact_zero_z),
-                                     (prof.rate_y, prof.exact_zero_y)) if not z]
-            tau, k = block_length(n, alpha=min(alphas) if alphas else 1.0)
-        else:
-            env = geometric_envelope(prof)
-            tau, k = block_length(n, lambda_max=_effective_rates(env, inputs.r))
+        tau, k = block_length(n, *_decay_rates(geometric_envelope(prof),
+                                               inputs.r))
     else:
         tau = max(1, min(int(tau), n))
         k = max(1, n // tau)
     a_t = block_bias(tau, inputs.r, inputs.l_l, inputs.l_h, inputs.l_r,
                      inputs.m_f, prof)
-    big_m = (inputs.l_l * inputs.l_h * inputs.m_f + inputs.e_loss_zero.value
-             + inputs.l_h0 * inputs.l_l)
-    b = 2.0 * math.sqrt(inputs.n_out) * inputs.l_l
+    _, big_m, b = _shared_constants(inputs)
     cover = k * tau / n
     rad = b * cover * inputs.c_rc / math.sqrt(k)
     total = cover * a_t + rad + 2.0 * big_m * (n - k * tau) / n
@@ -674,82 +664,53 @@ def expectation_gap_bound(inputs, n, tau=None, absolute=False):
     return total
 
 
-def _geometric_validity(n, lam):
-    return math.log(n) < n * math.log(1.0 / lam)
-
-
 def bound_from_constants(consts, n, delta):
     """Evaluate a derived-constants bundle at sample size n and level delta.
 
-    Outside a case's validity region (the geometric-rate cases need
-    log n < n log(1/lambda_max)) the report carries total = inf and
-    valid = False.
+    The case picks its expectation shape and either the Markov factor
+    2 / delta (_MARKOV) or an added deviation term.  Outside a case's
+    validity region (the geometric-rate cases need log n < n
+    log(1/lambda_max)) and wherever the total is not finite, say for a
+    diverging moment-function expectation, the report carries
+    total = inf and valid = False.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    case = consts.case
-    terms = {"truncation": truncation_risk_gap(consts.c0, consts.r, n)}
-    tau = k = None
-
-    if case == "algebraic":
-        a = consts.alpha
-        rate1 = n ** (-1.0 / (2.0 + 1.0 / a))
-        rate2 = n ** (-2.0 / (2.0 + 1.0 / a))
-        terms["expectation"] = consts.c1_abs * rate1 + consts.c2 * rate2
-        terms["deviation_factor"] = 2.0 / delta
-        total = terms["truncation"] + (2.0 / delta) * terms["expectation"]
-        tau, k = block_length(n, alpha=a)
-        return BoundReport(case=case, n=n, delta=delta, total=total,
-                           valid=True, terms=terms, tau=tau, k=k,
-                           constants=consts)
-
-    lam = consts.lambda_max
-    valid = _geometric_validity(n, lam)
-    tau, k = block_length(n, lambda_max=lam)
-    log_n = math.log(n)
-    if not valid:
-        return BoundReport(case=case, n=n, delta=delta, total=math.inf,
-                           valid=False, terms=terms, tau=tau, k=k,
-                           constants=consts)
-
-    if case == "geometric":
-        exp_part = (consts.c1 / n + consts.c2 * log_n / n
-                    + consts.c3_abs * math.sqrt(log_n) / math.sqrt(n))
-        terms["expectation"] = exp_part
-        terms["deviation_factor"] = 2.0 / delta
-        total = terms["truncation"] + (2.0 / delta) * exp_part
-        return BoundReport(case=case, n=n, delta=delta, total=total,
-                           valid=True, terms=terms, tau=tau, k=k,
-                           constants=consts)
-
-    exp_part = (consts.c1 / n + consts.c2 * log_n / n
-                + consts.c3 * math.sqrt(log_n) / math.sqrt(n))
-    terms["expectation"] = exp_part
-
-    if case == "bounded":
-        dev = consts.c_bd * math.sqrt(math.log(4.0 / delta) / (2.0 * n))
-        terms["deviation"] = dev
-        total = terms["truncation"] + exp_part + dev
-        return BoundReport(case=case, n=n, delta=delta, total=total,
-                           valid=True, terms=terms, tau=tau, k=k,
-                           constants=consts)
-
-    if case == "phi_moment":
-        phi = consts.phi
-        lead = consts.c0 + 2.0 * phi.inverse(float(n)) \
-            * (consts.c_mom_z + consts.c_mom_y)
-        b1 = lead * math.sqrt(math.log(8.0 / delta) / (2.0 * n))
-        b2 = phi.inverse(2.0 * consts.c_phi / (delta * math.sqrt(n)))
-        dev = 5.0 * max(b1, b2)
-        terms["deviation"] = dev
-        total = terms["truncation"] + exp_part + dev
-        return BoundReport(case=case, n=n, delta=delta, total=total,
-                           valid=True, terms=terms, tau=tau, k=k,
-                           constants=consts)
-
-    raise ValueError(f"unknown case {case!r}")
+    c, case = consts, consts.case
+    if case not in _CASES:
+        raise ValueError(f"unknown case {case!r}")
+    terms = {"truncation": truncation_risk_gap(c.c0, c.r, n)}
+    tau, k = block_length(n, c.lambda_max, c.alpha)
+    total = math.inf
+    if c.lambda_max is None or math.log(n) < n * math.log(1.0 / c.lambda_max):
+        if case == "algebraic":
+            e = 2.0 + 1.0 / c.alpha
+            terms["expectation"] = (c.c1_abs * n ** (-1.0 / e)
+                                    + c.c2 * n ** (-2.0 / e))
+        else:
+            log_n = math.log(n)
+            c3 = c.c3_abs if case in _MARKOV else c.c3
+            terms["expectation"] = (c.c1 / n + c.c2 * log_n / n
+                                    + c3 * math.sqrt(log_n) / math.sqrt(n))
+        if case in _MARKOV:
+            terms["deviation_factor"] = 2.0 / delta
+            total = terms["truncation"] + (2.0 / delta) * terms["expectation"]
+        else:
+            if case == "bounded":
+                dev = c.c_bd * math.sqrt(math.log(4.0 / delta) / (2.0 * n))
+            else:
+                lead = (c.c0 + 2.0 * c.phi.inverse(float(n))
+                        * (c.c_mom_z + c.c_mom_y))
+                b1 = lead * math.sqrt(math.log(8.0 / delta) / (2.0 * n))
+                b2 = c.phi.inverse(2.0 * c.c_phi / (delta * math.sqrt(n)))
+                dev = 5.0 * max(b1, b2)
+            terms["deviation"] = dev
+            total = terms["truncation"] + terms["expectation"] + dev
+    return BoundReport(case=case, n=n, delta=delta, total=total,
+                       valid=math.isfinite(total), terms=terms, tau=tau, k=k,
+                       constants=consts)
 
 
 def risk_bound(inputs, n, delta, case):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processes import Moment, _next_fast_len, batch_paths
+from .processes import Moment, _lyapunov_sum, _next_fast_len, batch_paths
 from .reservoir import (
     Hypothesis,
     LinearReservoir,
@@ -565,20 +565,6 @@ def _stationary_covariance(a, c, kernel, s2):
     g = np.fft.irfft(spec, size, axis=0)[:k + 1]
     head = g[:k].transpose(1, 0, 2).reshape(c.shape[0], -1)
     return s2 * (head @ head.T) + _lyapunov_sum(a, s2 * (g[k] @ g[k].T))
-
-
-def _lyapunov_sum(a, q):
-    """X = sum_{j>=0} A^j Q A^jT, the solution of X = A X A^T + Q, by
-    squared doubling: X <- X + A_k X A_k^T, A_k <- A_k^2 sums the first
-    2^(k+1) terms after k squarings, until a step leaves X unchanged.
-    Raises ValueError when that takes more than 64 squarings."""
-    x = q
-    for _ in range(64):
-        nxt = x + a @ x @ a.T
-        if np.array_equal(nxt, x):
-            return x
-        x, a = nxt, a @ a
-    raise ValueError("the Lyapunov sum did not converge in 64 squarings")
 
 
 def _exact_risk_uniform(hyp, joint, loss):

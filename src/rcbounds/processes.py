@@ -269,11 +269,10 @@ class VAR1Process:
     def analytic_moment(self, order):
         if self.scale_law is not None or order != 2:
             return None
-        # vec stationary covariance: S = A S A^T + Cov(eta)
+        # the stationary covariance S = A S A^T + Cov(eta)
         d = self.noise.dim
         cov_eta = np.eye(d) * (self.noise.norm_power_moment(2) / d)
-        m = np.eye(d * d) - np.kron(self._a, self._a)
-        s = np.linalg.solve(m, cov_eta.reshape(-1)).reshape(d, d)
+        s = _lyapunov_sum(self._a, cov_eta)
         return Moment(float(np.trace(s)), 0.0, "analytic")
 
     def gaussian_ma(self):
@@ -505,6 +504,20 @@ def _filter(x, kernel, n):
     spec = np.fft.rfft(x, size)
     spec *= np.fft.rfft(kernel, size)
     return np.fft.irfft(spec, size)[..., steps - n:steps, None]
+
+
+def _lyapunov_sum(a, q):
+    """X = sum_{j>=0} A^j Q A^jT, the solution of X = A X A^T + Q, by
+    squared doubling: X <- X + A_k X A_k^T, A_k <- A_k^2 sums the first
+    2^(k+1) terms after k squarings, until a step leaves X unchanged.
+    Raises ValueError when that takes more than 64 squarings."""
+    x = q
+    for _ in range(64):
+        nxt = x + a @ x @ a.T
+        if np.array_equal(nxt, x):
+            return x
+        x, a = nxt, a @ a
+    raise ValueError("the Lyapunov sum did not converge in 64 squarings")
 
 
 def _next_fast_len(n):

@@ -257,7 +257,7 @@ def test_phi_norm_moments_gaussian_power():
     c = 0.7
     assert abs(B._phi_norm_moment(phi, GAUSS, c) - c ** 2) < 1e-12
     want = (2 * c) ** 4 * 3.0
-    assert abs(B._phi_sq_norm_moment(phi, GAUSS, 2 * c) - want) < 1e-9
+    assert abs(B._phi_norm_moment(phi, GAUSS, 2 * c, 2) - want) < 1e-9
 
 
 def test_norm_mgf_closed_forms():
@@ -277,6 +277,64 @@ def test_norm_mgf_closed_forms():
     assert abs(B._norm_mgf(UNIF, 1.3) - (math.exp(1.3) - 1) / 1.3) < 1e-12
     lap = InnovationLaw("laplace", 1, 0.5)
     assert abs(B._norm_mgf(lap, 1.0) - 2.0) < 1e-12
+
+
+def test_norm_mgf_is_inf_past_the_float_range():
+    lap = InnovationLaw("laplace", 1, 0.5)
+    assert B._norm_mgf(lap, 2.0) == B._norm_mgf(lap, 3.0) == math.inf
+    for law in (GAUSS, InnovationLaw("gaussian", 2, 1.0), UNIF):
+        assert B._norm_mgf(law, 1e3) == math.inf
+    # e^(2x) - 2 e^x + 1 would be inf - inf
+    assert B._phi_norm_moment(B.PhiFunction("exp"), lap, 4.0, 2) == math.inf
+    # E||xi||^400 and c^400 both leave the float range
+    steep = B.PhiFunction("power", 200.0)
+    assert B._phi_norm_moment(steep, GAUSS, 10.0, 2) == math.inf
+    assert B._phi_norm_moment(steep, UNIF, 1e3, 2) == math.inf
+
+
+def test_exp_moment_of_a_small_argument_does_not_cancel():
+    # E[(e^(c R) - 1)^q] ~ c^q E[R^q] as c -> 0, where the mgf forms
+    # cancel to rounding noise or below zero
+    phi = B.PhiFunction("exp")
+    for law in (UNIF, GAUSS, InnovationLaw("laplace", 1, 1.0),
+                InnovationLaw("gaussian", 3, 0.7)):
+        for q in (1, 2):
+            got = B._phi_norm_moment(phi, law, 1e-12, q)
+            want = 1e-12 ** q * law.norm_power_moment(q)
+            assert abs(got - want) <= 1e-9 * want, (law, q)
+
+
+@pytest.mark.parametrize("law, r", [
+    (InnovationLaw("laplace", 1, 1.0), 0.3),
+    (GAUSS, 0.99),
+    (InnovationLaw("gaussian", 2, 1.0), 0.99),
+], ids=["laplace", "gaussian_1d", "chi_2d"])
+def test_diverging_moment_function_expectation_gives_no_certificate(law, r):
+    # Laplace(1) has no exponential moment at 2 c_mom >= 1; the Gaussian
+    # ones leave the float range at r = 0.99
+    inp = inputs_with(lipschitz_profile(law=law), r=r, phi=B.PhiFunction("exp"))
+    cc = B.expected_gap_constants(inp, "phi_moment")
+    assert cc.c_phi == math.inf
+    assert "diverging moment-function expectation E[Phi(2 c_mom_z ||xi_z||)^2]" \
+        in cc.provenance
+    rep = B.bound_from_constants(cc, 10 ** 4, 0.1)
+    assert rep.total == math.inf and not rep.valid
+    assert B.min_sample_size_from_constants(cc, 50.0, 0.1) is None
+
+
+def test_a_role_without_weight_adds_nothing_to_c_phi():
+    # l_y = 0: the target role adds 0 to c_phi even though its Laplace(1)
+    # law has no E[exp ||xi_y||]
+    lap = InnovationLaw("laplace", 1, 1.0)
+    prof = dataclasses.replace(lipschitz_profile(law=UNIF), l_y=0.0,
+                               xi_law_y=lap)
+    inp = inputs_with(prof, phi=B.PhiFunction("exp"))
+    cc = B.expected_gap_constants(inp, "phi_moment")
+    only_z = dataclasses.replace(prof, xi_law_y=UNIF)
+    want = B.expected_gap_constants(dataclasses.replace(inp, profile=only_z),
+                                    "phi_moment").c_phi
+    assert cc.c_mom_y == 0.0 and cc.c_phi == want < math.inf
+    assert B.bound_from_constants(cc, 10 ** 4, 0.1).valid
 
 
 def test_phi_moment_case_constants_and_deviation():

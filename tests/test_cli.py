@@ -599,6 +599,37 @@ def test_samplesize_report_lists_input_provenance(tmp_path, capsys):
     assert data["provenance"] == ["mc moment input"]
 
 
+@pytest.mark.parametrize("law, r", [
+    ({"kind": "laplace", "dim": 1, "scale": 1.0}, 0.3),
+    ({"kind": "gaussian", "dim": 1, "scale": 1.0}, 0.99),
+    ({"kind": "gaussian", "dim": 2, "scale": 1.0}, 0.99),
+], ids=["laplace", "gaussian_1d", "chi_2d"])
+def test_diverging_moment_function_expectation_is_a_vacuous_report(
+        tmp_path, capsys, law, r):
+    # an exp moment function on these laws has an infinite expectation (or
+    # one past the float range): no certificate, and no error either
+    profile = dict(CHAIN_INPUTS["profile"], xi_law_z=law, xi_law_y=law)
+    inputs = dict(CHAIN_INPUTS, r=r, phi={"kind": "exp"}, profile=profile)
+    diverging = ("diverging moment-function expectation "
+                 "E[Phi(2 c_mom_z ||xi_z||)^2]")
+    for command, config in (
+            ("bound", {"case": "phi_moment", "n": 10 ** 4, "delta": 0.1}),
+            ("samplesize", {"case": "phi_moment", "delta": 0.1,
+                            "epsilon": 50.0})):
+        cfg = write_config(tmp_path, f"{command}.json",
+                           dict(config, inputs=inputs))
+        code, report, err = run_cli(capsys, [command, "--config", cfg,
+                                             "--out", str(tmp_path)])
+        assert code == 0, err
+        data = json.loads(Path(report["report"]).read_text())
+        assert diverging in data["provenance"]
+        if command == "bound":
+            assert report["bound"] is None and report["valid"] is False
+            assert data["bound"] is None and data["valid"] is False
+        else:
+            assert report["n_min"] is None and data["n_min"] is None
+
+
 BOUND = {"case": "geometric", "n": 64, "delta": 0.1, "inputs": GEO_INPUTS}
 SAMPLESIZE = {"case": "geometric", "delta": 0.1, "epsilon": 5.0,
               "inputs": GEO_INPUTS}

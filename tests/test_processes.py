@@ -190,6 +190,40 @@ def test_analytic_moment_closed_forms():
     assert abs(u.value - 1.0 / 3.0) < 1e-15
 
 
+def test_var1_second_moment_matches_the_kronecker_solve():
+    # tr S for S = A S A^T + Cov(eta), against the vec form
+    # (I - A (x) A) vec S = vec Cov(eta) on random matrices of norm < 1
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        d = int(rng.integers(1, 11))
+        a = rng.standard_normal((d, d))
+        a *= rng.uniform(0.0, 0.98) / np.linalg.norm(a, 2)
+        law = InnovationLaw("gaussian", d, rng.uniform(0.2, 2.0))
+        cov_eta = np.eye(d) * law.scale ** 2
+        vec = np.linalg.solve(np.eye(d * d) - np.kron(a, a), cov_eta.ravel())
+        want = float(np.trace(vec.reshape(d, d)))
+        got = analytic_moment(VAR1Process(a, noise=law), 2)
+        assert got.provenance == "analytic"
+        assert abs(got.value - want) <= 1e-13 * want, d
+
+
+def test_var1_second_moment_of_a_large_state_is_cheap():
+    import tracemalloc
+
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((200, 200))
+    model = VAR1Process(0.95 * a / np.linalg.norm(a, 2))
+    tracemalloc.start()
+    try:
+        m2 = analytic_moment(model, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the d^2 x d^2 Kronecker system alone would hold 12.8 GB
+    assert peak < 4e6
+    assert m2.value >= 200.0
+
+
 def test_fit_theta_decay_exact_inputs():
     taus = range(1, 9)
     geo = fit_theta_decay([(t, 0.7 * 0.95 ** t) for t in taus], "geometric")
