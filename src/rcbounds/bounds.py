@@ -475,13 +475,16 @@ def _phi_norm_moment(phi, law, c, q=1):
     if c == 0.0:
         return 0.0
     if phi.kind == "power":
-        try:
-            m = law.norm_power_moment(q * phi.p)
-            if m is None:
-                raise ValueError("no closed-form norm moment for this law")
-            return c ** (q * phi.p) * float(m)
-        except OverflowError:
-            return math.inf
+        # E[||c xi||^(q p)] is the law's moment at scale c s, whose log form
+        # never meets c^(q p) underflowing to 0 times a moment past the
+        # float range (0 * inf = nan)
+        scale = c * law.scale
+        inside = 0.0 < scale < math.inf  # else c s itself left the range
+        m = (replace(law, scale=scale) if inside else law).norm_power_moment(
+            q * phi.p)
+        if m is None:
+            raise ValueError("no closed-form norm moment for this law")
+        return float(m) if inside else (math.inf if scale else 0.0)
     top = _norm_mgf(law, q * c)  # raises for a law without a closed form
     if c * law.scale * math.sqrt(law.dim) < 0.01:
         # (e^x - 1)^q = sum_{k>=1} (q^k - q (q-1)^k) x^k / k!; at small c
@@ -612,7 +615,9 @@ def expected_gap_constants(inputs, case):
                 f"E[Phi(2 c_mom_{role} ||xi_{role}||)^2]":
                     _phi_norm_moment(phi, law, 2.0 * c_mom, 2),
                 f"E[Phi(||xi_{role}||)]": _phi_norm_moment(phi, law, 1.0)}
-            diverging = [name for name, v in moments.items() if v == math.inf]
+            # a nan counts as diverging, so max(b1, nan) never drops b2
+            diverging = [name for name, v in moments.items()
+                         if not v < math.inf]
             prov += [f"diverging moment-function expectation {name}"
                      for name in diverging]
             sq, one = moments.values()

@@ -108,6 +108,11 @@ def _zeta(p):
     return math.fsum(terms)
 
 
+# past e^700 a factor of norm_power_moment's closed forms may leave the
+# float range (e^709.78), so there it takes the logarithm instead
+_LOG_FACTOR_MAX = 700.0
+
+
 @dataclass(frozen=True)
 class InnovationLaw:
     """Named innovation distribution on R^dim with moment descriptors.
@@ -139,12 +144,23 @@ class InnovationLaw:
         return rng.laplace(0.0, self.scale, full)
 
     def norm_power_moment(self, power):
-        """E[||xi||_2^power] in closed form, or None when not available."""
+        """E[||xi||_2^power] in closed form, or None when not available;
+        inf once the moment leaves the float range."""
         if power < 0:
             raise ValueError("power must be >= 0")
         if power == 0:
             return 1.0
         d, s, q = self.dim, self.scale, float(power)
+        if d > 1 and self.kind != "gaussian" and q != 2.0:
+            return None
+        log_s, log_unit = q * math.log(s), self._log_unit_moment(q)
+        if max(abs(log_s), log_unit) > _LOG_FACTOR_MAX:
+            # s^q or E[(||xi||/s)^q] leaves the float range (or its integer
+            # form grows past a float); the logarithm of their product does not
+            try:
+                return math.exp(log_s + log_unit)
+            except OverflowError:
+                return math.inf
         if self.kind == "gaussian":
             # ||xi||/s is chi_d distributed; at even q its moment is the
             # integer d (d + 2) ... (d + q - 2), exact in floating point
@@ -155,12 +171,24 @@ class InnovationLaw:
         if d == 1:
             if self.kind == "uniform":
                 return s ** q / (q + 1.0)
-            return s ** q * math.exp(math.lgamma(q + 1.0))  # |Laplace| is exponential
-        if self.kind == "uniform" and q == 2.0:
+            return s ** q * math.exp(log_unit)  # |Laplace| is exponential
+        if self.kind == "uniform":
             return d * s ** 2 / 3.0
-        if self.kind == "laplace" and q == 2.0:
-            return d * 2.0 * s ** 2
-        return None
+        return d * 2.0 * s ** 2
+
+    def _log_unit_moment(self, q):
+        """log E[(||xi||_2 / scale)^q] where norm_power_moment has a closed
+        form: 2^(q/2) Gamma((d + q)/2) / Gamma(d/2) for the chi_d norm of a
+        Gaussian, Gamma(q + 1) for |Laplace|, 1/(q + 1) for |uniform|."""
+        d = self.dim
+        if self.kind == "gaussian":
+            return (q / 2 * math.log(2.0) + math.lgamma((d + q) / 2)
+                    - math.lgamma(d / 2))
+        if d > 1:
+            return math.log(d / 3.0 if self.kind == "uniform" else 2.0 * d)
+        if self.kind == "uniform":
+            return -math.log(q + 1.0)
+        return math.lgamma(q + 1.0)
 
     def mean_abs_norm(self):
         """E[||xi||_2] as a Moment (analytic when closed-form exists)."""

@@ -297,8 +297,9 @@ def _folded_normal_mean(mu, var):
 
 
 # the characteristic-function quadrature of _mean_abs_cf: its absolute and
-# relative tolerances, its panel limit, and the most floats one chunk of the
-# sinc product may hold (a kappa chain has up to _KAPPA_TERMS terms)
+# relative stopping tolerances, its panel limit, and the most floats one
+# chunk of the sinc product may hold (a kappa chain has up to _KAPPA_TERMS
+# terms)
 _CF_EPSABS = 1e-11
 _CF_EPSREL = 1e-10
 _CF_PANELS = 500
@@ -345,9 +346,12 @@ def _mean_abs_cf(deltas, gauss_var, mu):
     exp(-gauss_var t^2 / 2) is small enough.  The integral over [0, T] is
     globally adaptive bisection with a 10/21-point Gauss-Legendre pair:
     each round splits the fewest panels whose error estimates |G21 - G10|
-    cover the excess over the tolerance (absolute 1e-11, relative 1e-10)
-    and evaluates them in one batch, the sinc product in chunks of terms.
-    Raises ValueError when _CF_PANELS panels do not reach the tolerance.
+    cover the excess over the stopping tolerance (absolute 1e-11, relative
+    1e-10) and evaluates them in one batch, the sinc product in chunks of
+    terms.  Those estimates are no bound: the result meets a relative
+    tolerance of 2e-9, not 1e-10 (sums of two to four uniforms land up to
+    1.4e-9 off their exact values).  Raises ValueError when _CF_PANELS
+    panels do not reach the stopping tolerance.
     Degenerate sums take closed forms instead: no terms, and with no
     gaussian part |mu| >= sum(deltas) (X never changes sign) or one
     uniform U(-a, a) with a >= |mu| plus the others' sum.

@@ -11,7 +11,7 @@ driven by i.i.d. innovations, and each model states its G once, as
     lag(burn_in)              innovations drawn before the n returned values
     dim, burn_in              output dimension and default burn-in
 
-Three generic drivers use nothing else.  batch_paths simulates paths in
+Three generic drivers use these members.  batch_paths simulates paths in
 row chunks of about _CHUNK_FLOATS innovation floats; moment E||Z_0||^order
 and estimate_theta the coupling coefficient
 
@@ -21,14 +21,20 @@ and estimate_theta the coupling coefficient
 (innovations at times <= -tau replaced by an independent copy) are Monte
 Carlo means over blocks of trials, block j drawn from the j-th spawned
 child of SeedSequence(seed), the blocks shared among the usable CPUs
-(_mc_mean): an estimate depends on its arguments alone.  Each model
-also states its closed forms once: dependence(mean_abs, nominal_rate), its
-decay envelope theta(tau) <= C * lambda^tau or C * tau^(-alpha) as a
-DependenceProfile (mean_abs() gives E||Z_0||_2 where C needs it);
-analytic_moment(order), E||Z_0||_2^order or None; gaussian_ma(), its
-Gaussian moving-average form (kernel phi_0..phi_K, scale s) with
-Z_t = sum_k phi_k xi_{t-k} and xi i.i.d. N(0, s^2 I), or None; and kind,
-the name of its JSON spec, whose other keys are its fields (rcbounds.specs).
+(_mc_mean): an estimate depends on its arguments alone.  estimate_theta
+draws nothing where no innovation at a time <= -tau is in the history
+("exact-zero") or where the model has a Gaussian moving-average form
+(gaussian_ma, below): there theta(tau) is exact ("analytic"), from the
+same _gaussian_theta that the ARFIMA and Gaussian MA envelopes use.
+
+Each model also states its closed forms once: dependence(mean_abs,
+nominal_rate), its decay envelope theta(tau) <= C * lambda^tau or
+C * tau^(-alpha) as a DependenceProfile (mean_abs() gives E||Z_0||_2 where
+C needs it); analytic_moment(order), E||Z_0||_2^order or None;
+gaussian_ma(), its Gaussian moving-average form (kernel phi_0..phi_K,
+scale s) with Z_t = sum_k phi_k xi_{t-k} and xi i.i.d. N(0, s^2 I), or
+None; and kind, the name of its JSON spec, whose other keys are its fields
+(rcbounds.specs).
 dependence_params, analytic_moment, model_to_spec and model_from_spec are
 generic over these members.  The value types the models report (Moment,
 WeightingSequence, InnovationLaw, DependenceProfile) live in the numpy-free
@@ -170,9 +176,7 @@ class MAProcess:
         covers theta(tau) for tau <= q (theta is zero beyond the order q)."""
         q = len(self.coeffs)
         if self.law.kind == "gaussian":
-            # the coupled difference is N(0, 2 s^2 sum_{k>=tau} kernel_k^2)
-            tails = np.array([np.sum(self._kernel[t:] ** 2) for t in range(1, q + 1)])
-            thetas = np.sqrt(2.0 / np.pi) * np.sqrt(2.0 * (self.law.scale ** 2) * tails)
+            thetas = _gaussian_theta(self._kernel, self.law.scale)[1:]
             c = Moment(float(np.max(thetas / nominal_rate ** np.arange(1, q + 1))),
                        0.0, "analytic")
         else:
@@ -438,9 +442,8 @@ class ARFIMAProcess:
     def dependence(self, mean_abs, nominal_rate):
         """Algebraic with exponent 1/2 - d_frac and an analytic constant."""
         alpha = 0.5 - self.d_frac
-        tail_sq = np.cumsum(self._phi[::-1] ** 2)[::-1]  # sum_{k>=t} phi_k^2
         taus = np.arange(1, self.trunc + 1, dtype=float)
-        theta = 2.0 / np.sqrt(np.pi) * np.sqrt(tail_sq[1:])
+        theta = _gaussian_theta(self._phi, 1.0)[1:]
         c = Moment(float(np.max(theta * taus ** alpha)), 0.0, "analytic")
         return _symmetric("algebraic", c, alpha)
 
@@ -471,6 +474,15 @@ def _gaussian_moment(var, order):
     if order == 2:
         return Moment(var, 0.0, "analytic")
     return Moment(float(np.sqrt(2 * var / np.pi)), 0.0, "analytic")
+
+
+def _gaussian_theta(kernel, scale):
+    """theta(tau) at tau = 0, 1, ..., len(kernel) - 1 of the Gaussian moving
+    average Z_t = sum_k kernel_k xi_{t-k}, xi i.i.d. N(0, scale^2): the
+    coupled difference is N(0, 2 scale^2 sum_{k>=tau} kernel_k^2), so
+    theta(tau) = (2/sqrt(pi)) scale sqrt(sum_{k>=tau} kernel_k^2)."""
+    tail_sq = np.cumsum(kernel[::-1] ** 2)[::-1]  # sum_{k>=tau} kernel_k^2
+    return 2.0 / np.sqrt(np.pi) * scale * np.sqrt(tail_sq)
 
 
 def arfima_coefficients(d_frac, count):
@@ -629,20 +641,23 @@ def _mc_mean(draw, values, n_mc, seed):
 
 
 def estimate_theta(model, tau, n_mc, history=None, seed=0):
-    """Monte Carlo estimate of the coupling coefficient theta(tau).
+    """The coupling coefficient theta(tau) over a history of L =
+    model.lag(history) + 1 innovations at times -L+1 .. 0 (history defaults
+    to max(200, 10 tau)).
 
-    A trial draws two histories of L = model.lag(history) + 1 innovations
-    at times -L+1 .. 0 (history defaults to max(200, 10 tau)), in one
+    Returns "exact-zero" when the coupling provably has no effect because
+    no innovation at a time <= -tau is in the history (L <= tau: IID
+    always, finite MA beyond its order, ARFIMA beyond its truncation).  A
+    model with a Gaussian moving-average form (model.gaussian_ma(): ARFIMA,
+    MA with Gaussian innovations) gets its truncated value in closed form,
+    _gaussian_theta of the first L kernel coefficients, with provenance
+    "analytic" and no draw.  Every other model gets a Monte Carlo mean over
+    n_mc trials, provenance "mc": a trial draws two histories in one
     model.innovations(rng, count, 2 L) call per block of trials (_mc_mean:
     block j of SeedSequence(seed)'s spawned streams).  The second history
     keeps its own draws at times <= -tau and takes the first's at the tau
     times after; one transform of both gives the coupled pair, so the
     truncation bias is shared.
-
-    Returns a Moment with provenance "mc", or "exact-zero" when the coupling
-    provably has no effect because no innovation at a time <= -tau is in
-    the history (model.lag(history) < tau: IID always, finite MA beyond its
-    order, ARFIMA beyond its truncation).
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
@@ -655,6 +670,11 @@ def estimate_theta(model, tau, n_mc, history=None, seed=0):
     steps = model.lag(history) + 1
     if steps <= tau:
         return Moment(0.0, 0.0, "exact-zero")
+    gaussian = model.gaussian_ma()
+    if gaussian is not None:
+        kernel, scale = gaussian
+        return Moment(float(_gaussian_theta(kernel[:steps], scale)[tau]), 0.0,
+                      "analytic")
 
     def values(xi):
         # the second history takes the first's last tau innovations; the

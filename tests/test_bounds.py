@@ -322,6 +322,33 @@ def test_diverging_moment_function_expectation_gives_no_certificate(law, r):
     assert B.min_sample_size_from_constants(cc, 50.0, 0.1) is None
 
 
+def test_steep_power_moment_of_a_small_weight_keeps_its_deviation_term():
+    # 2 c_mom < 0.155: c^400 underflows to 0 while E|xi|^400 passes the float
+    # range, so a product of the two gave nan and max(b1, nan) dropped b2
+    phi = B.PhiFunction("power", 200.0)
+    inp = dataclasses.replace(inputs_with(lipschitz_profile(), phi=phi),
+                              l_l=0.01)
+    cc = B.expected_gap_constants(inp, "phi_moment")
+    assert 2.0 * max(cc.c_mom_y, cc.c_mom_z) < 0.155
+
+    def log_moment(c, q):  # log E[|c xi|^(200 q)], xi ~ N(0, 1)
+        k = 200.0 * q
+        return (k * math.log(c) + k / 2 * math.log(2.0)
+                + gammaln((k + 1) / 2) - gammaln(0.5))
+
+    want = sum(math.exp((log_moment(2.0 * c, 2) + log_moment(1.0, 1)) / 2)
+               for c in (cc.c_mom_y, cc.c_mom_z))
+    assert 0.0 < cc.c_phi < math.inf
+    assert abs(cc.c_phi - want) <= 1e-11 * want
+    n, delta = 10 ** 4, 0.1
+    rep = B.bound_from_constants(cc, n, delta)
+    b2 = phi.inverse(2.0 * cc.c_phi / (delta * math.sqrt(n)))
+    assert b2 > 0.0 and rep.terms["deviation"] >= 5.0 * b2
+    assert rep.valid and rep.total >= 5.0 * b2
+    assert B._phi_norm_moment(phi, GAUSS, 0.1, 2) == pytest.approx(
+        math.exp(log_moment(0.1, 2)), rel=1e-11)
+
+
 def test_a_role_without_weight_adds_nothing_to_c_phi():
     # l_y = 0: the target role adds 0 to c_phi even though its Laplace(1)
     # law has no E[exp ||xi_y||]

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,6 +274,46 @@ def _uniform_plus_gaussian_mean_abs(a, var, mu):
         "dominant_uniform"])
 def test_mean_abs_cf_matches_closed_forms(deltas, gauss_var, mu, want):
     assert abs(_mean_abs_cf(deltas, gauss_var, mu) - want) <= 1e-9 * want
+
+
+def _uniform_sum_mean_abs(deltas, mu):
+    # E|mu + sum_i U(-a_i, a_i)| in exact rationals: with V_i uniform on
+    # [0, 1] and b_i = 2 a_i, E (y + sum_i b_i V_i)_+ is the n-fold
+    # difference sum_S (-1)^(n - |S|) (y + sum_{i in S} b_i)_+^(n+1) /
+    # ((n + 1)! prod_i b_i), and |x| = x_+ + (-x)_+
+    b = [2 * Fraction(a) for a in deltas]
+    n = len(b)
+
+    def positive_part_mean(y):
+        total = Fraction(0)
+        for mask in itertools.product((0, 1), repeat=n):
+            x = y + sum(bi for bi, m in zip(b, mask) if m)
+            if x > 0:
+                total += (-1) ** (n - sum(mask)) * x ** (n + 1)
+        return total / (math.factorial(n + 1) * math.prod(b))
+
+    # -X = (-y - sum_i b_i) + sum_i b_i (1 - V_i)
+    y = Fraction(mu) - sum(Fraction(a) for a in deltas)
+    return float(positive_part_mean(y) + positive_part_mean(-y - sum(b)))
+
+
+@pytest.mark.parametrize("deltas, mu", [
+    ([1.0, 1.0], 0.3),
+    ([1.0, 1.0, 1.0], 0.3),
+    ([0.3, 0.3, 0.3, 0.3], 0.1),
+    ([0.489, 0.757], -0.33),
+    ([1.835, 0.298], -1.706),
+    ([0.909, 1.911, 1.025], -0.299),
+    ([1.769, 1.046, 0.721], 1.98),
+    ([1.003, 1.978, 0.407, 1.928], 1.204),
+    ([1.182, 0.632, 1.36, 0.439], 1.768),
+])
+def test_mean_abs_cf_meets_its_stated_tolerance(deltas, mu):
+    # the stopping rule's |G21 - G10| estimates are no bound: these sums of
+    # uniforms land up to 1.4e-9 off the exact value, within the 2e-9 that
+    # _mean_abs_cf states; the first is the triangular 0.3 + 1.7^3 / 12
+    want = _uniform_sum_mean_abs(deltas, mu)
+    assert abs(_mean_abs_cf(deltas, 0.0, mu) - want) <= 2e-9 * want
 
 
 def test_mean_abs_cf_closed_forms_meet_the_quadrature_at_their_edges():

@@ -114,16 +114,68 @@ def test_theta_ma_beyond_order_zero():
     model = MAProcess(coeffs=(0.5,), law=GAUSS)
     est = estimate_theta(model, 2, n_mc=10, seed=0)
     assert est.value == 0.0
+    assert est.provenance == "exact-zero"
 
 
 def test_theta_ma_lag_one_closed_form():
     # coupling at tau=1 perturbs only the phi*xi_{-1} term:
-    # theta(1) = 0.5 E|xi - xi~| = 0.5 * 2/sqrt(pi)
+    # theta(1) = 0.5 E|xi - xi~| = 0.5 * 2/sqrt(pi), taken without a draw
     model = MAProcess(coeffs=(0.5,), law=GAUSS)
     est = estimate_theta(model, 1, n_mc=4000, seed=2)
     want = 0.5641895835477563
-    assert abs(est.value - want) <= 3 * est.std_error + 1e-12
-    assert est.std_error > 0
+    assert abs(est.value - want) <= 1e-15
+    assert est.std_error == 0.0 and est.provenance == "analytic"
+
+
+def _gaussian_theta_by_loop(model, tau, n_mc, seed):
+    """Mean and standard error of |Z_0 - Z~_0| over n_mc explicit coupled
+    pairs of a Gaussian moving average: Z_0 = sum_k kernel_k xi_{-k} over
+    the L = model.lag(history) + 1 innovations at times -L+1 .. 0, and Z~_0
+    the same sum with the innovations at times <= -tau drawn afresh."""
+    kernel, scale = model.gaussian_ma()
+    steps = model.lag(max(200, 10 * tau)) + 1
+    rng = np.random.default_rng(seed)
+    vals = []
+    for _ in range(n_mc):
+        xi = scale * rng.standard_normal(steps)  # times 0, -1, ..., -L+1
+        coupled = np.concatenate([xi[:tau], scale * rng.standard_normal(steps - tau)])
+        vals.append(abs(np.dot(kernel[:steps], xi - coupled)))
+    return float(np.mean(vals)), float(np.std(vals) / math.sqrt(n_mc))
+
+
+@pytest.mark.parametrize("model, taus", [
+    (ARFIMAProcess(d_frac=0.3, trunc=300), (1, 4, 16, 64)),
+    (MAProcess(coeffs=(0.5, -0.3, 0.2), law=InnovationLaw("gaussian", 1, 1.7)),
+     (1, 2, 3)),
+], ids=["arfima", "ma-gaussian"])
+def test_gaussian_theta_matches_explicit_coupling(model, taus):
+    for tau in taus:
+        est = estimate_theta(model, tau, n_mc=10, seed=0)
+        assert est.provenance == "analytic" and est.std_error == 0.0
+        mean, se = _gaussian_theta_by_loop(model, tau, 2000, seed=tau)
+        assert abs(est.value - mean) <= 3 * se, tau
+
+
+def test_theta_draws_for_models_without_a_gaussian_form():
+    # uniform MA innovations have no Gaussian moving-average form
+    est = estimate_theta(SHIFT_MODELS["ma-uniform"], 1, n_mc=50, seed=0)
+    assert est.provenance == "mc" and est.std_error > 0
+
+
+@pytest.mark.parametrize("model, nominal_rate", [
+    (ARFIMAProcess(d_frac=0.3, trunc=300), 0.5),
+    (MAProcess(coeffs=(0.5, -0.3, 0.2), law=InnovationLaw("gaussian", 1, 1.7)), 0.5),
+    (MAProcess(coeffs=(0.9, 0.5, 0.1), law=GAUSS), 0.3),
+], ids=["arfima", "ma-gaussian", "ma-slow"])
+def test_analytic_theta_meets_the_dependence_envelope(model, nominal_rate):
+    # over the whole truncation the envelope's constant is the smallest
+    # that covers every exact theta(tau)
+    prof = dependence_params(model, nominal_rate=nominal_rate)
+    taus = np.arange(1, model.lag(0) + 1)
+    theta = np.array([estimate_theta(model, tau, n_mc=10, history=taus[-1]).value
+                      for tau in taus])
+    ratio = theta / prof.theta_envelope("z", taus) * prof.c_z.value
+    assert np.max(ratio) == pytest.approx(prof.c_z.value, rel=1e-14)
 
 
 def test_dependence_params_garch_rate():
@@ -543,7 +595,7 @@ def test_theta_exact_zero_beyond_the_models_lag():
     beyond = estimate_theta(model, 6, n_mc=10, seed=0)
     assert beyond.value == 0.0 and beyond.provenance == "exact-zero"
     at = estimate_theta(model, 5, n_mc=10, seed=0)
-    assert at.value > 0.0 and at.provenance == "mc"
+    assert at.value > 0.0 and at.provenance == "analytic"
 
 
 # ---------------------------------------------------------------------------
@@ -664,20 +716,21 @@ def test_mc_estimates_do_not_depend_on_workers(monkeypatch, name):
 
 
 def test_mc_blocks_stay_within_the_float_budget(monkeypatch):
-    model = ARFIMAProcess(d_frac=0.3)  # trunc 10_000: 20_002 floats a trial
+    model = GARCHProcess(omega=0.05, alpha=0.10, beta=0.85)
     shapes = []
-    innovations = ARFIMAProcess.innovations
+    innovations = GARCHProcess.innovations
 
     def recording(self, rng, *shape):
         xi = innovations(self, rng, *shape)
         shapes.append(xi.shape)
         return xi
 
-    monkeypatch.setattr(ARFIMAProcess, "innovations", recording)
+    monkeypatch.setattr(GARCHProcess, "innovations", recording)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
     monkeypatch.setattr(processes, "_usable_cpus", lambda: 64)
     _CountingPool.sizes = []
-    est = estimate_theta(model, 1000, n_mc=100, seed=0)
+    # a history of 10_000 steps: 20_002 floats a trial
+    est = estimate_theta(model, 1000, n_mc=100, history=10_000, seed=0)
     assert est.provenance == "mc"
     blocks = [shape for shape in shapes if shape[0] > 0]
     assert len(blocks) > 2 and sum(shape[0] for shape in blocks) == 100
@@ -703,11 +756,17 @@ def test_mc_streams_descend_from_one_seed_sequence(monkeypatch, name):
 
     monkeypatch.setattr(np.random, "PCG64", recording_pcg64)
     monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+    probes = [lambda: moment(model, 1, n_mc=50, seed=7, burn_in=10),
+              lambda: moment(model, 2, n_mc=50, seed=7)]
+    theta = lambda: estimate_theta(model, 2, n_mc=50, history=20, seed=7)
+    if model.gaussian_ma() is None:
+        probes.append(theta)
+    else:
+        # ARFIMA's theta is exact: it builds no generator at all
+        assert theta().provenance == "analytic" and seeds == []
     for block, n_blocks in ((processes._MC_BLOCK, 1), (7, 8)):
         monkeypatch.setattr(processes, "_MC_BLOCK", block)
-        for estimate in (lambda: estimate_theta(model, 2, n_mc=50, history=20, seed=7),
-                         lambda: moment(model, 1, n_mc=50, seed=7, burn_in=10),
-                         lambda: moment(model, 2, n_mc=50, seed=7)):
+        for estimate in probes:
             seeds.clear()
             assert estimate().provenance == "mc"
             # SeedSequence(7) itself, then each of its n_blocks children once
@@ -715,6 +774,38 @@ def test_mc_streams_descend_from_one_seed_sequence(monkeypatch, name):
                        for s in seeds)
             assert sorted(s.spawn_key for s in seeds) == (
                 [()] + [(j,) for j in range(n_blocks)])
+
+
+def test_norm_power_moments_past_the_float_range_are_inf():
+    # the even Gaussian moment's integer d (d + 2) ... (d + q - 2), the odd
+    # one's exp(lgamma) and Laplace's Gamma(q + 1) each outgrow a float
+    gauss, laplace = GAUSS, InnovationLaw("laplace", 1, 1.0)
+    assert math.isfinite(gauss.norm_power_moment(300))
+    assert math.isfinite(gauss.norm_power_moment(301.0))
+    assert math.isfinite(laplace.norm_power_moment(170))
+    for q in (302, 400, 10 ** 6):
+        assert gauss.norm_power_moment(q) == math.inf, q
+    for q in (303.0, 401.0, 1e6 + 1.5):
+        assert gauss.norm_power_moment(q) == math.inf, q
+        assert InnovationLaw("gaussian", 3, 1.0).norm_power_moment(q) == math.inf
+    for q in (171, 200, 1e5):
+        assert laplace.norm_power_moment(q) == math.inf, q
+    assert InnovationLaw("uniform", 1, 3.0).norm_power_moment(700) == math.inf
+
+
+def test_norm_power_moments_of_a_small_scale_stay_finite():
+    # the unit moment leaves the float range, s^q brings it back
+    for law, q in ((InnovationLaw("gaussian", 1, 0.1), 400),
+                   (InnovationLaw("gaussian", 2, 0.1), 401.0),
+                   (InnovationLaw("laplace", 1, 1e-3), 200)):
+        d = law.dim
+        if law.kind == "gaussian":
+            log_unit = (q / 2 * math.log(2.0) + math.lgamma((d + q) / 2)
+                        - math.lgamma(d / 2))
+        else:
+            log_unit = math.lgamma(q + 1.0)
+        want = math.exp(q * math.log(law.scale) + log_unit)
+        assert law.norm_power_moment(q) == pytest.approx(want, rel=1e-12)
 
 
 def test_next_fast_len_matches_scipy():
