@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processes import Moment, _lyapunov_sum, _next_fast_len, batch_paths
+from .processes import (
+    _MC_FLOATS,
+    Moment,
+    _lyapunov_sum,
+    _next_fast_len,
+    _path_blocks,
+    batch_paths,
+)
 from .reservoir import (
     Hypothesis,
     LinearReservoir,
@@ -239,12 +246,36 @@ def sample_joint(joint, n_mc, history, seed=0):
 
     Returns (Z, Y) with Z of shape (n_mc, history, d) (oldest first) and Y
     of shape (n_mc, m): the target paired with the window's final time.
+    The pairs are the blocks of _joint_blocks(joint, n_mc, history, seed),
+    at most _MC_FLOATS input floats each, put together, so memory is
+    O(n_mc history d); the Monte Carlo means take the blocks one at a time
+    instead, in O(block + n_mc k) memory for k values per pair.
+    """
+    blocks = list(_joint_blocks(joint, n_mc, history, seed))
+    return (np.concatenate([z for z, _ in blocks]),
+            np.concatenate([y for _, y in blocks]))
+
+
+def _joint_blocks(joint, n_mc, history, seed=0):
+    """The pairs of sample_joint(joint, n_mc, history, seed) as consecutive
+    (Z, Y) blocks of at most _MC_FLOATS input floats (history d per pair,
+    at least one pair), each drawn when it is taken.
+
+    A block's inputs come from the chunk loop of batch_paths and its
+    target noise from the stream seed + n_mc + 1, which the blocks take in
+    turn, so the blocks put together hold the same inputs and noise
+    whatever their size (but for VAR1 inputs with a scale_law, whose rows
+    follow the draw size), and the same teacher targets while the
+    teacher's products stay below the size at which the BLAS changes
+    method (reservoir._in_whole_tiles).  A pass over the blocks holds one
+    block at a time: memory O(_MC_FLOATS) rather than O(n_mc history d).
     """
     if history < 1:
         raise ValueError("history must be >= 1")
-    z = batch_paths(joint.z_model, n_mc, history, seed=seed)
+    rows = _MC_FLOATS // (history * joint.z_model.dim)
+    paths = _path_blocks(joint.z_model, n_mc, history, rows, seed=seed)
     rng = np.random.default_rng(seed + n_mc + 1)  # target noise stream
-    return z, _targets(joint, z, rng, every_step=False)
+    return ((z, _targets(joint, z, rng, every_step=False)) for z in paths)
 
 
 def sample_joint_paths(joint, n_trials, n, history=200, seed=0):
@@ -269,11 +300,15 @@ def statistical_risk_mc(hyp, joint, loss, n_mc=2000, history=200, seed=0):
 
     Histories of the given length open at the hypothesis' zero-input fixed
     point; the truncation error in each prediction is at most
-    l_h * r^history * (M_F + ||x*||).  Returns a Moment with provenance
-    "mc".
+    l_h * r^history * (M_F + ||x*||).  The pairs of sample_joint(joint,
+    n_mc, history, seed) pass through the hypothesis one block of
+    _joint_blocks at a time and only their n_mc losses are kept, so memory
+    is O(_MC_FLOATS + n_mc), not O(n_mc history d).  Returns a Moment with
+    provenance "mc".
     """
-    z, y = sample_joint(joint, n_mc, history, seed)
-    vals = _pool_losses(hyp.reservoir, [hyp.readout], z, y, loss)[0]
+    vals = np.concatenate([
+        _pool_losses(hyp.reservoir, [hyp.readout], z, y, loss)[0]
+        for z, y in _joint_blocks(joint, n_mc, history, seed)])
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return Moment(mean, se, "mc")

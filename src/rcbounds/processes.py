@@ -80,7 +80,8 @@ __all__ = [
 _CHUNK_FLOATS = 2_000_000
 # Trials and innovation floats per Monte Carlo block, one stream each; 2 MB
 # blocks, as 8 MB ones raised two threads' peak RSS on the theta benchmark
-# by about 10 MB.
+# by about 10 MB.  The streamed pools of stationary pairs (learning,
+# validation) take blocks of as many input floats.
 _MC_BLOCK = 256
 _MC_FLOATS = 1 << 18
 # Steps per time tile of the GARCH recursion: the time loop squares one
@@ -507,7 +508,9 @@ def _filter(x, kernel, n):
     take one circular FFT convolution of length >= x.shape[-1], exact on
     every output past the first len(kernel) - 1 (only those wrap around).
     Memory is O(output + x), as the drivers pass blocks of about
-    _CHUNK_FLOATS floats; a row's values do not depend on its block.
+    _CHUNK_FLOATS floats; a row's values do not depend on its block.  The
+    result is a copy of the n kept values, so the (rows, size) inverse
+    transform is freed on return rather than held by a view.
     """
     steps = x.shape[-1]
     if n == 1:
@@ -515,7 +518,7 @@ def _filter(x, kernel, n):
     size = _next_fast_len(steps)
     spec = np.fft.rfft(x, size)
     spec *= np.fft.rfft(kernel, size)
-    return np.fft.irfft(spec, size)[..., steps - n:steps, None]
+    return np.fft.irfft(spec, size)[..., steps - n:steps, None].copy()
 
 
 def _lyapunov_sum(a, q):
@@ -574,15 +577,30 @@ def batch_paths(model, n_paths, n, burn_in=None, seed=0):
     GARCH); ARFIMA's truncation order, capped at model.trunc (0 selects
     model.trunc).  None selects model.burn_in.
     """
+    out = np.empty((n_paths, n, model.dim))
+    lo = 0
+    for block in _path_blocks(model, n_paths, n, n_paths, burn_in, seed):
+        out[lo:lo + len(block)] = block
+        lo += len(block)
+    return out
+
+
+def _path_blocks(model, n_paths, n, rows, burn_in=None, seed=0):
+    """The paths of batch_paths(model, n_paths, n, burn_in, seed) as
+    consecutive blocks of at most rows paths, and of at most one chunk of
+    _CHUNK_FLOATS innovation floats: the chunk loop of batch_paths, which
+    keeps no block.  The blocks concatenate to batch_paths' rows for every
+    model that draws its innovations in one call (all but VAR1 with a
+    scale_law).  Arguments are checked at the call, and each block is drawn
+    when it is taken."""
     if n_paths < 1 or n < 1:
         raise ValueError("n_paths and n must be >= 1")
     rng = np.random.default_rng(seed)
     steps = _lag(model, burn_in) + n
-    chunk = max(1, _CHUNK_FLOATS // steps)
-    out = np.empty((n_paths, n, model.dim))
-    for block in np.split(out, range(chunk, n_paths, chunk)):
-        block[:] = model.transform(model.innovations(rng, len(block), steps), n)
-    return out
+    rows = max(1, min(rows, _CHUNK_FLOATS // steps))
+    return (model.transform(model.innovations(rng, min(rows, n_paths - lo),
+                                              steps), n)
+            for lo in range(0, n_paths, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,9 @@ _FIXED_POINT_ITERS = 10_000
 # paths per block of the batched recursion: one block's feature buffers
 # and states stay small next to the caller's (batch, n, d) input array
 _PATH_BLOCK = 4096
+# paths per tile of the final-state products (_in_whole_tiles): a multiple
+# of the path unroll of common BLAS kernels (4 x 8, 16 x 2, 8 x 4)
+_TILE = 16
 
 
 def _as_batch(system, inputs):
@@ -582,24 +585,63 @@ def _powers(a, v, k):
     return out
 
 
+def _in_whole_tiles(fn, *arrays):
+    """fn(*arrays) for arrays whose leading axes hold the same b paths, with
+    the paths given to fn a multiple of _TILE at a time: the first
+    b - b % _TILE in one call, the rest padded with zero paths to one tile
+    of its own (an array whose paths share one row by broadcasting is
+    padded with that row).  The results are put together along their
+    leading axes.
+
+    A BLAS product rounds the paths of a partial tile, or a lone path, in
+    another way than those of whole tiles, so a path's batched result
+    would depend on how many paths share its call; in whole tiles it does
+    not, as long as every call stays below the size at which the BLAS
+    changes its method.
+    """
+    b = arrays[0].shape[0]
+    main = b - b % _TILE
+    if main == b:
+        return fn(*arrays)
+
+    def padded(a):
+        if a.strides[0] == 0:
+            return np.broadcast_to(a[0], (_TILE,) + a.shape[1:])
+        out = np.zeros((_TILE,) + a.shape[1:])
+        out[:b - main] = a[main:]
+        return out
+
+    tail = fn(*map(padded, arrays))[:b - main]
+    if main == 0:
+        return tail
+    return np.concatenate([fn(*(a[:main] for a in arrays)), tail])
+
+
 def iterate_states_batch(system, inputs, x0=None, return_all=False):
     """system.states over inputs (batch, n, n_input) from x0: None (zero
     start), one (N,) start shared by every path, or a (batch, N) array.
-    Returns the final states (batch, N), or all states (batch, n, N)."""
+    Returns the final states (batch, N), or all states (batch, n, N).
+    Final states are formed in whole tiles of paths (_in_whole_tiles), so
+    a path's final state does not depend on the batch it came in."""
     z = _as_batch(system, inputs)
     x0 = np.zeros(system.n_state) if x0 is None else np.asarray(x0, dtype=float)
-    return system.states(z, np.broadcast_to(x0, (z.shape[0], system.n_state)),
-                         return_all)
+    x0 = np.broadcast_to(x0, (z.shape[0], system.n_state))
+    if return_all:
+        return system.states(z, x0, True)
+    return _in_whole_tiles(system.states, z, x0)
 
 
 def final_outputs(system, inputs, readouts):
     """The time-0 counterpart of window_outputs: the outputs (k, b, m) of k
     readouts at the last step of the windows inputs (b, n, d) opened at the
-    fixed point, from the final states and one (b, N) @ (N, k m) product."""
+    fixed point, from the final states and one (b, N) @ (N, k m) product,
+    both in whole tiles of paths (_in_whole_tiles): a path's outputs do not
+    depend on the batch it came in."""
     finals = iterate_states_batch(system, inputs,
                                   x0=zero_input_fixed_point(system))
     w = np.stack([ro.w for ro in readouts])  # (k, m, N)
-    out = (finals @ w.reshape(-1, w.shape[2]).T).reshape(
+    wt = w.reshape(-1, w.shape[2]).T
+    out = _in_whole_tiles(lambda f: f @ wt, finals).reshape(
         len(finals), len(readouts), -1).swapaxes(0, 1)
     out += np.stack([ro.a for ro in readouts])[:, None, :]
     return out

@@ -11,7 +11,6 @@ readouts), so an experiment can refute a bound but never certify more
 than the candidates show.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,14 +26,20 @@ from .bounds import (
 from .learning import (
     LossFunction,
     _gaussian_risks,
+    _joint_blocks,
     _pool_losses,
     exact_risk,
     fit_readout_erm,
-    sample_joint,
     sample_joint_paths,
 )
 from .dependence import InnovationLaw
-from .processes import _PROFILE_MC, DependenceProfile, Moment, batch_paths
+from .processes import (
+    _MC_FLOATS,
+    _PROFILE_MC,
+    DependenceProfile,
+    Moment,
+    batch_paths,
+)
 from .reservoir import (
     Hypothesis,
     Readout,
@@ -288,7 +293,10 @@ def mc_rademacher(candidates, model, k, seed=0, **settings):
 
 
 def expected_loss_at_zero(joint, loss, n_mc, history, seed=0):
-    """E|L(0, Y_0)| as a Moment; analytic for independent scalar targets."""
+    """E|L(0, Y_0)| as a Moment: analytic for the absolute loss of
+    independent scalar targets, else a Monte Carlo mean over the targets of
+    sample_joint(joint, n_mc, history, seed), taken one block of
+    _joint_blocks at a time (memory O(_MC_FLOATS + n_mc))."""
     if joint.teacher is None and joint.noise.dim == 1:
         law = joint.noise
         per = {"gaussian": law.scale * math.sqrt(2.0 / math.pi),
@@ -296,20 +304,24 @@ def expected_loss_at_zero(joint, loss, n_mc, history, seed=0):
                "laplace": law.scale}[law.kind]
         if loss.kind == "absolute":
             return Moment(loss.l_l * per, 0.0, "analytic")
-    _, y = sample_joint(joint, n_mc, history, seed)
-    vals = loss.per_sample(np.zeros_like(y), y)
+    blocks = _joint_blocks(joint, n_mc, history, seed)
+    vals = np.concatenate([loss.per_sample(np.zeros_like(y), y)
+                           for _, y in blocks])
     return Moment(float(vals.mean()),
                   float(vals.std(ddof=1) / math.sqrt(n_mc)), "mc")
 
 
 def target_l2_moment(joint, n_mc, history, seed=0):
-    """E[||Y_0||_2^2]^(1/2) as a Moment; analytic for independent targets."""
+    """E[||Y_0||_2^2]^(1/2) as a Moment: analytic for independent targets,
+    else a Monte Carlo mean over the targets of sample_joint(joint, n_mc,
+    history, seed), taken one block of _joint_blocks at a time."""
     if joint.teacher is None:
         m2 = joint.noise.norm_power_moment(2.0)
         if m2 is not None:
             return Moment(math.sqrt(float(m2)), 0.0, "analytic")
-    _, y = sample_joint(joint, n_mc, history, seed)
-    sq = np.sum(np.atleast_2d(y) ** 2, axis=-1)
+    blocks = _joint_blocks(joint, n_mc, history, seed)
+    sq = np.concatenate([np.sum(np.atleast_2d(y) ** 2, axis=-1)
+                         for _, y in blocks])
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(n_mc))
     return Moment(math.sqrt(mean), se / (2.0 * math.sqrt(mean)) if mean > 0
@@ -354,38 +366,59 @@ def teacher_target_profile(z_profile, teacher_klass_or_caps):
 # ---------------------------------------------------------------------------
 
 
-def _lazy_pool(joint, n_pool, history, seed):
-    """The stationary (z, y) pool sample_joint(joint, n_pool, history, seed),
-    drawn on the first call and returned again by every later one."""
-
-    @functools.cache
-    def pool():
-        z, y = sample_joint(joint, n_pool, history, seed)
-        return z, np.atleast_2d(np.asarray(y, dtype=float))
-
-    return pool
-
-
 def _max_std_error(per_sample):
-    """Largest standard error of the means along the last (sample) axis."""
-    n = per_sample.shape[-1]
-    return float(per_sample.std(axis=-1, ddof=1).max() / math.sqrt(n))
+    """Largest standard error of the means along the last (sample) axis of
+    the (k, n) per_sample, taken over chunks of rows of about _MC_FLOATS
+    floats so that the deviations are never formed for every row at once.
+
+    Each row's deviation is summed as in one pass over the whole array: a
+    chunk keeps at least two rows when k does (the last one may overlap the
+    one before), as numpy sums a lone strided row pairwise but a stack of
+    rows one sample at a time.
+    """
+    k, n = per_sample.shape
+    rows = max(2, _MC_FLOATS // n)
+    return float(max(
+        per_sample[min(i, max(0, k - 2)):i + rows].std(axis=-1, ddof=1).max()
+        for i in range(0, k, rows)) / math.sqrt(n))
 
 
-def _pool_risks(res, readouts, loss, pool):
-    """Mean losses of readouts on one reservoir over the stationary pool,
-    which pool() draws on first use, from one pass of the pool through the
-    reservoir; with the largest standard error of those means."""
-    per = _pool_losses(res, readouts, *pool(), loss)
-    return per.mean(axis=-1), _max_std_error(per)
+def _pool_risks(groups, joint, loss, pool):
+    """Mean losses of each group's readouts on its reservoir, for groups of
+    (reservoir, readouts), over the stationary pool sample_joint(joint,
+    n_pool, history, seed), pool = (n_pool, history, seed); with the
+    largest standard error of those means.
+
+    One pass over the pool's blocks (_joint_blocks) runs each block once
+    through each group's reservoir and keeps only the per-sample losses,
+    so memory is O(_MC_FLOATS + n_pool k) for k readouts in all, not
+    O(n_pool history d).  The losses are kept sample-major, the layout of
+    _pool_losses on the whole pool, so that the means and standard errors
+    are summed in the same order.  With no group nothing is drawn: no
+    means and a standard error of None.
+    """
+    if not groups:
+        return [], None
+    n_pool = pool[0]
+    per = [np.empty((n_pool, len(readouts))) for _, readouts in groups]
+    lo = 0
+    for z, y in _joint_blocks(joint, *pool):
+        for out, (res, readouts) in zip(per, groups):
+            out[lo:lo + len(z)] = _pool_losses(res, readouts, z, y, loss).T
+        lo += len(z)
+    return ([p.T.mean(axis=-1) for p in per],
+            max(_max_std_error(p.T) for p in per))
 
 
-def _true_risks(candidates, joint, loss, pool):
+def _true_risks(candidates, joint, loss, pool, extra=()):
     """Per-candidate statistical risks: exact where the closed form
-    applies, otherwise the mean loss on the stationary pool, which pool()
-    draws only then, with one pool pass per reservoir.  Returns the risks
-    and the largest standard error of the pool means (None when every
-    closed form applied)."""
+    applies, otherwise the mean loss on the stationary pool (_pool_risks),
+    whose one pass also serves the extra (reservoir, readouts) groups and
+    is made only when some candidate or extra group needs it; candidates
+    without a closed form share that pass grouped by reservoir.  Returns
+    the candidates' risks, the pool means of each extra group, and the
+    largest standard error of the pool means (None when no pass was made).
+    """
     out = np.empty(len(candidates))
     on_pool = []  # candidates without a closed form
     for i, hyp in enumerate(candidates):
@@ -393,11 +426,13 @@ def _true_risks(candidates, joint, loss, pool):
             out[i] = exact_risk(hyp, joint, loss).value
         except ValueError:
             on_pool.append(i)
-    std_error = None
-    for res, readouts, idx in _by_reservoir(candidates, on_pool):
-        out[idx], se = _pool_risks(res, readouts, loss, pool)
-        std_error = max(std_error or 0.0, se)
-    return out, std_error
+    groups = _by_reservoir(candidates, on_pool)
+    means, std_error = _pool_risks(
+        [(res, readouts) for res, readouts, _ in groups] + list(extra),
+        joint, loss, pool)
+    for (_, _, idx), mean in zip(groups, means):
+        out[idx] = mean
+    return out, means[len(groups):], std_error
 
 
 def _empirical_risks(candidates, z_train, y_train, loss):
@@ -420,14 +455,17 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, seed=0,
 
     True risks use the closed forms of exact_risk where they apply, and
     otherwise one stationary pool of n_pool pairs, shared by the
-    candidates and the ERM fits, drawn only if one of them needs it and
-    passed once through each reservoir that does.  The ERM fits share one
-    reservoir and take their risks from its one stationary covariance
-    under inputs with a Gaussian moving-average form (i.i.d. Gaussian,
-    Gaussian MA, ARFIMA); under other inputs, uniform ones included, they
-    use the pool.  settings are the other fields of CoverageSettings.
-    Seed offsets: + 11 the loss at zero e0, + 12 the target moment yl2,
-    + 14 the training series, + 15 the pool, + 16 the ERM starts.
+    candidates and the ERM fits, drawn only if one of them needs it.  The
+    fits are made first, so that one pass over the pool's blocks serves
+    every reservoir that needs it; memory is O(_MC_FLOATS + n_pool k) for
+    k pool readouts, not O(n_pool history d) (_pool_risks).  The ERM fits
+    share one reservoir and take their risks from its one stationary
+    covariance under inputs with a Gaussian moving-average form (i.i.d.
+    Gaussian, Gaussian MA, ARFIMA); under other inputs, uniform ones
+    included, they use the pool.  settings are the other fields of
+    CoverageSettings.  Seed offsets: + 11 the loss at zero e0, + 12 the
+    target moment yl2, + 14 the training series, + 15 the pool, + 16 the
+    ERM starts.
     """
     s = CoverageSettings(case=case, n=n, **settings)
     history, n_pool = s.history, s.n_pool
@@ -438,13 +476,9 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, seed=0,
     inputs = bound_inputs_from_class(klass, loss, profile, e0, yl2, phi=phi)
     report = risk_bound(inputs, s.n, s.delta, s.case)
 
-    pool = _lazy_pool(joint, n_pool, history, seed + 15)
-    true_r, pool_se = _true_risks(candidates, joint, loss, pool)
     z_train, y_train = sample_joint_paths(joint, s.n_trials, s.n,
                                           history=history, seed=seed + 14)
-    emp = _empirical_risks(candidates, z_train, y_train, loss)
-    gaps = (true_r[:, None] - emp).max(axis=0)
-
+    erm_pool = []  # the ERM fits' group, when they need the pool
     if s.fit_erm:
         erm_res = candidates[0].reservoir
         states = iterate_states_batch(erm_res, z_train,
@@ -462,8 +496,15 @@ def risk_gap_experiment(klass, joint, loss, profile, case, n, seed=0,
         try:
             r_true = _gaussian_risks(erm_res, fits, joint, loss)
         except ValueError:
-            r_true, se = _pool_risks(erm_res, fits, loss, pool)
-            pool_se = max(pool_se or 0.0, se)
+            erm_pool = [(erm_res, fits)]
+    true_r, erm_means, pool_se = _true_risks(
+        candidates, joint, loss, (n_pool, history, seed + 15), erm_pool)
+    emp = _empirical_risks(candidates, z_train, y_train, loss)
+    gaps = (true_r[:, None] - emp).max(axis=0)
+
+    if s.fit_erm:
+        if erm_pool:
+            r_true = erm_means[0]
         w = np.stack([ro.w for ro in fits])  # (n_trials, m, N)
         a = np.stack([ro.a for ro in fits])[:, None, :]
         r_emp = loss.risk(states @ w.swapaxes(1, 2) + a, y_train)
@@ -606,7 +647,9 @@ def consistency_curve(klass, joint, loss, profile, case, ns, seed=0, phi=None,
     Returns one dict per n with the bound, the median and max sup-gap over
     trials, and the coverage at this delta.  True risks use the closed
     forms when available, falling back to one shared Monte Carlo pool
-    (seed + 23), drawn only if a candidate needs it.
+    (seed + 23), drawn only if a candidate needs it and taken in one pass
+    over its blocks: memory O(_MC_FLOATS + n_pool k) for k candidates on
+    the pool, not O(n_pool history d) (_pool_risks).
     Training draws are seeded by the value of n, so a row does not depend
     on where its n sits in the grid (rows for a repeated n coincide).
     settings are the other fields of ConsistencySettings.
@@ -618,8 +661,8 @@ def consistency_curve(klass, joint, loss, profile, case, ns, seed=0, phi=None,
                                seed=seed + 21)
     yl2 = target_l2_moment(joint, n_mc=n_pool, history=history, seed=seed + 22)
     inputs = bound_inputs_from_class(klass, loss, profile, e0, yl2, phi=phi)
-    true_r, _ = _true_risks(candidates, joint, loss,
-                            _lazy_pool(joint, n_pool, history, seed + 23))
+    true_r, _, _ = _true_risks(candidates, joint, loss,
+                               (n_pool, history, seed + 23))
 
     rows = []
     for n in s.ns:

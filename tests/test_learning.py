@@ -164,6 +164,30 @@ UNIF = InnovationLaw("uniform", 1, 1.0)
 TEACHER = scalar_hypothesis(a=0.3, c=0.7, w=1.0, bias=-0.2)
 
 
+def test_sample_joint_is_its_blocks_put_together(monkeypatch):
+    # the pairs are batch_paths' rows, the teacher's final outputs of them
+    # and noise from the stream seed + n_mc + 1, whatever the block size:
+    # one block of all 50 pairs, or blocks of 7 and a last one of 1
+    from rcbounds.processes import batch_paths
+    from rcbounds.reservoir import final_outputs
+
+    klass = LinearClass(n_state=3, n_input=2, n_out=1, lam_a=0.6, lam_c=0.6,
+                        lam_zeta=0.3, l_h=1.0, l_h0=0.2, input_bound=1.0,
+                        input_second_moment=Moment(2 / 3, 0.0, "analytic"))
+    teacher = sample_from_class(klass, n=1, seed=4)[0]
+    joint = TeacherJoint(IIDProcess(InnovationLaw("uniform", 2, 1.0)),
+                         teacher, InnovationLaw("gaussian", 1, 0.1))
+    z = batch_paths(joint.z_model, 50, 12, seed=3)
+    y = (final_outputs(teacher.reservoir, z, [teacher.readout])[0]
+         + joint.noise.sample(np.random.default_rng(3 + 50 + 1), 50))
+    for rows, sizes in ((50, [50]), (7, [7] * 7 + [1])):
+        monkeypatch.setattr(learning, "_MC_FLOATS", rows * 12 * 2)
+        blocks = list(learning._joint_blocks(joint, 50, 12, seed=3))
+        assert [len(zb) for zb, _ in blocks] == sizes
+        got_z, got_y = learning.sample_joint(joint, 50, 12, seed=3)
+        assert np.array_equal(got_z, z) and np.array_equal(got_y, y)
+
+
 @pytest.mark.parametrize("joint", [
     IndependentJoint(IIDProcess(GAUSS), GAUSS),
     IndependentJoint(IIDProcess(UNIF), InnovationLaw("uniform", 1, 0.8)),
@@ -610,7 +634,7 @@ def test_erm_honours_the_restart_count():
 
 
 def test_exact_risk_refuses_a_kappa_chain_beyond_its_cap():
-    from rcbounds.validation import _lazy_pool, _true_risks
+    from rcbounds.validation import _true_risks
 
     res = LinearReservoir(np.diag([0.9999, 0.2]), np.ones((2, 1)), np.zeros(2))
     hyp = Hypothesis(res, Readout(np.array([[0.5, 0.5]]), np.zeros(1)))
@@ -618,5 +642,7 @@ def test_exact_risk_refuses_a_kappa_chain_beyond_its_cap():
     joint = IndependentJoint(IIDProcess(unif), unif)
     with pytest.raises(ValueError, match="kappa chain"):
         exact_risk(hyp, joint, ABS)
-    risks, _ = _true_risks([hyp], joint, ABS, _lazy_pool(joint, 200, 50, 0))
+    # the candidate falls back to the pool: n_pool 200, history 50, seed 0
+    risks, _, std_error = _true_risks([hyp], joint, ABS, (200, 50, 0))
     assert risks.shape == (1,) and np.isfinite(risks[0])
+    assert std_error > 0

@@ -624,6 +624,22 @@ def test_filter_matches_explicit_convolution(monkeypatch, name, n):
     assert np.max(np.abs(got[..., 0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [2, 80])
+def test_filter_keeps_only_its_values(n):
+    # the n kept values of a block, bit for bit those of the inverse
+    # transform, in an array of their own: a streamed block does not hold
+    # its whole (rows, size) inverse transform alive
+    kernel = arfima_coefficients(0.3, 50)
+    x = np.random.default_rng(4).standard_normal((5, kernel.size + n + 30))
+    got = processes._filter(x, kernel, n)
+    steps = x.shape[-1]
+    size = processes._next_fast_len(steps)
+    spec = np.fft.rfft(x, size) * np.fft.rfft(kernel, size)
+    assert got.base is None and got.shape == (5, n, 1)
+    kept = np.fft.irfft(spec, size)[..., steps - n:steps, None]
+    assert np.array_equal(got, kept)
+
+
 # every model but var1-1d-scaled draws its innovations in one call, so the
 # rows do not depend on how batch_paths splits them
 ONE_DRAW_MODELS = sorted(set(SHIFT_MODELS) - {"var1-1d-scaled"})

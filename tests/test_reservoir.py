@@ -579,3 +579,37 @@ def test_linear_single_path_is_a_batch_of_one():
         x0 = rng.standard_normal(system.n_state)
         want = iterate_states_batch(system, z[None], x0=x0, return_all=True)[0]
         assert np.array_equal(iterate_states(system, z, x0=x0), want)
+
+
+@pytest.mark.parametrize("system", _parity_systems(),
+                         ids=["linear_jordan", "linear", "esn_tanh",
+                              "esn_clipped", "esn_identity", "esn_random",
+                              "sas_mixed"])
+def test_final_states_do_not_depend_on_the_batch(system):
+    # the rows of final_outputs and of the final states are bit for bit
+    # the same on one batch of 4100 paths (one path block and 4 paths) and
+    # on blocks of 1, 7 and 4097 paths: a streamed Monte Carlo pool rests
+    # on this.  Every product here stays below a million multiply-adds,
+    # where the BLAS keeps one method for every size.
+    rng = np.random.default_rng(31)
+    b, n_state = reservoir._PATH_BLOCK + 4, system.n_state
+    z = rng.uniform(-1, 1, (b, 6, system.n_input))
+    per_path = rng.standard_normal((b, n_state))
+    shared = rng.standard_normal(n_state)
+    scalar = [Readout(rng.standard_normal((1, n_state)),
+                      rng.standard_normal(1))]
+    pairs = [Readout(rng.standard_normal((2, n_state)), rng.standard_normal(2))
+             for _ in range(3)]
+    runs = [(1, lambda lo, hi: final_outputs(system, z[lo:hi], scalar)),
+            (1, lambda lo, hi: final_outputs(system, z[lo:hi], pairs)),
+            (0, lambda lo, hi: iterate_states_batch(system, z[lo:hi])),
+            (0, lambda lo, hi: iterate_states_batch(system, z[lo:hi],
+                                                    x0=shared)),
+            (0, lambda lo, hi: iterate_states_batch(system, z[lo:hi],
+                                                    x0=per_path[lo:hi]))]
+    for axis, run in runs:
+        whole = run(0, b)
+        for rows, end in ((1, 70), (7, 70), (4097, b)):
+            parts = np.concatenate([run(lo, min(lo + rows, end))
+                                    for lo in range(0, end, rows)], axis=axis)
+            assert np.array_equal(parts, np.take(whole, range(end), axis=axis))

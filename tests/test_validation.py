@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 import rcbounds
-from rcbounds import validation
+from rcbounds import learning, validation
 from rcbounds.bounds import rademacher_constant
-from rcbounds.learning import IndependentJoint, LossFunction, TeacherJoint
+from rcbounds.learning import (
+    IndependentJoint,
+    LossFunction,
+    TeacherJoint,
+    statistical_risk_mc,
+)
 from rcbounds.processes import (
     ARFIMAProcess,
     DependenceProfile,
@@ -190,16 +195,7 @@ def test_risk_gap_experiment_rejects_a_fit_past_the_readout_cap(monkeypatch):
                             n_pool=500, erm_iters=10)
 
 
-def test_risk_gap_experiment_draws_one_pool(monkeypatch):
-    seeds = []
-    sample_joint = validation.sample_joint
-
-    def counting_sample_joint(joint, n_mc, history, seed=0):
-        if seed not in (3 + 11, 3 + 12):  # the e0 and yl2 moments
-            seeds.append(seed)
-        return sample_joint(joint, n_mc, history, seed)
-
-    monkeypatch.setattr(validation, "sample_joint", counting_sample_joint)
+def garch_setup():
     # GARCH(1,1) inputs: exact_risk declines, so candidates and ERM fits
     # both need the pool
     garch = GARCHProcess(omega=0.05, alpha=0.10, beta=0.85)
@@ -212,20 +208,114 @@ def test_risk_gap_experiment_draws_one_pool(monkeypatch):
                         lam_zeta=0.2, l_h=1.0, l_h0=0.2, input_bound=5.0,
                         input_second_moment=Moment(1.0, 0.0, "analytic"))
     joint = IndependentJoint(garch, InnovationLaw("gaussian", 1, 0.7))
+    return klass, joint, prof
+
+
+def test_risk_gap_experiment_draws_one_pool(monkeypatch):
+    # each pass over the pool's blocks is one _joint_blocks call, and
+    # records the readouts of every (reservoir, readouts) group it serves
+    # (_pool_risks given no group makes no pass)
+    seeds, passes = [], []
+    joint_blocks, pool_risks = validation._joint_blocks, validation._pool_risks
+
+    def counting_joint_blocks(joint, n_mc, history, seed=0):
+        if seed not in (3 + 11, 3 + 12):  # the e0 and yl2 moments
+            seeds.append(seed)
+        return joint_blocks(joint, n_mc, history, seed)
+
+    def recording_pool_risks(groups, joint, loss, pool):
+        if groups:
+            passes.append([readouts for _, readouts in groups])
+        return pool_risks(groups, joint, loss, pool)
+
+    monkeypatch.setattr(validation, "_joint_blocks", counting_joint_blocks)
+    monkeypatch.setattr(validation, "_pool_risks", recording_pool_risks)
+    klass, joint, prof = garch_setup()
     cov = risk_gap_experiment(klass, joint, ABS, prof, "geometric", n=64,
                               n_trials=4, n_random=3, seed=3, history=40,
                               n_pool=500, erm_iters=10)
     assert seeds == [3 + 15]
     assert cov.pool_std_error > 0
+    # the one pass serves every candidate, grouped by reservoir, and then
+    # the 4 ERM fits
+    groups = validation._by_reservoir(candidate_set(klass, n_random=3, seed=3))
+    assert len(passes) == 1
+    assert ([len(readouts) for readouts in passes[0]]
+            == [len(readouts) for _, readouts, _ in groups] + [4])
 
     # i.i.d. inputs, closed-form risks for every candidate, no ERM: no pool
     seeds.clear()
+    passes.clear()
     klass, joint, prof = teacher_setup()
     cov = risk_gap_experiment(klass, joint, ABS, prof, "geometric", n=64,
                               n_trials=4, n_random=3, seed=3, history=40,
                               n_pool=500, fit_erm=False)
     assert seeds == []
+    assert passes == []
     assert cov.pool_std_error is None
+
+
+def test_pool_results_do_not_depend_on_block_size(monkeypatch):
+    # every Monte Carlo mean over stationary pairs, taken one block at a
+    # time, is bit for bit the same with blocks of 1 pair, 7 pairs and the
+    # whole pool (the float budget _MC_FLOATS set to that many histories)
+    n_pool, history = 300, 12
+    klass, garch_joint, garch_prof = garch_setup()
+    uniform_klass, joint, prof = teacher_setup()
+    esn = EchoStateClass(n_state=4, n_input=1, n_out=1, row_a=(0.2,) * 4,
+                         row_c=(0.3,) * 4, row_zeta=(0.1,) * 4, l_h=1.0,
+                         l_h0=0.2, input_bound=1.0,
+                         input_second_moment=M2_UNIF)
+    hyps = (sample_from_class(klass, 1, seed=1)
+            + sample_from_class(esn, 1, seed=1))
+    pool = {"n_pool": n_pool, "history": history}
+
+    def results():
+        yield expected_loss_at_zero(joint, ABS, n_pool, history, seed=3)
+        yield target_l2_moment(joint, n_pool, history, seed=4)
+        for hyp in hyps:
+            yield statistical_risk_mc(hyp, joint, ABS, n_mc=n_pool,
+                                      history=history, seed=9)
+        # candidates and ERM fits on the pool; closed-form candidates and
+        # ERM fits on the pool
+        for cls, jnt, prf in ((klass, garch_joint, garch_prof),
+                              (uniform_klass, joint, prof)):
+            yield risk_gap_experiment(cls, jnt, ABS, prf, "geometric", n=32,
+                                      n_trials=5, n_random=2, seed=5,
+                                      erm_iters=10, **pool)
+        # echo state candidates have no closed form
+        yield consistency_curve(esn, joint, ABS, prof, "geometric", (16, 32),
+                                seed=2, n_trials=3, n_random=2, **pool)
+
+    monkeypatch.setattr(learning, "_MC_FLOATS", n_pool * history)
+    whole = list(results())
+    assert whole[0].provenance == whole[1].provenance == "mc"
+    assert whole[4].pool_std_error > 0 and whole[5].pool_std_error > 0
+    for rows in (1, 7):
+        monkeypatch.setattr(learning, "_MC_FLOATS", rows * history)
+        assert list(results()) == whole, rows
+
+
+def test_pool_memory_does_not_grow_with_history():
+    # e0, yl2 and the pool of a uniform-teacher run each draw 20000
+    # histories, 160 MB at history 1000 if held whole; streamed in blocks
+    # the traced peak stays below 40 MB and within 5 MB of history 200
+    import tracemalloc
+
+    klass, joint, prof = teacher_setup()
+    peaks = {}
+    for history in (200, 1000):
+        tracemalloc.start()
+        try:
+            cov = risk_gap_experiment(klass, joint, ABS, prof, "geometric",
+                                      n=64, n_trials=10, n_random=3, seed=3,
+                                      history=history, n_pool=20000)
+            peaks[history] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert cov.pool_std_error > 0
+    assert peaks[1000] < 40.0, peaks
+    assert abs(peaks[1000] - peaks[200]) < 5.0, peaks
 
 
 def arfima_setup():
@@ -246,18 +336,18 @@ def test_arfima_risk_gap_experiment_draws_no_pool(monkeypatch):
     # gets its true risk in closed form, and the ERM fits all take theirs
     # from one stationary covariance
     drawn, batches = [], []
-    sample_joint = validation.sample_joint
+    joint_blocks = validation._joint_blocks
     gaussian_risks = validation._gaussian_risks
 
-    def counting_sample_joint(joint, n_mc, history, seed=0):
+    def counting_joint_blocks(joint, n_mc, history, seed=0):
         drawn.append(seed)
-        return sample_joint(joint, n_mc, history, seed)
+        return joint_blocks(joint, n_mc, history, seed)
 
     def counting_gaussian_risks(res, readouts, joint, loss):
         batches.append(len(readouts))
         return gaussian_risks(res, readouts, joint, loss)
 
-    monkeypatch.setattr(validation, "sample_joint", counting_sample_joint)
+    monkeypatch.setattr(validation, "_joint_blocks", counting_joint_blocks)
     monkeypatch.setattr(validation, "_gaussian_risks", counting_gaussian_risks)
     klass, joint, prof = arfima_setup()
     cov = risk_gap_experiment(klass, joint, ABS, prof, "algebraic", n=64,
