@@ -93,16 +93,15 @@ class PhiFunction:
 # ---------------------------------------------------------------------------
 
 
-def rademacher_constant(klass, input_second_moment=None):
+def rademacher_constant(klass):
     """Constant c with block Rademacher complexity <= c / sqrt(k), as each
     class states it (klass.rademacher_constant).
 
     Unbounded-input families additionally need the second moment
-    E||Z_0||_2^2 (a Moment or float), either passed here or stored on the
-    class.  State affine classes, being uniformly bounded on their input
-    box, need no moment.
+    E||Z_0||_2^2 (a Moment or float) stored on the class.  State affine
+    classes, being uniformly bounded on their input box, need no moment.
     """
-    return klass.rademacher_constant(input_second_moment)
+    return klass.rademacher_constant()
 
 
 def expected_scale_caps(n_state, n_input, entry_law="gaussian"):
@@ -780,20 +779,18 @@ def min_sample_size_from_constants(consts, epsilon, delta, n_cap=_N_CAP):
 
 
 def bound_inputs_from_class(klass, loss, profile, e_loss_zero, y_l2_moment=None,
-                            phi=None, input_second_moment=None, c_rc=None):
+                            phi=None):
     """Assemble BoundInputs from a hypothesis class and a loss.
 
-    Pulls r, l_r, m_f and the readout caps off the class, computes the
-    Rademacher constant (unless an override is given) and rejects
-    uncertified losses.
+    Pulls r, l_r, m_f, the readout caps and the Rademacher constant off the
+    class and rejects uncertified losses.
     """
     if not loss.certified:
         raise ValueError("the squared loss is not certified; "
                          "use absolute, huber or pinball")
-    if c_rc is None:
-        c_rc = rademacher_constant(klass, input_second_moment)
     return BoundInputs(
         r=klass.r, l_l=loss.l_l, l_h=klass.l_h, l_h0=klass.l_h0,
-        l_r=klass.l_r, m_f=klass.m_f, n_out=klass.n_out, c_rc=float(c_rc),
+        l_r=klass.l_r, m_f=klass.m_f, n_out=klass.n_out,
+        c_rc=float(rademacher_constant(klass)),
         profile=profile, e_loss_zero=e_loss_zero, y_l2_moment=y_l2_moment,
         phi=phi)

@@ -24,6 +24,7 @@ from .processes import (
     _lyapunov_sum,
     _next_fast_len,
     _path_blocks,
+    _std_error,
     batch_paths,
 )
 from .reservoir import (
@@ -309,9 +310,7 @@ def statistical_risk_mc(hyp, joint, loss, n_mc=2000, history=200, seed=0):
     vals = np.concatenate([
         _pool_losses(hyp.reservoir, [hyp.readout], z, y, loss)[0]
         for z, y in _joint_blocks(joint, n_mc, history, seed)])
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return Moment(mean, se, "mc")
+    return Moment(float(vals.mean()), float(_std_error(vals)), "mc")
 
 
 def _pool_losses(res, readouts, z, y, loss):
@@ -636,6 +635,10 @@ def _exact_risk_uniform(hyp, joint, loss):
 # ---------------------------------------------------------------------------
 
 
+# the subgradient norm at which a start of fit_readout_erm stops
+_ERM_TOL = 1e-6
+
+
 def _project_spectral(w, cap):
     """Project each (m, N) matrix of the stack w onto |||W|||_2 <= cap."""
     flat = w.reshape(w.shape[:-2] + (-1,))
@@ -658,7 +661,7 @@ def _project_ball(a, cap):
 
 
 def fit_readout_erm(states, targets, caps, loss, n_iter=300, n_restarts=5,
-                    seed=0, tol=1e-6):
+                    seed=0):
     """Empirical risk minimizer over affine readouts h(x) = W x + a with
     |||W|||_2 <= caps[0] and ||a||_2 <= caps[1].
 
@@ -673,8 +676,8 @@ def fit_readout_erm(states, targets, caps, loss, n_iter=300, n_restarts=5,
     leading trial axis, states (T, n, N) with targets (T, n) or (T, n, m),
     fits the T trials at once and returns a list of T Readouts; trial t
     draws its random starts from default_rng(seed + t) and stops on its own
-    once its subgradient norm falls to tol, so it equals the single fit of
-    its slice with seed + t.
+    once its subgradient norm falls to _ERM_TOL, so it equals the single fit
+    of its slice with seed + t.
 
     All starts of all trials iterate as one stack, each start stopping on
     its own; the best iterate is the earliest one, starts taken in order,
@@ -763,7 +766,7 @@ def fit_readout_erm(states, targets, caps, loss, n_iter=300, n_restarts=5,
         gmat = loss.g_prime(resid).reshape(n_trials, rows, n)
         grad = (gmat @ xt.swapaxes(1, 2)).reshape(wa.shape) * (c_loss / n)
         gn = np.sqrt(np.sum(grad ** 2, axis=(2, 3)))
-        live &= gn > tol  # a start stops for good at its first small step
+        live &= gn > _ERM_TOL  # a start stops for good at its first small step
         if not live.any():
             break
         step = scale / (np.sqrt(k + 1.0) * np.where(live, gn, 1.0))

@@ -617,6 +617,15 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _std_error(vals):
+    """Standard errors of the Monte Carlo means along the last axis of vals:
+    the sample standard deviation (ddof 1) over sqrt(n); 0 at n = 1."""
+    n = vals.shape[-1]
+    if n < 2:
+        return np.zeros(vals.shape[:-1])
+    return vals.std(axis=-1, ddof=1) / math.sqrt(n)
+
+
 def _mc_mean(draw, values, n_mc, seed):
     """Mean and standard error of values(draw(rng, count)) over n_mc trials.
 
@@ -655,7 +664,7 @@ def _mc_mean(draw, values, n_mc, seed):
     finally:
         # on an error or an interrupt the blocks still queued do not run
         pool.shutdown(cancel_futures=True)
-    return Moment(float(vals.mean()), float(vals.std() / np.sqrt(n_mc)), "mc")
+    return Moment(float(vals.mean()), float(_std_error(vals)), "mc")
 
 
 def estimate_theta(model, tau, n_mc, history=None, seed=0):

@@ -29,7 +29,9 @@ w A^j C.
 
 Hypothesis classes are norm-capped boxes around each family; they carry the
 derived constants (contraction modulus, state-ball radius, input-Lipschitz
-modulus, Rademacher constant) used by the risk certificates.  Each class
+modulus, Rademacher constant) used by the risk certificates.  Each family
+states its state-ball radius once (_echo_state_radius, _state_affine_radius),
+for members' norms (bound_M_F) and classes' caps (m_f).  Each class
 states its cap geometry once: draw_reservoir(rng) draws a member reservoir
 inside the caps, saturate(reservoir) gives a member whose binding caps are
 active, and contains_reservoir checks the reservoir caps; the readout caps
@@ -145,10 +147,6 @@ class Activation:
         return out
 
     @property
-    def lipschitz(self):
-        return 1.0
-
-    @property
     def output_bound(self):
         # sup |sigma|, None when unbounded
         return None if self.kind == "identity" else 1.0
@@ -243,6 +241,28 @@ class MatrixPolynomial:
 # ---------------------------------------------------------------------------
 
 
+def _echo_state_radius(n_state, activation, input_bound, r, c, zeta):
+    """M_F of the echo state family, linear included: the least of sqrt(N)
+    sup|sigma| and, for inputs bounded by K = input_bound and r < 1,
+    (c K + zeta) / (1 - r), where r, c, zeta bound |||A|||, |||C|||, ||zeta||."""
+    radii = []
+    if activation.output_bound is not None:
+        radii.append(math.sqrt(n_state) * activation.output_bound)
+    if input_bound is not None and r < 1.0:
+        radii.append((c * input_bound + zeta) / (1.0 - r))
+    if not radii:
+        raise ValueError("M_F needs a bounded activation or input_bound")
+    return float(min(radii))
+
+
+def _state_affine_radius(m_p, m_q):
+    """M_F of the state affine family, M_q / (1 - M_p), from the sup norms
+    of p and q over the input box (a member's, or a class's caps)."""
+    if m_p >= 1.0:
+        raise ValueError("state map is not a contraction on the box")
+    return m_q / (1.0 - m_p)
+
+
 @dataclass(frozen=True)
 class EchoStateReservoir:
     """x_t = sigma(A x_{t-1} + C z_t + zeta) with an odd 1-Lipschitz sigma."""
@@ -297,29 +317,17 @@ class EchoStateReservoir:
             yield self.activation(x, out=x)
 
     def contraction_modulus(self, input_bound=None):
-        return self.activation.lipschitz * float(np.linalg.norm(self.a, 2))
+        return float(np.linalg.norm(self.a, 2))
 
     def bound_M_F(self, input_bound=None):
-        """sqrt(N) for bounded activations, (|||C||| M + ||zeta||) /
-        (1 - |||A|||) for bounded inputs, the minimum when both apply."""
-        cands = []
-        ob = self.activation.output_bound
-        if ob is not None:
-            cands.append(np.sqrt(self.n_state) * ob)
-        if input_bound is not None:
-            r = self.contraction_modulus()
-            if r < 1.0:
-                ls = self.activation.lipschitz
-                cn = float(np.linalg.norm(self.c, 2))
-                zn = float(np.linalg.norm(self.zeta))
-                # sigma(0) = 0 for the whole catalog, so no additive term
-                cands.append(ls * (cn * float(input_bound) + zn) / (1.0 - r))
-        if not cands:
-            raise ValueError("unbounded activation needs input_bound and r < 1")
-        return float(min(cands))
+        """The echo state radius at |||A|||, |||C||| and ||zeta||."""
+        return _echo_state_radius(self.n_state, self.activation, input_bound,
+                                  self.contraction_modulus(),
+                                  self.input_lipschitz(),
+                                  float(np.linalg.norm(self.zeta)))
 
     def input_lipschitz(self, input_bound=None, m_f=None):
-        return self.activation.lipschitz * float(np.linalg.norm(self.c, 2))
+        return float(np.linalg.norm(self.c, 2))
 
     def zero_input_fixed_point(self):
         """Iterates F(., 0) from 0 until a step moves <= _FIXED_POINT_TOL."""
@@ -476,14 +484,11 @@ class StateAffineReservoir:
         return self.p.sup_norm_on_box(float(input_bound))
 
     def bound_M_F(self, input_bound=None):
-        """M_q / (1 - M_p) over the input box."""
+        """The state affine radius at the sup norms of p and q on the box."""
         if input_bound is None:
             raise ValueError("state affine systems need input_bound")
-        mp = self.p.sup_norm_on_box(float(input_bound))
-        if mp >= 1.0:
-            raise ValueError("state map is not a contraction on the box")
-        mq = self.q.sup_norm_on_box(float(input_bound))
-        return mq / (1.0 - mp)
+        return _state_affine_radius(self.p.sup_norm_on_box(float(input_bound)),
+                                    self.q.sup_norm_on_box(float(input_bound)))
 
     def input_lipschitz(self, input_bound=None, m_f=None):
         """Holds for states inside the ball of radius m_f (default M_F)."""
@@ -674,14 +679,13 @@ def run_filter(system, inputs, washout=None, readout=None, input_bound=None):
     return readout(states)
 
 
-def functional(system, history, readout=None, washout=None, input_bound=None):
+def functional(system, history, readout=None, input_bound=None):
     """Filter value at time 0 given the finite input history (.., z_-1, z_0).
 
     Equals the last row of run_filter: the semi-infinite past beyond the
     supplied history is zero padded.
     """
-    out = run_filter(system, history, washout=washout, readout=readout,
-                     input_bound=input_bound)
+    out = run_filter(system, history, readout=readout, input_bound=input_bound)
     return out[-1]
 
 
@@ -741,16 +745,15 @@ class _ReadoutCaps:
     The Rademacher constant here is the (A, C, zeta) classes' one; the
     state affine class states its own."""
 
-    def rademacher_constant(self, input_second_moment=None):
+    def rademacher_constant(self):
         """Constant c with block Rademacher complexity <= c / sqrt(k).
 
         An (A, C, zeta) class needs the second moment E||Z_0||_2^2 of its
-        unbounded inputs (a Moment or float), passed here or stored on the
-        class.  The linear class is the echo state one with Lip(sigma) = 1,
-        and a random template's lam_a is its cap a.
+        unbounded inputs (a Moment or float), stored on the class.  The
+        linear class is the echo state one with sigma = id, and a random
+        template's lam_a is its cap a.
         """
-        m = (self.input_second_moment if input_second_moment is None
-             else input_second_moment)
+        m = self.input_second_moment
         if m is None:
             raise ValueError("need E||Z_0||^2 for this family")
         z2 = math.sqrt(m.value if isinstance(m, Moment) else float(m))
@@ -802,9 +805,9 @@ class LinearClass(_ReadoutCaps):
 
     @property
     def m_f(self):
-        if self.input_bound is None:
-            raise ValueError("m_f needs input_bound")
-        return (self.lam_c * self.input_bound + self.lam_zeta) / (1.0 - self.lam_a)
+        return _echo_state_radius(self.n_state, Activation("identity"),
+                                  self.input_bound, self.lam_a, self.lam_c,
+                                  self.lam_zeta)
 
     def contains_reservoir(self, res, tol=1e-9):
         return (isinstance(res, LinearReservoir)
@@ -872,38 +875,29 @@ class EchoStateClass(_ReadoutCaps):
     @property
     def lam_a(self):
         # ell-1 state chain constant; must be < 1 for the class constant
-        return self.activation.lipschitz * float(np.sum(self.row_a))
+        return float(np.sum(self.row_a))
 
     @property
     def lam_c(self):
-        return self.activation.lipschitz * float(np.sum(self.row_c))
+        return float(np.sum(self.row_c))
 
     @property
     def lam_zeta(self):
-        return self.activation.lipschitz * float(np.sum(self.row_zeta))
+        return float(np.sum(self.row_zeta))
 
     @property
     def r(self):
-        return self.activation.lipschitz * self.spec_a
+        return self.spec_a
 
     @property
     def l_r(self):
-        return self.activation.lipschitz * self.spec_c
+        return self.spec_c
 
     @property
     def m_f(self):
-        cands = []
-        ob = self.activation.output_bound
-        if ob is not None:
-            cands.append(np.sqrt(self.n_state) * ob)
-        if self.input_bound is not None and self.r < 1.0:
-            ls = self.activation.lipschitz
-            zeta_cap = float(np.linalg.norm(self.row_zeta))
-            cands.append(ls * (self.spec_c * self.input_bound + zeta_cap)
-                         / (1.0 - self.r))
-        if not cands:
-            raise ValueError("m_f needs a bounded activation or input_bound")
-        return float(min(cands))
+        return _echo_state_radius(self.n_state, self.activation,
+                                  self.input_bound, self.r, self.l_r,
+                                  float(np.linalg.norm(self.row_zeta)))
 
     def contains_reservoir(self, res, tol=1e-9):
         if not isinstance(res, EchoStateReservoir):
@@ -983,9 +977,9 @@ class StateAffineClass(_ReadoutCaps):
 
     @property
     def m_f(self):
-        return self.c_sas * self.input_bound / (1.0 - self.r)
+        return _state_affine_radius(self.r, self.c_sas * self.input_bound)
 
-    def rademacher_constant(self, input_second_moment=None):
+    def rademacher_constant(self):
         """l_h m_f + l_h0: uniformly bounded on its input box, the class
         needs no input moment."""
         return self.l_h * self.m_f + self.l_h0
@@ -1085,8 +1079,7 @@ class RandomEchoStateClass(_ReadoutCaps):
 
     @property
     def lam_base_a(self):
-        return self.activation.lipschitz * float(
-            np.sum(np.abs(self.base_a).max(axis=1)))
+        return float(np.sum(np.abs(self.base_a).max(axis=1)))
 
     @property
     def lam_a(self):
@@ -1095,13 +1088,11 @@ class RandomEchoStateClass(_ReadoutCaps):
 
     @property
     def lam_c(self):
-        return self.c_scale * self.activation.lipschitz * float(
-            np.sum(np.linalg.norm(self.base_c, axis=1)))
+        return self.c_scale * float(np.sum(np.linalg.norm(self.base_c, axis=1)))
 
     @property
     def lam_zeta(self):
-        return self.zeta_scale * self.activation.lipschitz * float(
-            np.sum(np.abs(self.base_zeta)))
+        return self.zeta_scale * float(np.sum(np.abs(self.base_zeta)))
 
     @property
     def rho_a_max(self):
@@ -1111,20 +1102,18 @@ class RandomEchoStateClass(_ReadoutCaps):
     def r(self):
         # |||rho A|||_2 <= rho_max |||A|||_2, intersected with 1 (ESP needs
         # the realized spectral radius checked by the caller when >= 1)
-        return self.rho_a_max * self.activation.lipschitz * float(
-            np.linalg.norm(self.base_a, 2))
+        return self.rho_a_max * float(np.linalg.norm(self.base_a, 2))
 
     @property
     def l_r(self):
-        return self.c_scale * self.activation.lipschitz * float(
-            np.linalg.norm(self.base_c, 2))
+        return self.c_scale * float(np.linalg.norm(self.base_c, 2))
 
     @property
     def m_f(self):
-        ob = self.activation.output_bound
-        if ob is None:
-            raise ValueError("random template needs a bounded activation")
-        return float(np.sqrt(self.n_state) * ob)
+        # the echo state radius of the bounded activation alone: the
+        # template's r may reach 1, and its input_bound is not read
+        return _echo_state_radius(self.n_state, self.activation, None, self.r,
+                                  self.l_r, self.lam_zeta)
 
     def member(self, rho_a, rho_c, rho_z):
         if abs(rho_a) * self.lam_base_a >= self.a:
@@ -1139,8 +1128,7 @@ class RandomEchoStateClass(_ReadoutCaps):
             return False
         if res.activation != self.activation:
             return False
-        row_a = self.activation.lipschitz * float(np.sum(np.abs(res.a).max(axis=1)))
-        return row_a <= self.a + tol
+        return float(np.sum(np.abs(res.a).max(axis=1))) <= self.a + tol
 
     def draw_reservoir(self, rng):
         return self.member(rng.uniform(-1.0, 1.0) * self.rho_a_max,

@@ -38,6 +38,8 @@ from .processes import (
     _PROFILE_MC,
     DependenceProfile,
     Moment,
+    _path_blocks,
+    _std_error,
     batch_paths,
 )
 from .reservoir import (
@@ -251,9 +253,13 @@ def mc_rademacher(candidates, model, k, seed=0, **settings):
 
     (1/k) E sup_H || sum_j eps_j H(Z_j) ||_2 with the sup over a finite
     candidate set (a class is expanded via candidate_set) and Z_j fresh
-    stationary histories per repetition, read by one final_outputs pass per
-    reservoir.  settings are the other fields of RademacherSettings.
-    Returns a Moment with the repetition standard error.
+    stationary histories per repetition: the paths of the stream
+    seed + 100_000, one block of _path_blocks at a time read by one
+    final_outputs pass per reservoir, and signs from the stream seed + 1.
+    A repetition's outputs are held until its last path is read, so it may
+    span blocks and the estimate does not depend on the block size.
+    settings are the other fields of RademacherSettings.  Returns a Moment
+    with the repetition standard error.
     """
     s = RademacherSettings(ks=(k,), **settings)
     k, n_rep, history = s.ks[0], s.n_rep, s.history
@@ -265,26 +271,27 @@ def mc_rademacher(candidates, model, k, seed=0, **settings):
         i for i, h in enumerate(candidates)
         if h.readout.w.any() or h.readout.a.any()])
 
-    # chunk repetitions so the path block stays below ~2e7 floats
-    per_rep = k * history * model.dim
-    chunk = max(1, min(n_rep, int(2e7 // max(per_rep, 1)) or 1))
-    sups = np.empty(n_rep)
-    sign_rng = np.random.default_rng(seed + 1)
-    done = 0
-    while done < n_rep:
-        b = min(chunk, n_rep - done)
-        z = batch_paths(model, b * k, history, seed=seed + 100_000 + done)
-        eps = sign_rng.integers(0, 2, size=(b, k)) * 2.0 - 1.0
-        best = np.zeros(b)
-        for res, readouts, _ in groups:
-            outs = final_outputs(res, z, readouts)
-            for o in outs.reshape(len(readouts), b, k, -1):
-                sums = np.einsum("bk,bkm->bm", eps, o)
+    n_paths = n_rep * k
+    signs = np.random.default_rng(seed + 1).integers(0, 2, size=(n_rep, k))
+    eps = signs * 2.0 - 1.0
+    sups = np.zeros(n_rep)
+    held = [[] for _ in groups]  # per group: outputs (paths, readouts, m)
+    done, drawn = 0, 0  # repetitions summed, paths drawn
+    for z in _path_blocks(model, n_paths, history, n_paths, seed=seed + 100_000):
+        drawn += len(z)
+        b = drawn // k - done  # repetitions whose last path is drawn
+        best = sups[done:done + b]
+        for out, (res, readouts, _) in zip(held, groups):
+            out.append(final_outputs(res, z, readouts).swapaxes(0, 1))
+            outs = out[0] if len(out) == 1 else np.concatenate(out)
+            for j in range(len(readouts)):
+                sums = np.einsum("bk,bkm->bm", eps[done:done + b],
+                                 outs[:b * k, j].reshape(b, k, outs.shape[2]))
                 np.maximum(best, np.linalg.norm(sums, axis=1), out=best)
-        sups[done : done + b] = best / k
+            out[:] = [outs[b * k:]]
         done += b
-    se = float(sups.std(ddof=1) / math.sqrt(n_rep)) if n_rep > 1 else 0.0
-    return Moment(float(sups.mean()), se, "mc")
+    sups /= k
+    return Moment(float(sups.mean()), float(_std_error(sups)), "mc")
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +314,7 @@ def expected_loss_at_zero(joint, loss, n_mc, history, seed=0):
     blocks = _joint_blocks(joint, n_mc, history, seed)
     vals = np.concatenate([loss.per_sample(np.zeros_like(y), y)
                            for _, y in blocks])
-    return Moment(float(vals.mean()),
-                  float(vals.std(ddof=1) / math.sqrt(n_mc)), "mc")
+    return Moment(float(vals.mean()), float(_std_error(vals)), "mc")
 
 
 def target_l2_moment(joint, n_mc, history, seed=0):
@@ -323,25 +329,21 @@ def target_l2_moment(joint, n_mc, history, seed=0):
     sq = np.concatenate([np.sum(np.atleast_2d(y) ** 2, axis=-1)
                          for _, y in blocks])
     mean = float(sq.mean())
-    se = float(sq.std(ddof=1) / math.sqrt(n_mc))
+    se = float(_std_error(sq))
     return Moment(math.sqrt(mean), se / (2.0 * math.sqrt(mean)) if mean > 0
                   else 0.0, "mc")
 
 
-def teacher_target_profile(z_profile, teacher_klass_or_caps):
-    """Dependence envelope of targets generated by a contracting teacher.
+def teacher_target_profile(z_profile, klass):
+    """Dependence envelope of targets generated by a contracting teacher
+    drawn from klass.
 
     Coupling two input paths that agree on the last tau steps moves the
     teacher output by at most l_h (2 m_f r^tau + l_r sum r^l theta_z),
     which stays geometric: rate max(r, rate_z) with an explicit constant
-    (requiring r != rate_z when inputs mix).  Pass either a class or a
-    dict with keys r, m_f, l_r, l_h.
+    (requiring r < rate_z when inputs mix), from the class constants.
     """
-    t = teacher_klass_or_caps
-    if isinstance(t, dict):
-        r, m_f, l_r, l_h = t["r"], t["m_f"], t["l_r"], t["l_h"]
-    else:
-        r, m_f, l_r, l_h = t.r, t.m_f, t.l_r, t.l_h
+    r, m_f, l_r, l_h = klass.r, klass.m_f, klass.l_r, klass.l_h
     if z_profile.regime == "algebraic":
         raise ValueError("teacher target envelopes support geometric inputs")
     if z_profile.exact_zero_z:
@@ -378,9 +380,8 @@ def _max_std_error(per_sample):
     """
     k, n = per_sample.shape
     rows = max(2, _MC_FLOATS // n)
-    return float(max(
-        per_sample[min(i, max(0, k - 2)):i + rows].std(axis=-1, ddof=1).max()
-        for i in range(0, k, rows)) / math.sqrt(n))
+    return float(max(_std_error(per_sample[min(i, max(0, k - 2)):i + rows]).max()
+                     for i in range(0, k, rows)))
 
 
 def _pool_risks(groups, joint, loss, pool):
@@ -584,10 +585,11 @@ def truncation_gap_experiment(klass, model, y_law, ns, loss=LossFunction(),
 # ---------------------------------------------------------------------------
 
 
-def history_lipschitz_check(systems, input_bound, seed=0, **settings):
+def history_lipschitz_check(klass, input_bound, seed=0, **settings):
     """Worst ratio of realized state deviation to the history envelope.
 
-    For pairs of input histories sharing a random-length recent stretch,
+    Over the reservoirs of candidate_set(klass, 8, seed), for pairs of
+    input histories sharing a random-length recent stretch,
     the final-state distance must stay below
     min_i (2 r^i m_f + l_r sum_{j<i} r^j ||z_{-j} - z'_{-j}||).  The
     envelope is floored at the roundoff scale of the recursion (the
@@ -598,9 +600,7 @@ def history_lipschitz_check(systems, input_bound, seed=0, **settings):
     """
     s = LipschitzSettings(input_bound=input_bound, **settings)
     input_bound, n_pairs, t = s.input_bound, s.n_pairs, s.history
-    if not isinstance(systems, (list, tuple)):
-        systems = [h.reservoir for h in candidate_set(systems, n_random=8,
-                                                      seed=seed)]
+    systems = [h.reservoir for h in candidate_set(klass, n_random=8, seed=seed)]
     worst = 0.0
     rng = np.random.default_rng(seed)
     for sys_i, system in enumerate(systems):

@@ -466,6 +466,22 @@ def test_moment_is_mean_over_one_step_paths(monkeypatch, name):
                 assert m.provenance == "mc"
 
 
+def test_mc_standard_error_of_two_trials_is_half_their_distance():
+    # the sample standard deviation (ddof 1) of two values x1, x2 is
+    # |x1 - x2| / sqrt(2), so the standard error of their mean is
+    # |x1 - x2| / 2
+    model, seed = SHIFT_MODELS["garch-squared"], 5
+    trial = model.innovations(np.random.default_rng(0), 1,
+                              processes._lag(model, None) + 1).size
+    x1, x2 = [np.linalg.norm(path[-1])
+              for count, rng in _mc_blocks(2, trial, seed)
+              for path in batch_paths(model, count, 1, None, rng)]
+    m = moment(model, 1, n_mc=2, seed=seed)
+    assert x1 != x2
+    assert m.value == pytest.approx((x1 + x2) / 2.0, rel=1e-12)
+    assert m.std_error == pytest.approx(abs(x1 - x2) / 2.0, rel=1e-12)
+
+
 def _coupled_theta_by_loop(tau, history, n_mc, seed, step, draw):
     """theta(tau) from two explicit trajectories per trial: trial i is row
     i % b of the draw(rng, count) of its block (count trials of

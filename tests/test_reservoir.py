@@ -251,9 +251,55 @@ def test_random_esn_row_sum_cap_is_a():
                        input_second_moment=M2)
     assert klass.lam_a == 0.5
     member = klass.member(klass.rho_a_max, 0.3, 0.1)
-    ls = klass.activation.lipschitz
-    row_sum = ls * np.sum(np.abs(member.a).max(axis=1))
+    row_sum = np.sum(np.abs(member.a).max(axis=1))
     assert abs(row_sum - 0.5) < 1e-12
+
+
+def test_class_constants_are_their_closed_forms():
+    # r, l_r and m_f of each class are their closed forms bit for bit, the
+    # echo state caps given explicitly so that no SVD enters; and a
+    # member's bound_M_F is its family's radius at the member's own norms
+    lin = LinearClass(n_state=3, n_input=2, n_out=1, lam_a=0.6, lam_c=0.8,
+                      lam_zeta=0.4, l_h=1.0, l_h0=0.5, input_bound=2.0)
+    assert (lin.r, lin.l_r) == (0.6, 0.8)
+    assert lin.m_f == (0.8 * 2.0 + 0.4) / (1.0 - 0.6)
+    row_zeta = (0.1, 0.2, 0.2)
+    zeta_cap = float(np.linalg.norm(row_zeta))
+    for bound in (None, 0.2, 1.0):
+        esn = EchoStateClass(n_state=3, n_input=1, n_out=1, row_a=(0.2,) * 3,
+                             row_c=(0.5,) * 3, row_zeta=row_zeta, l_h=1.0,
+                             l_h0=0.5, spec_a=0.6, spec_c=0.9,
+                             input_bound=bound)
+        assert (esn.r, esn.l_r) == (0.6, 0.9)
+        want = np.sqrt(3.0)
+        if bound is not None:
+            want = min(want, (0.9 * bound + zeta_cap) / (1.0 - 0.6))
+        assert esn.m_f == want
+    sas = StateAffineClass(n_state=2, n_input=1, n_out=1,
+                           alphas_p=((0,), (1,)), alphas_q=((0,), (2,)),
+                           lam_sas=0.45, c_sas=0.8, input_bound=1.5, l_h=1.0,
+                           l_h0=0.5)
+    m_f = 0.8 * 1.5 / (1.0 - 0.45 * 1.5)
+    assert (sas.r, sas.m_f) == (0.45 * 1.5, m_f)
+    assert sas.l_r == 1 * 0.45 * m_f + 2 * 0.8
+    rand = random_esn(5, 1, 1, a=0.5, c_scale=1.0, zeta_scale=0.5, l_h=1.0,
+                      l_h0=0.5, seed=7, input_bound=0.01)
+    assert rand.m_f == np.sqrt(5.0)
+
+    k = 0.7
+    for klass in (lin, esn, sas):
+        for hyp in sample_from_class(klass, n=3, seed=2):
+            res = hyp.reservoir
+            if isinstance(res, StateAffineReservoir):
+                want = (res.q.sup_norm_on_box(k)
+                        / (1.0 - res.p.sup_norm_on_box(k)))
+            else:
+                r = float(np.linalg.norm(res.a, 2))
+                want = ((float(np.linalg.norm(res.c, 2)) * k
+                         + float(np.linalg.norm(res.zeta))) / (1.0 - r))
+                if res.activation.output_bound is not None:
+                    want = min(want, np.sqrt(res.n_state))
+            assert res.bound_M_F(k) == want
 
 
 def test_random_esn_lam_c_matches_mc_mean():

@@ -103,8 +103,7 @@ BOUNDARY_CASES = {
     "random_esn": (lambda: random_esn(5, 1, 1, a=0.5, c_scale=1.0,
                                       zeta_scale=0.5, l_h=1.0, l_h0=0.5,
                                       seed=7, input_second_moment=M2_UNIF),
-                   lambda k, res: (k.activation.lipschitz
-                                   * np.sum(np.abs(res.a).max(axis=1)),
+                   lambda k, res: (np.sum(np.abs(res.a).max(axis=1)),
                                    k.a * (1.0 - 1e-9))),
 }
 
@@ -143,6 +142,44 @@ def test_mc_rademacher_below_class_cap():
         est = mc_rademacher(klass, IIDProcess(UNIF), k=k, n_rep=48, seed=3,
                             n_random=10)
         assert est.value <= c_rc / math.sqrt(k) + 3 * est.std_error
+
+
+def test_mc_rademacher_does_not_depend_on_chunk_size(monkeypatch):
+    # bit for bit the same estimate whether one path block holds every
+    # repetition, two whole ones, one and a half, or fewer paths than one
+    # repetition (which then spans blocks); all sizes stay below the BLAS
+    # small-matrix size
+    k, history = 8, 12
+    classes = [uniform_linear_class(), BOUNDARY_CASES["esn"][0](),
+               BOUNDARY_CASES["sas"][0]()]
+
+    def estimates():
+        return [mc_rademacher(klass, IIDProcess(UNIF), k, n_rep=5,
+                              history=history, n_random=3, seed=4)
+                for klass in classes]
+
+    whole = estimates()
+    for paths in (2 * k, 12, 3, 1):
+        # i.i.d. inputs draw history innovation floats per path
+        monkeypatch.setattr("rcbounds.processes._CHUNK_FLOATS", paths * history)
+        assert estimates() == whole, paths
+
+
+def test_mc_rademacher_memory_stays_within_a_path_block():
+    # 64 repetitions of k = 1024 histories of 200 steps are 105 MB of
+    # inputs; a block of paths holds at most 2e6 innovation floats (16 MB)
+    import tracemalloc
+
+    cands = candidate_set(uniform_linear_class(), 16, seed=0)
+    tracemalloc.start()
+    try:
+        est = mc_rademacher(cands, IIDProcess(UNIF), 1024, n_rep=64,
+                            history=200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.value > 0.0 and est.std_error > 0.0
+    assert peak <= 40 * 2 ** 20
 
 
 def test_truncation_gaps_within_envelope():
@@ -434,7 +471,8 @@ def test_teacher_target_profile_geometric_inputs():
     # the target decay rate cannot be faster than the input decay
     assert prof.rate_y >= z_prof.rate_z - 1e-12
     assert prof.c_y.value > 0
-    slow = dict(r=0.99, m_f=1.0, l_r=1.0, l_h=1.0)
+    slow = LinearClass(n_state=4, n_input=1, n_out=1, lam_a=0.99, lam_c=1.0,
+                       lam_zeta=0.0, l_h=1.0, l_h0=0.0, input_bound=1.0)
     with pytest.raises(ValueError):
         teacher_target_profile(z_prof, slow)
 
